@@ -3,12 +3,14 @@ Giambelli expansions, ring presentations, structure tables, oracle checks,
 and Pluecker coordinates of explicit matrices.
 
 Exit codes: 0 success, 1 oracle disagreement or failed check, 2 parse or
-validation error, 3 mathematical precondition failure."""
+validation error, 3 mathematical precondition failure, 141 stdout closed
+by its reader (128 + SIGPIPE)."""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .derivations import leibniz_d, pieri_d, render_dpolynomial
@@ -17,7 +19,9 @@ from .exterior_core import (
     KVector,
     Partition,
     partition_to_symbol,
+    q_factors,
     render_kvector,
+    render_signed_terms,
 )
 from .giambelli_ring import giambelli_det, render_presentation, verify_presentation
 from .grassmann_contexts import (
@@ -44,6 +48,7 @@ EXIT_OK = 0
 EXIT_ORACLE = 1
 EXIT_PARSE = 2
 EXIT_MATH = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def parse_partition(text: str) -> Partition:
@@ -70,32 +75,18 @@ def parse_symbol(text: str) -> tuple:
 def render_sigma(expansion: dict) -> str:
     """Sigma-basis text like 's[2,2] + q*s[]'; terms sorted by q-degree
     then partition."""
-    if not expansion:
-        return "0"
     entries = sorted(expansion.items(), key=lambda t: (t[0][1], t[0][0].parts))
-    chunks = []
-    for pos, ((nu, d), c) in enumerate(entries):
-        pieces = []
-        if abs(c) != 1:
-            pieces.append(str(abs(c)))
-        if d == 1:
-            pieces.append("q")
-        elif d > 1:
-            pieces.append(f"q^{d}")
-        pieces.append("s[" + ",".join(str(p) for p in nu) + "]")
-        term = "*".join(pieces)
-        if pos == 0:
-            chunks.append(term if c > 0 else "-" + term)
-        else:
-            chunks.append((" + " if c > 0 else " - ") + term)
-    return "".join(chunks)
+    return render_signed_terms(
+        (c, q_factors(d) + ["s[" + ",".join(str(p) for p in nu) + "]"])
+        for (nu, d), c in entries
+    )
 
 
 def _kvector_json(v: KVector) -> dict:
-    terms = []
-    for sym, qc in v.items():
-        for d in sorted(qc.coeffs):
-            terms.append({"indices": list(sym.indices), "d": d, "coeff": qc.coeffs[d]})
+    terms = [
+        {"indices": list(indices), "d": d, "coeff": c}
+        for (indices, d), c in sorted(v.terms.items())
+    ]
     return {"degree": v.degree, "terms": terms}
 
 
@@ -327,7 +318,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send that flush to devnull
+        # so that it cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except RankDeficientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH

@@ -6,22 +6,23 @@ leibniz_d enumerates all compositions of h (most of which cancel) and
 pieri_d enumerates only the surviving interleaving symbols.  pieri_d is
 the production path; leibniz_d exists as an oracle.
 
-pieri_d and apply_operator add plain-int coefficients, one dict of index
-tuples per power of q, and build each surviving term's SchubertSymbol and
-QInt once, at the end.  Within one apply_operator call the Pieri targets
+pieri_d and apply_operator regroup a k-vector's terms as one dict of
+index tuples per power of q, add plain ints there and flatten the result
+back into KVector terms.  Within one apply_operator call the Pieri targets
 of a symbol are enumerated once per h and shared by every monomial.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .exterior_core import (
     InvalidInputError,
     KVector,
     Partition,
-    QInt,
-    SchubertSymbol,
-    _fast_symbol,
-    normalize,
+    accumulate,
+    render_signed_terms,
+    signed_sorted,
 )
 
 
@@ -34,20 +35,18 @@ class DPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        d = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for mono, c in items:
-                if not isinstance(mono, Partition):
-                    mono = Partition(mono)
-                c = int(c)
-                if c:
-                    nc = d.get(mono, 0) + c
-                    if nc:
-                        d[mono] = nc
-                    elif mono in d:
-                        del d[mono]
-        self.terms = d
+        items = terms.items() if hasattr(terms, "items") else terms or ()
+        self.terms = accumulate(
+            (mono if isinstance(mono, Partition) else Partition(mono), int(c))
+            for mono, c in items
+        )
+
+    @classmethod
+    def _of(cls, terms: dict) -> "DPolynomial":
+        """Wrap a {Partition: nonzero int} dict without checking it."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "DPolynomial":
@@ -90,43 +89,22 @@ class DPolynomial:
     def __add__(self, other):
         if not isinstance(other, DPolynomial):
             raise InvalidInputError("can only add DPolynomials")
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = d.get(m, 0) + c
-            if nc:
-                d[m] = nc
-            elif m in d:
-                del d[m]
-        out = DPolynomial()
-        out.terms = d
-        return out
+        return DPolynomial._of(accumulate(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        out = DPolynomial()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
-            out = DPolynomial()
-            if other:
-                out.terms = {m: c * other for m, c in self.terms.items()}
-            return out
-        d = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = Partition(sorted(m1.parts + m2.parts, reverse=True))
-                nc = d.get(m, 0) + c1 * c2
-                if nc:
-                    d[m] = nc
-                elif m in d:
-                    del d[m]
-        out = DPolynomial()
-        out.terms = d
-        return out
+            return DPolynomial._of({m: c * other for m, c in self.terms.items()} if other else {})
+        return DPolynomial._of(accumulate(
+            (Partition(sorted(m1.parts + m2.parts, reverse=True)), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        ))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -148,20 +126,14 @@ class DPolynomial:
 
 def render_dpolynomial(p: DPolynomial) -> str:
     """Text form like 'D1*D2 - D3'; monomials sorted lexicographically."""
-    if not p.terms:
-        return "0"
-    chunks = []
-    for pos, (mono, c) in enumerate(p.items()):
-        pieces = [] if abs(c) == 1 and mono.parts else [str(abs(c))]
+    terms = []
+    for mono, c in p.items():
+        factors = []
         for part in sorted(set(mono.parts)):
             e = mono.parts.count(part)
-            pieces.append(f"D{part}" if e == 1 else f"D{part}^{e}")
-        term = "*".join(pieces) if pieces else "1"
-        if pos == 0:
-            chunks.append(term if c > 0 else "-" + term)
-        else:
-            chunks.append((" + " if c > 0 else " - ") + term)
-    return "".join(chunks)
+            factors.append(f"D{part}" if e == 1 else f"D{part}^{e}")
+        terms.append((c, factors))
+    return render_signed_terms(terms)
 
 
 def _compositions(h: int, k: int):
@@ -195,11 +167,11 @@ def leibniz_d(h: int, v: KVector) -> KVector:
         return v
     if v.degree == 0:
         return KVector.zero(0)
-    raw = []
-    for sym, coeff in v.terms.items():
-        for shifted in leibniz_raw_terms(h, sym.indices):
-            raw.append((shifted, coeff))
-    return normalize(raw, v.degree)
+    return KVector._of(v.degree, accumulate(signed_sorted(
+        ((shifted, d), c)
+        for (indices, d), c in v.terms.items()
+        for shifted in leibniz_raw_terms(h, indices)
+    )))
 
 
 def pieri_symbols(indices, h: int):
@@ -227,15 +199,14 @@ def _pieri_targets(indices: tuple, h: int) -> list:
     return [prefix + (last + rem,) for prefix, rem in partial]
 
 
-def _components(v: KVector) -> dict:
-    """v as {q-degree: {index tuple: int}}."""
+def _by_q_degree(terms: dict) -> dict:
+    """KVector terms regrouped as {q-degree: {index tuple: int}}."""
     out = {}
-    for sym, coeff in v.terms.items():
-        for e, c in coeff.coeffs.items():
-            comp = out.get(e)
-            if comp is None:
-                comp = out[e] = {}
-            comp[sym.indices] = c
+    for (indices, d), c in terms.items():
+        comp = out.get(d)
+        if comp is None:
+            comp = out[d] = {}
+        comp[indices] = c
     return out
 
 
@@ -256,33 +227,6 @@ def _shift(h: int, components: dict, targets: dict) -> dict:
     return out
 
 
-def _to_kvector(degree: int, components: dict) -> KVector:
-    """Build a KVector from {q-degree: {index tuple: int}}, skipping zeros.
-
-    A coefficient that is a single power of q is one QInt shared by every
-    term with the same (degree, value); nothing in the package mutates a
-    QInt's coeffs in place, so the sharing is never observable."""
-    shared = {}
-    coeffs = {}
-    for e, comp in components.items():
-        for indices, c in comp.items():
-            if not c:
-                continue
-            prev = coeffs.get(indices)
-            if prev is None:
-                q = shared.get((e, c))
-                if q is None:
-                    q = shared[(e, c)] = QInt()
-                    q.coeffs = {e: c}
-            else:
-                q = QInt()
-                q.coeffs = {**prev.coeffs, e: c}
-            coeffs[indices] = q
-    out = KVector(degree)
-    out.terms = {_fast_symbol(indices): q for indices, q in coeffs.items()}
-    return out
-
-
 def pieri_d(h: int, v: KVector) -> KVector:
     """D_h by cancellation-free Pieri enumeration (production path)."""
     if h < 0:
@@ -291,7 +235,10 @@ def pieri_d(h: int, v: KVector) -> KVector:
         return v
     if v.degree == 0:
         return KVector.zero(0)
-    return _to_kvector(v.degree, _shift(h, _components(v), {}))
+    shifted = _shift(h, _by_q_degree(v.terms), {})
+    return KVector._of(
+        v.degree, {(j, d): c for d, comp in shifted.items() for j, c in comp.items()}
+    )
 
 
 def apply_operator(p: DPolynomial, v: KVector) -> KVector:
@@ -306,30 +253,27 @@ def apply_operator(p: DPolynomial, v: KVector) -> KVector:
     enumerated once per call and shared by every monomial.  Monomials
     sharing a leading factor sequence reuse the intermediate components,
     which matters for determinant expansions.  All monomials add their
-    integer multiples into one accumulator, and the KVector is built
-    once, at the end."""
+    integer multiples into one accumulator."""
     targets = {}
-    memo = {(): _components(v)}
+    memo = {(): _by_q_degree(v.terms)}
 
     def evaluate(parts):
         cached = memo.get(parts)
         if cached is None:
             h = parts[-1]
             if len(parts) == 1:
-                cached = _components(pieri_d(h, v))
+                cached = _by_q_degree(pieri_d(h, v).terms)
             else:
                 cached = _shift(h, evaluate(parts[:-1]), targets.setdefault(h, {}))
             memo[parts] = cached
         return cached
 
-    acc = {}
-    for mono, c in p.terms.items():
-        for e, comp in evaluate(mono.parts).items():
-            total = acc.setdefault(e, {})
-            get = total.get
-            for indices, x in comp.items():
-                total[indices] = get(indices, 0) + c * x
-    return _to_kvector(v.degree, acc)
+    return KVector._of(v.degree, accumulate(
+        ((j, d), c * x)
+        for mono, c in p.terms.items()
+        for d, comp in evaluate(mono.parts).items()
+        for j, x in comp.items()
+    ))
 
 
 def inverse_components(max_degree: int) -> list:

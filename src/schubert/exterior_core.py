@@ -9,10 +9,20 @@ variable q (plain Python ints, so arithmetic is exact at any size).
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 
 class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
+
+
+def accumulate(pairs) -> dict:
+    """Sum (key, int) pairs into {key: total}, dropping keys that total 0."""
+    acc = {}
+    get = acc.get
+    for key, c in pairs:
+        acc[key] = get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}
 
 
 class Partition:
@@ -120,33 +130,25 @@ class SchubertSymbol:
         return f"SchubertSymbol({list(self.indices)})"
 
 
-def _fast_symbol(indices: tuple) -> SchubertSymbol:
-    """Unchecked constructor for index tuples already known to be canonical."""
-    sym = SchubertSymbol.__new__(SchubertSymbol)
-    sym.indices = indices
-    return sym
-
-
 class QInt:
     """Sparse integer polynomial in q: a map from exponent to coefficient."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        d = {}
-        if coeffs:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for e, c in items:
-                e, c = int(e), int(c)
-                if e < 0:
-                    raise InvalidInputError(f"negative q exponent {e}")
-                if c:
-                    nc = d.get(e, 0) + c
-                    if nc:
-                        d[e] = nc
-                    elif e in d:
-                        del d[e]
-        self.coeffs = d
+        items = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
+        pairs = [(int(e), int(c)) for e, c in items]
+        for e, _ in pairs:
+            if e < 0:
+                raise InvalidInputError(f"negative q exponent {e}")
+        self.coeffs = accumulate(pairs)
+
+    @classmethod
+    def _of(cls, coeffs: dict) -> "QInt":
+        """Wrap an {exponent: nonzero int} dict without checking it."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def integer(cls, n: int) -> "QInt":
@@ -162,47 +164,25 @@ class QInt:
     def constant_term(self) -> int:
         return self.coeffs.get(0, 0)
 
-    def at_q_zero(self) -> "QInt":
-        return QInt.integer(self.constant_term())
-
     def __bool__(self):
         return bool(self.coeffs)
 
     def __add__(self, other):
-        other = _qint(other)
-        d = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            nc = d.get(e, 0) + c
-            if nc:
-                d[e] = nc
-            elif e in d:
-                del d[e]
-        out = QInt()
-        out.coeffs = d
-        return out
+        return QInt._of(accumulate(chain(self.coeffs.items(), _qint(other).coeffs.items())))
 
     def __neg__(self):
-        out = QInt()
-        out.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return out
+        return QInt._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-_qint(other))
 
     def __mul__(self, other):
         other = _qint(other)
-        d = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                nc = d.get(e, 0) + c1 * c2
-                if nc:
-                    d[e] = nc
-                elif e in d:
-                    del d[e]
-        out = QInt()
-        out.coeffs = d
-        return out
+        return QInt._of(accumulate(
+            (e1 + e2, c1 * c2)
+            for e1, c1 in self.coeffs.items()
+            for e2, c2 in other.coeffs.items()
+        ))
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -239,7 +219,12 @@ def _qint(c) -> QInt:
 
 
 class KVector:
-    """Element of the k-th exterior power: symbol -> nonzero QInt.
+    """Element of the k-th exterior power.
+
+    ``terms`` maps (index tuple, q-degree) to a nonzero int, so the vector
+    is the sum of c * q^d * e^{i1} ^ ... ^ e^{ik} over its entries.  The
+    constructor, ``items()`` and ``coefficient()`` speak in SchubertSymbol
+    and QInt; the engine works on ``terms`` directly.
 
     The degree k is carried explicitly so the zero vectors of distinct
     exterior powers stay distinguishable.
@@ -252,7 +237,7 @@ class KVector:
         if degree < 0:
             raise InvalidInputError("degree must be nonnegative")
         self.degree = degree
-        d = {}
+        pairs = []
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for sym, c in items:
@@ -262,14 +247,16 @@ class KVector:
                     raise InvalidInputError(
                         f"symbol {sym.indices} has length {len(sym)}, expected {degree}"
                     )
-                c = _qint(c)
-                if sym in d:
-                    c = d[sym] + c
-                if c:
-                    d[sym] = c
-                elif sym in d:
-                    del d[sym]
-        self.terms = d
+                pairs.extend(((sym.indices, e), x) for e, x in _qint(c).coeffs.items())
+        self.terms = accumulate(pairs)
+
+    @classmethod
+    def _of(cls, degree: int, terms: dict) -> "KVector":
+        """Wrap a {(index tuple, q-degree): nonzero int} dict without checking it."""
+        out = cls.__new__(cls)
+        out.degree = degree
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, degree: int) -> "KVector":
@@ -284,33 +271,28 @@ class KVector:
         return not self.terms
 
     def items(self):
-        """Terms in canonical (lexicographic symbol) order."""
-        return [(s, self.terms[s]) for s in sorted(self.terms)]
+        """(SchubertSymbol, QInt) terms in canonical (lexicographic symbol) order."""
+        grouped = {}
+        for (indices, d), c in sorted(self.terms.items()):
+            grouped.setdefault(indices, {})[d] = c
+        return [(SchubertSymbol(indices), QInt._of(qc)) for indices, qc in grouped.items()]
 
     def coefficient(self, indices) -> QInt:
         sym = indices if isinstance(indices, SchubertSymbol) else SchubertSymbol(indices)
-        return self.terms.get(sym, QInt())
+        return QInt._of({d: c for (i, d), c in self.terms.items() if i == sym.indices})
 
     def scale(self, c) -> "KVector":
         c = _qint(c)
-        out = KVector(self.degree)
-        if c:
-            out.terms = {s: v for s, v in ((s, c * v) for s, v in self.terms.items()) if v}
-        return out
+        return KVector._of(self.degree, accumulate(
+            ((indices, d + e), x * y)
+            for (indices, d), x in self.terms.items()
+            for e, y in c.coeffs.items()
+        ))
 
     def __add__(self, other):
         if not isinstance(other, KVector) or other.degree != self.degree:
             raise InvalidInputError("can only add k-vectors of equal degree")
-        d = dict(self.terms)
-        for s, c in other.terms.items():
-            nc = d.get(s, QInt()) + c
-            if nc:
-                d[s] = nc
-            elif s in d:
-                del d[s]
-        out = KVector(self.degree)
-        out.terms = d
-        return out
+        return KVector._of(self.degree, accumulate(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -367,6 +349,15 @@ def sort_with_sign(indices):
     return tuple(sorted(indices)), (-1) ** inversions
 
 
+def signed_sorted(raw):
+    """Canonicalize raw ((index tuple, q-degree), int) pairs: drop those with
+    a repeated index and sort the rest, with the sign of the permutation."""
+    for (indices, d), c in raw:
+        if len(set(indices)) == len(indices):
+            ordered, sign = sort_with_sign(indices)
+            yield (ordered, d), sign * c
+
+
 def normalize(raw, degree=None) -> KVector:
     """Canonicalize raw (index list, coefficient) pairs into a KVector.
 
@@ -378,45 +369,33 @@ def normalize(raw, degree=None) -> KVector:
         if not raw:
             raise InvalidInputError("degree is required to normalize an empty sum")
         degree = len(raw[0][0])
-    acc = {}
+    pairs = []
     for indices, coeff in raw:
         indices = tuple(int(i) for i in indices)
         if len(indices) != degree:
             raise InvalidInputError(f"index list {indices} has wrong length")
         if any(i < 1 for i in indices):
             raise InvalidInputError(f"index < 1 in {indices}")
-        if len(set(indices)) < degree:
-            continue
-        ordered, sign = sort_with_sign(indices)
-        sym = SchubertSymbol(ordered)
-        c = sign * _qint(coeff)
-        if sym in acc:
-            c = acc[sym] + c
-        if c:
-            acc[sym] = c
-        elif sym in acc:
-            del acc[sym]
-    out = KVector(degree)
-    out.terms = acc
-    return out
+        pairs.extend(((indices, e), c) for e, c in _qint(coeff).coeffs.items())
+    return KVector._of(degree, accumulate(signed_sorted(pairs)))
 
 
 def wedge(a: KVector, b: KVector) -> KVector:
     """Bilinear wedge product; degree adds."""
-    raw = []
-    for sa, ca in a.terms.items():
-        for sb, cb in b.terms.items():
-            raw.append((sa.indices + sb.indices, ca * cb))
-    return normalize(raw, a.degree + b.degree)
+    return KVector._of(a.degree + b.degree, accumulate(signed_sorted(
+        ((ia + ib, da + db), ca * cb)
+        for (ia, da), ca in a.terms.items()
+        for (ib, db), cb in b.terms.items()
+    )))
 
 
 def weight_components(v: KVector) -> dict:
     """Split v into homogeneous pieces keyed by symbol weight (q is neutral)."""
     out = {}
-    for sym, c in v.terms.items():
-        w = sym.weight()
-        piece = out.setdefault(w, KVector(v.degree))
-        piece.terms[sym] = c
+    base = v.degree * (v.degree + 1) // 2
+    for (indices, d), c in v.terms.items():
+        piece = out.setdefault(sum(indices) - base, KVector(v.degree))
+        piece.terms[(indices, d)] = c
     return out
 
 
@@ -425,31 +404,32 @@ def fundamental(k: int) -> KVector:
     return KVector.basis(range(1, k + 1))
 
 
+def q_factors(d: int) -> list:
+    """The factors of q^d in rendered text: none for d = 0."""
+    return [] if d == 0 else ["q"] if d == 1 else [f"q^{d}"]
+
+
+def render_signed_terms(terms) -> str:
+    """Lay out (int coefficient, factor strings) pairs as 'x - 2*y + ...',
+    or '0' when there are none.  A unit coefficient is elided in front of
+    factors."""
+    chunks = []
+    for c, factors in terms:
+        term = "*".join(factors if abs(c) == 1 and factors else [str(abs(c)), *factors])
+        if chunks:
+            chunks.append((" - " if c < 0 else " + ") + term)
+        else:
+            chunks.append("-" + term if c < 0 else term)
+    return "".join(chunks) or "0"
+
+
 def render_kvector(v: KVector) -> str:
     """Canonical text form: terms sorted lexicographically by index list,
     each rendered as c*q^d*e[i1,...,ik] with q^0 and unit c elided."""
-    if not v.terms:
-        return "0"
-    entries = []
-    for sym in sorted(v.terms):
-        for d in sorted(v.terms[sym].coeffs):
-            entries.append((sym, d, v.terms[sym].coeffs[d]))
-    chunks = []
-    for pos, (sym, d, c) in enumerate(entries):
-        pieces = []
-        if abs(c) != 1:
-            pieces.append(str(abs(c)))
-        if d == 1:
-            pieces.append("q")
-        elif d > 1:
-            pieces.append(f"q^{d}")
-        pieces.append("e[" + ",".join(str(i) for i in sym.indices) + "]")
-        term = "*".join(pieces)
-        if pos == 0:
-            chunks.append(term if c > 0 else "-" + term)
-        else:
-            chunks.append((" + " if c > 0 else " - ") + term)
-    return "".join(chunks)
+    return render_signed_terms(
+        (c, q_factors(d) + ["e[" + ",".join(map(str, indices)) + "]"])
+        for (indices, d), c in sorted(v.terms.items())
+    )
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*)?(?:q(?:\^(\d+))?\*)?e\[([0-9,\s]*)\]$")

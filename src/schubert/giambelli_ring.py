@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 from .derivations import (
     DPolynomial,
@@ -13,16 +12,15 @@ from .derivations import (
     inverse_components,
     render_dpolynomial,
 )
-from .exterior_core import InvalidInputError, KVector, Partition, QInt, fundamental
-
-
-def _perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return (-1) ** inv
+from .exterior_core import (
+    InvalidInputError,
+    KVector,
+    Partition,
+    QInt,
+    accumulate,
+    fundamental,
+    render_signed_terms,
+)
 
 
 @lru_cache(maxsize=None)
@@ -30,48 +28,36 @@ def giambelli_det(lam: Partition, k: int) -> DPolynomial:
     """The k x k determinant with entry (row i, col j) = D_{r_j + j - i},
     where r_j is lam reversed (zero padded), D_0 = 1 and D_{<0} = 0.
 
-    Homogeneous of degree |lam|."""
+    Homogeneous of degree |lam|.  Computed by Laplace expansion along the
+    last column, memoised on the remaining rows, over plain
+    {descending-part tuple: int} dicts."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if lam.length() > k:
         raise InvalidInputError(f"partition length exceeds k={k}")
-    padded = lam.padded(k)
-    r = tuple(reversed(padded))  # r[j-1] = lam_{k+1-j}
+    r = tuple(reversed(lam.padded(k)))  # r[j-1] = lam_{k+1-j}
+    memo = {(): {(): 1}}
 
-    def subscript(i, j):  # 1-indexed
-        return r[j - 1] + j - i
+    def minor(rows):
+        """The minor on these rows (1-indexed) and the first len(rows) columns."""
+        cached = memo.get(rows)
+        if cached is None:
+            col = len(rows)
+            pairs = []
+            for pos, i in enumerate(rows):
+                s = r[col - 1] + col - i
+                if s < 0:
+                    continue
+                sign = -1 if (col - 1 - pos) % 2 else 1
+                for mono, c in minor(rows[:pos] + rows[pos + 1 :]).items():
+                    if s:
+                        mono = tuple(sorted(mono + (s,), reverse=True))
+                    pairs.append((mono, sign * c))
+            cached = memo[rows] = accumulate(pairs)
+        return cached
 
-    if k <= 6:
-        total = DPolynomial.zero()
-        for perm in permutations(range(1, k + 1)):
-            subs = [subscript(perm[j - 1], j) for j in range(1, k + 1)]
-            if any(s < 0 for s in subs):
-                continue
-            mono = Partition(sorted((s for s in subs if s > 0), reverse=True))
-            total = total + DPolynomial.monomial(mono, _perm_sign(perm))
-        return total
-
-    # cached Laplace expansion along the last column for large k
-    memo = {}
-
-    def minor(rows, ncols):
-        if ncols == 0:
-            return DPolynomial.identity()
-        key = (rows, ncols)
-        if key in memo:
-            return memo[key]
-        total = DPolynomial.zero()
-        for pos, i in enumerate(rows):
-            s = subscript(i, ncols)
-            if s < 0:
-                continue
-            rest = rows[:pos] + rows[pos + 1 :]
-            sign = (-1) ** (len(rows) - 1 - pos)
-            total = total + sign * (DPolynomial.generator(s) * minor(rest, ncols - 1))
-        memo[key] = total
-        return total
-
-    return minor(tuple(range(1, k + 1)), k)
+    det = minor(tuple(range(1, k + 1)))
+    return DPolynomial._of({Partition(mono): c for mono, c in det.items()})
 
 
 def low_generator(h: int, k: int) -> DPolynomial:
@@ -197,7 +183,8 @@ def verify_presentation(k: int, n: int, mode: str = "classical") -> Presentation
             witness = apply_operator(expand_in_low_generators(diff, k), fund)
             name = f"E{m} = -D{m} + (-1)^{m}*Y{m}"
             if m - 1 > n - k:
-                name += f" mod (D{n - k + 1}..D{m - 1})"
+                imposed = f"D{m - 1}" if m - 1 == n - k + 1 else f"D{n - k + 1}..D{m - 1}"
+                name += f" mod ({imposed})"
             checked.append((name, diff.is_zero(), witness))
 
     return PresentationReport(k, n, mode, checked)
@@ -213,7 +200,8 @@ def render_presentation(report: PresentationReport) -> str:
     if mode == "classical":
         rels = ", ".join(f"D{n - k + i}" for i in range(1, k + 1))
     else:
-        rels = ", ".join([f"D{n - k + i}" for i in range(1, k)] + [f"D{n} - {'q' if k % 2 else '-q'}"])
+        last = render_signed_terms([(1, [f"D{n}"]), (-((-1) ** (k - 1)), ["q"])])
+        rels = ", ".join([f"D{n - k + i}" for i in range(1, k)] + [last])
     lines.append(f"D-form: {base}[{gens}] / ({rels})")
     lines.append("reduced relations:")
     if mode == "classical":
@@ -231,10 +219,8 @@ def render_presentation(report: PresentationReport) -> str:
         if mode == "classical":
             yrels = ", ".join(f"Y{i}(D)" for i in range(k + 1, n + 1))
         else:
-            tail_sign = "q" if (-1) ** (n - k - 1) > 0 else "-q"
-            yrels = ", ".join(
-                [f"Y{i}(D)" for i in range(k + 1, n)] + [f"Y{n}(D) - {tail_sign}"]
-            )
+            last = render_signed_terms([(1, [f"Y{n}(D)"]), (-((-1) ** (n - k - 1)), ["q"])])
+            yrels = ", ".join([f"Y{i}(D)" for i in range(k + 1, n)] + [last])
         lines.append(f"Y-form: {base}[{ygens}] / ({yrels})")
         ys = y_polynomials(n, k)
         for i in range(k + 1, n + 1):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import schubert
 from schubert.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_MATH,
     EXIT_OK,
     EXIT_ORACLE,
@@ -107,6 +112,19 @@ class TestPresent:
         assert code == EXIT_OK
         assert "D1^4 = q" in out
 
+    @pytest.mark.parametrize("n,d_form,y_form,modulus", [
+        (4, "(D3, D4 + q)", "(Y3(D), Y4(D) + q)", "mod (D3): OK"),
+        (5, "(D4, D5 + q)", "(Y3(D), Y4(D), Y5(D) - q)", "mod (D4): OK"),
+    ], ids=["G(2,4)", "G(2,5)"])
+    def test_quantum_text(self, capsys, n, d_form, y_form, modulus):
+        code, out, _ = run(capsys, "present", "--k", "2", "--n", str(n), "--quantum")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[1] == f"D-form: Z[q][D1, D2] / {d_form}"
+        assert next(line for line in lines if line.startswith("Y-form")).endswith(y_form)
+        assert lines[-1].endswith(modulus)
+        assert "- -q" not in out and "..D" not in out
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "present", "--k", "2", "--n", "4", "--json")
         assert code == EXIT_OK
@@ -137,6 +155,32 @@ class TestTable:
             for entry in payload["entries"]
             for term in entry["terms"]
         )
+
+
+    def test_negative_max_weight(self, capsys):
+        code, out, err = run(capsys, "table", "--k", "2", "--n", "4", "--max-weight", "-1")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert "max weight" in err
+
+
+def test_closed_stdout_pipe():
+    # the table is far larger than a pipe buffer, so writing it must hit
+    # the closed read end
+    src = os.path.dirname(os.path.dirname(os.path.abspath(schubert.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schubert.cli", "table", "--k", "3", "--n", "7", "--quantum"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (EXIT_BROKEN_PIPE, b"")
 
 
 class TestCheck:

@@ -182,6 +182,53 @@ class TestRenderParse:
         assert parse_kvector(render_kvector(v), 2) == v
 
 
+class TestKVectorBoundary:
+    """Terms are stored as {(indices, q-degree): int}; the constructor,
+    items() and coefficient() convert to and from SchubertSymbol/QInt."""
+
+    def vector(self):
+        return KVector(2, {
+            (1, 3): QInt({0: 2, 1: -1, 3: 4}),
+            SchubertSymbol((2, 5)): QInt({2: -3}),
+            (3, 4): 5,
+        })
+
+    def test_storage(self):
+        assert self.vector().terms == {
+            ((1, 3), 0): 2, ((1, 3), 1): -1, ((1, 3), 3): 4,
+            ((2, 5), 2): -3, ((3, 4), 0): 5,
+        }
+
+    def test_items_and_coefficient(self):
+        v = self.vector()
+        assert v.items() == [
+            (SchubertSymbol((1, 3)), QInt({0: 2, 1: -1, 3: 4})),
+            (SchubertSymbol((2, 5)), QInt({2: -3})),
+            (SchubertSymbol((3, 4)), QInt.integer(5)),
+        ]
+        assert v.coefficient((1, 3)) == QInt({0: 2, 1: -1, 3: 4})
+        assert v.coefficient(SchubertSymbol((2, 5))) == QInt({2: -3})
+        assert v.coefficient((1, 2)) == QInt()
+
+    def test_round_trips(self):
+        v = self.vector()
+        assert KVector(2, dict(v.items())) == v
+        assert render_kvector(v) == "2*e[1,3] - q*e[1,3] + 4*q^3*e[1,3] - 3*q^2*e[2,5] + 5*e[3,4]"
+        assert parse_kvector(render_kvector(v), 2) == v
+
+    def test_insertion_order(self):
+        a = KVector.basis((2, 5), QInt.q_power(2)) + KVector.basis((1, 3), QInt({0: 1, 1: 1}))
+        b = KVector.basis((1, 3), QInt.q_power(1)) + KVector.basis((2, 5), QInt.q_power(2))
+        b = b + KVector.basis((1, 3))
+        assert list(a.terms) != list(b.terms)
+        assert a == b and hash(a) == hash(b)
+
+    def test_cancellation_drops_terms(self):
+        v = self.vector()
+        assert (v - v).terms == {}
+        assert (v + KVector.basis((2, 5), QInt.q_power(2, 3))).coefficient((2, 5)) == QInt()
+
+
 def test_kvector_degree_mismatch():
     with pytest.raises(InvalidInputError):
         KVector(2, {(1, 2, 3): 1})

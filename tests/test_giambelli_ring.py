@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -55,8 +55,25 @@ class TestGiambelliDet:
                 result = apply_operator(giambelli_det(lam, k), fundamental(k))
                 assert result == KVector.basis(partition_to_symbol(lam, k))
 
-    def test_laplace_path_matches_permutation_path(self):
-        # k = 7 takes the cached-minor branch; compare against the action
+    def test_matches_permutation_sum(self):
+        # the Leibniz formula det = sum over permutations of signed products
+        for k in range(1, 6):
+            for lam in box_partitions(k, k + 5):
+                r = tuple(reversed(lam.padded(k)))
+                want = DPolynomial.zero()
+                for perm in permutations(range(1, k + 1)):
+                    subs = [r[j - 1] + j - perm[j - 1] for j in range(1, k + 1)]
+                    if min(subs) < 0:
+                        continue
+                    inversions = sum(
+                        1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
+                    )
+                    want = want + DPolynomial.monomial(
+                        Partition(sorted(subs, reverse=True)), (-1) ** inversions
+                    )
+                assert giambelli_det(lam, k) == want, (lam, k)
+
+    def test_k7_acts_as_basis_vector(self):
         lam = Partition((2, 1, 1))
         det7 = giambelli_det(lam, 7)
         assert apply_operator(det7, fundamental(7)) == KVector.basis(

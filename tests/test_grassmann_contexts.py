@@ -10,6 +10,7 @@ from schubert.exterior_core import (
     QInt,
     fundamental,
     partition_to_symbol,
+    symbol_to_partition,
 )
 from schubert.giambelli_ring import expand_in_low_generators, giambelli_det
 from schubert.derivations import apply_operator
@@ -166,6 +167,22 @@ class TestMultiply:
                 at_q0 = {key: c for key, c in quantum.items() if key[1] == 0}
                 assert at_q0 == multiply(lam, mu, cctx)
 
+    @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6)])
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_matches_low_generator_path(self, k, n, mode):
+        # the product path before Giambelli was applied directly: generators
+        # above D_k rewritten in D_1..D_k, applied, then reduced
+        ctx = GrassmannContext(k, n, mode)
+        for lam in box_partitions(k, n):
+            start = KVector.basis(partition_to_symbol(lam, k))
+            for mu in box_partitions(k, n):
+                op = expand_in_low_generators(giambelli_det(mu, k), k)
+                w = reduce_kvector(apply_operator(op, start), ctx)
+                want = {
+                    (symbol_to_partition(s), d): c for s, qc in w.items() for d, c in qc.items()
+                }
+                assert multiply(lam, mu, ctx) == want
+
     def test_projective_space(self):
         n = 5
         ctx = GrassmannContext(1, n)
@@ -241,3 +258,6 @@ def test_box_partitions():
     assert len(parts) == 6
     assert P((2, 2)) in parts
     assert box_partitions(1, 5) == [P(), P((1,)), P((2,)), P((3,)), P((4,))]
+    assert box_partitions(2, 4, 0) == [P()]
+    with pytest.raises(InvalidInputError):
+        box_partitions(2, 4, -1)
