@@ -118,7 +118,7 @@ def cmd_pieri(args) -> int:
     v = KVector.basis(indices)
     ctx = _context(args, k)
     result = reduce_kvector(pieri_d(args.h, v), ctx)
-    if ctx.mode == QUANTUM and 1 <= args.h <= ctx.n - ctx.k:
+    if ctx.mode == QUANTUM and 1 <= args.h <= ctx.n - ctx.k and indices[-1] <= ctx.n:
         direct = quantum_pieri(args.h, v, ctx)
         if direct != result:
             print("oracle disagreement: quantum Pieri vs reduced derivative", file=sys.stderr)

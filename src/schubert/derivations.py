@@ -174,16 +174,11 @@ def leibniz_d(h: int, v: KVector) -> KVector:
     )))
 
 
-def pieri_symbols(indices, h: int):
-    """The surviving symbols J: i_1 <= j_1 < i_2 <= j_2 < ... <= i_k <= j_k
-    with |J| = |I| + h.  All are canonical and pairwise distinct."""
-    yield from _pieri_targets(tuple(indices), h)
-
-
-def _pieri_targets(indices: tuple, h: int) -> list:
-    """The index tuples of pieri_symbols(indices, h), built one position at
-    a time: position p < k steps up by at most i_{p+1} - 1 - i_p, and the
-    last position takes what is left of h."""
+def pieri_symbols(indices, h: int) -> list:
+    """The surviving index tuples J: i_1 <= j_1 < i_2 <= j_2 < ... <= i_k <= j_k
+    with |J| = |I| + h, all canonical and pairwise distinct.  They are built
+    one position at a time: position p < k steps up by at most
+    i_{p+1} - 1 - i_p, and the last position takes what is left of h."""
     if not indices:
         return [()] if h == 0 else []
     partial = [((), h)]
@@ -220,7 +215,7 @@ def _shift(h: int, components: dict, targets: dict) -> dict:
         for indices, c in comp.items():
             js = targets.get(indices)
             if js is None:
-                js = targets[indices] = _pieri_targets(indices, h)
+                js = targets[indices] = pieri_symbols(indices, h)
             for j in js:
                 acc[j] = get(j, 0) + c
         out[e] = {j: c for j, c in acc.items() if c}

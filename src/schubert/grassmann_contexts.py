@@ -10,7 +10,7 @@ from functools import lru_cache
 
 # pieri_d is not called here but stays bound: perfbench/selftest.py checks
 # that a tracer rebinding pieri_d finds it in this namespace.
-from .derivations import apply_operator, pieri_d, pieri_symbols  # noqa: F401
+from .derivations import pieri_d, pieri_symbols  # noqa: F401
 from .exterior_core import (
     InvalidInputError,
     KVector,
@@ -71,14 +71,10 @@ def reduce_kvector(v: KVector, ctx: GrassmannContext) -> KVector:
 
 
 def quantum_pieri(h: int, v: KVector, ctx: GrassmannContext) -> KVector:
-    """Direct quantum Pieri: the classical interleavings that stay inside
-    rank n, plus q times the wrapped chains j'_1 < i_1 <= j'_2 < i_2 <= ...
-    with |J'| = |I| + h - n.
+    """Direct quantum Pieri: sigma_h on v, one _pieri_row per term.
 
     Equals reduce_kvector(pieri_d(h, v), ctx) by construction; the two are
-    cross-checked in the test suite.  (A literal (-1)^(k-1) prefactor on
-    the second sum cancels against the sign of moving the wrapped index to
-    the front, so the net q-coefficient is +1.)"""
+    cross-checked in the test suite."""
     if ctx.mode != QUANTUM:
         raise InvalidInputError("quantum_pieri needs a quantum context")
     k, n = ctx.k, ctx.n
@@ -90,30 +86,29 @@ def quantum_pieri(h: int, v: KVector, ctx: GrassmannContext) -> KVector:
     for (i, d), c in v.terms.items():
         if i[-1] > n:
             raise InvalidInputError(f"symbol {i} has index above n={n}")
-        pairs.extend(((j, d), c) for j in pieri_symbols(i, h) if j[-1] <= n)
-        pairs.extend(((jp, d + 1), c) for jp in _wrapped_chains(i, sum(i) + h - n))
+        pairs.extend(((j, d + e), c) for j, e in _pieri_row(i, h, ctx))
     return KVector._of(k, accumulate(pairs))
 
 
-def _wrapped_chains(indices, target):
-    """Chains 1 <= j_1 < i_1 <= j_2 < i_2 <= ... <= j_k < i_k summing to target."""
-    k = len(indices)
-    if target < k:  # minimum possible sum is 1 + i_1 + ... + i_{k-1} >= k
-        return
+@lru_cache(maxsize=None)
+def _pieri_row(indices: tuple, h: int, ctx: GrassmannContext) -> tuple:
+    """sigma_h * e^I in the context's C(n,k) basis, for 1 <= h <= n-k and
+    I inside [1, n]: the (J, q-degree) pairs, each with coefficient 1.
 
-    def rec(p, rem, prefix):
-        lo = 1 if p == 0 else indices[p - 1]
-        hi = indices[p] - 1
-        if p == k - 1:
-            if lo <= rem <= hi:
-                yield prefix + (rem,)
-            return
-        for j in range(lo, hi + 1):
-            if j > rem:
-                break
-            yield from rec(p + 1, rem - j, prefix + (j,))
-
-    yield from rec(0, target, ())
+    The classical interleavings that stay inside rank n, plus, in quantum
+    mode, q times the wrapped chains 1 <= j_1 < i_1 <= j_2 < ... <= j_k < i_k
+    with |J| = |I| + h - n.  Those are the interleavings of
+    (1, i_1, ..., i_{k-1}) by i_k + h - n - 1 that end below i_k.  (A
+    literal (-1)^(k-1) prefactor on the wrapped sum cancels against the
+    sign of moving the wrapped index to the front, so the net
+    q-coefficient is +1.)"""
+    n = ctx.n
+    row = [(j, 0) for j in pieri_symbols(indices, h) if j[-1] <= n]
+    wrap = indices[-1] + h - n - 1
+    if ctx.mode == QUANTUM and wrap >= 0:
+        chains = pieri_symbols((1,) + indices[:-1], wrap)
+        row.extend((j, 1) for j in chains if j[-1] < indices[-1])
+    return tuple(row)
 
 
 def box_partitions(k: int, n: int, max_weight=None) -> list:
@@ -136,11 +131,14 @@ def box_partitions(k: int, n: int, max_weight=None) -> list:
 
 
 def multiply(lam, mu, ctx: GrassmannContext) -> dict:
-    """Product of Schubert classes: {(nu, q-degree): coefficient}.
+    """Product of Schubert classes: {(nu, q-degree): coefficient}, in
+    ascending (nu, q-degree) order.
 
-    Applies the Giambelli determinant of mu to e^{I(lam)} (pieri_d computes
-    every D_h exactly, so no generator is rewritten in D_1..D_k first),
-    then the context reduction."""
+    Evaluates the Giambelli determinant of mu at sigma_1..sigma_{n-k} on
+    e^{I(lam)}, one Pieri row at a time, entirely in the context's C(n,k)
+    basis.  sigma_h is 0 for h > n-k, so monomials with such a part are
+    skipped.  The quantum ring needs no q-correction of the determinant
+    (Bertram's quantum Giambelli formula)."""
     if ctx.mode == INFINITE:
         raise InvalidInputError("multiply needs a classical or quantum context")
     if not isinstance(lam, Partition):
@@ -152,15 +150,21 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
             raise InvalidInputError(
                 f"{tuple(p)} outside the {ctx.k}x{ctx.n - ctx.k} box"
             )
-    return dict(_multiply_cached(lam, mu, ctx))
-
-
-@lru_cache(maxsize=None)
-def _multiply_cached(lam: Partition, mu: Partition, ctx: GrassmannContext):
     k = ctx.k
-    w = apply_operator(giambelli_det(mu, k), KVector.basis(partition_to_symbol(lam, k)))
-    w = reduce_kvector(w, ctx)
-    return tuple(sorted(((symbol_to_partition(i), d), c) for (i, d), c in w.terms.items()))
+    start = {(partition_to_symbol(lam, k).indices, 0): 1}
+    pairs = []
+    for mono, c in giambelli_det(mu, k).terms.items():
+        if mono.parts and mono.parts[0] > ctx.n - k:
+            continue
+        w = start
+        for h in mono.parts:
+            w = accumulate(
+                ((j, d + e), x) for (i, d), x in w.items() for j, e in _pieri_row(i, h, ctx)
+            )
+        pairs.extend((key, c * x) for key, x in w.items())
+    return dict(sorted(
+        ((symbol_to_partition(j), d), c) for (j, d), c in accumulate(pairs).items()
+    ))
 
 
 def unit_expansion(lam) -> dict:

@@ -61,13 +61,18 @@ def determinant(matrix) -> int:
     return sign * a[m - 1][m - 1]
 
 
-def rank(matrix) -> int:
-    """Row rank over the rationals (exact Gaussian elimination)."""
+def _pivot_columns(matrix) -> list:
+    """The 1-based pivot columns of an exact Gaussian elimination over the
+    rationals: column c is a pivot iff the first c columns have greater
+    rank than the first c - 1."""
     a = [[Fraction(x) for x in row] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    r = 0
+    pivots = []
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         pivot = next((i for i in range(r, rows) if a[i][c]), None)
         if pivot is None:
             continue
@@ -78,10 +83,13 @@ def rank(matrix) -> int:
                 f = a[i][c] / inv
                 for j in range(c, cols):
                     a[i][j] -= f * a[r][j]
-        r += 1
-        if r == rows:
-            break
-    return r
+        pivots.append(c + 1)
+    return pivots
+
+
+def rank(matrix) -> int:
+    """Row rank over the rationals: the number of pivot columns."""
+    return len(_pivot_columns(matrix))
 
 
 def minor(matrix, columns) -> int:
@@ -101,21 +109,13 @@ def all_minors(matrix) -> list:
 
 def schubert_symbol(matrix) -> SchubertSymbol:
     """The symbol (i_1 < ... < i_k) where i_j is the least column index at
-    which the rank of the first-i_j-columns submatrix jumps to j."""
+    which the rank of the first-i_j-columns submatrix jumps to j: the
+    pivot columns of one exact elimination."""
     k = len(matrix)
-    n = len(matrix[0])
-    if rank(matrix) < k:
+    pivots = _pivot_columns(matrix)
+    if len(pivots) < k:
         raise RankDeficientError(f"matrix rank below k={k}")
-    indices = []
-    prev = 0
-    for col in range(1, n + 1):
-        r = rank([row[:col] for row in matrix])
-        if r > prev:
-            indices.append(col)
-            prev = r
-        if prev == k:
-            break
-    return SchubertSymbol(indices)
+    return SchubertSymbol(pivots)
 
 
 def bruhat_smaller(sym: SchubertSymbol, n: int) -> list:

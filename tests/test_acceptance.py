@@ -33,6 +33,7 @@ from schubert.grassmann_contexts import (
     multiply,
     multiply_expansion,
     reduce_kvector,
+    structure_table,
     unit_expansion,
 )
 from schubert.schur_oracle import lr_coefficient, verify_jacobi_trudi
@@ -264,6 +265,28 @@ def test_criterion_13_binomial_iterate():
 
     elapsed, ok = timed(run)
     report(13, "iterated first derivative obeys the binomial formula", 1.0, elapsed, ok)
+
+
+def test_criterion_14_g48_tables():
+    def run():
+        k, n = 4, 8
+        classical = structure_table(GrassmannContext(k, n, "classical")).entries
+        quantum = structure_table(GrassmannContext(k, n, "quantum")).entries
+        if len(quantum) != comb(n, k) ** 2 or set(classical) != set(quantum):
+            return False
+        for (lam, mu), product in quantum.items():
+            if product != quantum[(mu, lam)]:
+                return False
+            for (nu, d), c in product.items():
+                if nu.weight() + n * d != lam.weight() + mu.weight() or c <= 0:
+                    return False
+            if {key: c for key, c in product.items() if key[1] == 0} != classical[(lam, mu)]:
+                return False
+        return True
+
+    elapsed, ok = timed(run)
+    report(14, "full G(4,8) tables: commutative, graded, positive, q^0 part classical",
+           10.0, elapsed, ok)
 
 
 def _box(k, width):

@@ -40,6 +40,12 @@ class TestPieri:
         assert code == EXIT_OK
         assert out == "q*e[1,2] + e[3,4]"
 
+    def test_quantum_index_above_n(self, capsys):
+        # the direct quantum Pieri cross-check needs every index <= n; the
+        # reduced derivative is still printed
+        code, out, _ = run(capsys, "pieri", "1", "2,5", "--k", "2", "--n", "4", "--quantum")
+        assert (code, out) == (EXIT_OK, "q*e[1,3]")
+
     def test_classical(self, capsys):
         code, out, _ = run(capsys, "pieri", "1", "2,4", "--n", "4")
         assert (code, out) == (EXIT_OK, "e[3,4]")

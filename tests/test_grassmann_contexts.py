@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -27,6 +28,13 @@ from schubert.grassmann_contexts import (
 )
 
 P = Partition
+
+
+def apply_then_reduce(lam, mu, ctx):
+    """sigma_lam * sigma_mu as reduce(Giambelli(mu) e^{I(lam)}), as a product dict."""
+    start = KVector.basis(partition_to_symbol(lam, ctx.k))
+    w = reduce_kvector(apply_operator(giambelli_det(mu, ctx.k), start), ctx)
+    return {(symbol_to_partition(s), d): c for s, qc in w.items() for d, c in qc.items()}
 
 
 def expand(pairs):
@@ -93,8 +101,8 @@ class TestQuantumPieri:
             assert result == KVector.basis((1, 3))
 
     def test_against_reduction_oracle(self):
-        for k in (1, 2, 3):
-            for n in range(k + 1, 8):
+        for k in (1, 2, 3, 4):
+            for n in range(k + 1, 8 if k < 4 else 9):
                 ctx = GrassmannContext(k, n, "quantum")
                 for lam in box_partitions(k, n):
                     v = KVector.basis(partition_to_symbol(lam, k))
@@ -167,7 +175,36 @@ class TestMultiply:
                 at_q0 = {key: c for key, c in quantum.items() if key[1] == 0}
                 assert at_q0 == multiply(lam, mu, cctx)
 
-    @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6)])
+    @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6), (3, 7)])
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_matches_apply_then_reduce_path(self, k, n, mode):
+        # oracle: Giambelli applied in the infinite exterior power and
+        # reduced only at the end, never inside the C(n,k) basis
+        ctx = GrassmannContext(k, n, mode)
+        parts = box_partitions(k, n)
+        for lam in parts:
+            for mu in parts:
+                assert multiply(lam, mu, ctx) == apply_then_reduce(lam, mu, ctx)
+
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_matches_apply_then_reduce_path_g48(self, mode):
+        ctx = GrassmannContext(4, 8, mode)
+        parts = box_partitions(4, 8)
+        rng = random.Random(48)
+        for _ in range(40):
+            lam, mu = rng.choice(parts), rng.choice(parts)
+            assert multiply(lam, mu, ctx) == apply_then_reduce(lam, mu, ctx)
+
+    def test_sorted_by_partition_then_q_degree(self):
+        ctx = GrassmannContext(3, 6, "quantum")
+        product = multiply(P((3, 2, 1)), P((3, 2, 1)), ctx)
+        keys = [(nu.parts, d) for nu, d in product]
+        assert len(keys) > 1 and keys == sorted(keys)
+        assert repr(multiply(P((1,)), P((2, 1)), GrassmannContext(2, 4, "quantum"))) == (
+            "{(Partition([]), 1): 1, (Partition([2, 2]), 0): 1}"
+        )
+
+    @pytest.mark.parametrize("k,n", [(1, 4), (2, 4), (2, 5), (3, 3), (3, 6)])
     @pytest.mark.parametrize("mode", ["classical", "quantum"])
     def test_matches_low_generator_path(self, k, n, mode):
         # the product path before Giambelli was applied directly: generators

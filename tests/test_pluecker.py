@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubert.exterior_core import InvalidInputError, SchubertSymbol
 from schubert.pluecker import (
@@ -62,6 +66,43 @@ class TestSchubertSymbol:
     def test_rank_deficient(self):
         with pytest.raises(RankDeficientError):
             schubert_symbol([[1, 2, 3, 4], [2, 4, 6, 8]])
+
+
+def minor_rank(matrix) -> int:
+    """Rank as the size of the largest nonzero minor (no elimination)."""
+    rows, cols = len(matrix), len(matrix[0])
+    for r in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), r):
+            for cs in combinations(range(cols), r):
+                if determinant([[matrix[i][j] for j in cs] for i in rs]):
+                    return r
+    return 0
+
+
+# sparse small entries, so that rank drops and late pivots are common
+matrices = st.integers(1, 3).flatmap(
+    lambda k: st.integers(k, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=n, max_size=n),
+            min_size=k,
+            max_size=k,
+        )
+    )
+)
+
+
+@given(matrices)
+@settings(max_examples=300, deadline=None)
+def test_symbol_is_where_prefix_rank_jumps(matrix):
+    k, n = len(matrix), len(matrix[0])
+    prefix = [minor_rank([row[:c] for row in matrix]) for c in range(1, n + 1)]
+    assert rank(matrix) == prefix[-1]
+    if prefix[-1] < k:
+        with pytest.raises(RankDeficientError):
+            schubert_symbol(matrix)
+    else:
+        jumps = [c for c in range(1, n + 1) if prefix[c - 1] > (prefix[c - 2] if c > 1 else 0)]
+        assert schubert_symbol(matrix) == SchubertSymbol(jumps)
 
 
 class TestMinors:
