@@ -178,7 +178,10 @@ def pieri_symbols(indices, h: int) -> list:
     """The surviving index tuples J: i_1 <= j_1 < i_2 <= j_2 < ... <= i_k <= j_k
     with |J| = |I| + h, all canonical and pairwise distinct.  They are built
     one position at a time: position p < k steps up by at most
-    i_{p+1} - 1 - i_p, and the last position takes what is left of h."""
+    i_{p+1} - 1 - i_p, and the last position takes what is left of h.
+    Empty when h < 0, as D_h = 0 there."""
+    if h < 0:
+        return []
     if not indices:
         return [()] if h == 0 else []
     partial = [((), h)]

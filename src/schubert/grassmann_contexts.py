@@ -104,9 +104,8 @@ def _pieri_row(indices: tuple, h: int, ctx: GrassmannContext) -> tuple:
     q-coefficient is +1.)"""
     n = ctx.n
     row = [(j, 0) for j in pieri_symbols(indices, h) if j[-1] <= n]
-    wrap = indices[-1] + h - n - 1
-    if ctx.mode == QUANTUM and wrap >= 0:
-        chains = pieri_symbols((1,) + indices[:-1], wrap)
+    if ctx.mode == QUANTUM:
+        chains = pieri_symbols((1,) + indices[:-1], indices[-1] + h - n - 1)
         row.extend((j, 1) for j in chains if j[-1] < indices[-1])
     return tuple(row)
 

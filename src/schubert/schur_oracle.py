@@ -1,20 +1,50 @@
 """Independent cross-check for classical products: Schur polynomials in k
-variables via semistandard tableau enumeration, decomposition back into the
-Schur basis, and Littlewood-Richardson coefficients.
+variables by the branching rule, decomposition back into the Schur basis,
+and Littlewood-Richardson coefficients.
+
+A monomial x_1^e_1 ... x_k^e_k is stored as one packed int, the base-2^SHIFT
+number with digits e_1 (most significant) .. e_k.  Multiplying two monomials
+is then one int add, and int order is lex order on exponent vectors.  The top
+bit of every digit is a guard: exponents stay below LIMIT = 2^(SHIFT-1), so
+adding two of them never carries into the next digit, and a product with an
+exponent that reaches the guard bit raises instead of wrapping.
 
 Deliberately shares no code with the derivation machinery, so the two paths
-cannot fail the same way."""
+cannot fail the same way: the only call into it is verify_jacobi_trudi's
+giambelli_det, the determinant under test."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement, permutations, product
+from operator import or_
 
 from .exterior_core import InvalidInputError, Partition
 
+SHIFT = 16
+LIMIT = 1 << (SHIFT - 1)
+_DIGIT = (1 << SHIFT) - 1
+
+
+def _pack(exp: tuple) -> int:
+    key = 0
+    for e in exp:
+        key = (key << SHIFT) | e
+    return key
+
+
+def _unpack(key: int, k: int) -> tuple:
+    return tuple((key >> (SHIFT * (k - 1 - i))) & _DIGIT for i in range(k))
+
+
+def _guards(k: int) -> int:
+    """The guard bit of each of the k digits."""
+    return LIMIT * (((1 << (SHIFT * k)) - 1) // _DIGIT)
+
 
 class MultiPolynomial:
-    """Integer polynomial in x_1..x_k: exponent tuple -> nonzero coefficient."""
+    """Integer polynomial in x_1..x_k.  The constructor takes exponent
+    tuples; ``terms`` maps each packed exponent int to a nonzero coefficient."""
 
     __slots__ = ("num_vars", "terms")
 
@@ -25,16 +55,19 @@ class MultiPolynomial:
             items = terms.items() if hasattr(terms, "items") else terms
             for exp, c in items:
                 exp = tuple(int(e) for e in exp)
-                if len(exp) != self.num_vars or any(e < 0 for e in exp):
+                if len(exp) != self.num_vars or any(not 0 <= e < LIMIT for e in exp):
                     raise InvalidInputError(f"bad exponent vector {exp}")
-                c = int(c)
-                if c:
-                    nc = d.get(exp, 0) + c
-                    if nc:
-                        d[exp] = nc
-                    elif exp in d:
-                        del d[exp]
-        self.terms = d
+                key = _pack(exp)
+                d[key] = d.get(key, 0) + int(c)
+        self.terms = {e: c for e, c in d.items() if c}
+
+    @classmethod
+    def _of(cls, num_vars: int, terms: dict) -> "MultiPolynomial":
+        """Wrap packed terms that are already nonzero."""
+        out = cls.__new__(cls)
+        out.num_vars = num_vars
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, num_vars: int) -> "MultiPolynomial":
@@ -48,57 +81,45 @@ class MultiPolynomial:
         return not self.terms
 
     def leading_exponent(self) -> tuple:
-        return max(self.terms)
+        return _unpack(max(self.terms), self.num_vars)
 
     def is_symmetric(self) -> bool:
-        from itertools import permutations
-
-        for exp, c in self.terms.items():
-            for perm in set(permutations(exp)):
-                if self.terms.get(perm, 0) != c:
+        for key, c in self.terms.items():
+            for perm in set(permutations(_unpack(key, self.num_vars))):
+                if self.terms.get(_pack(perm), 0) != c:
                     return False
         return True
 
     def __add__(self, other):
         self._check(other)
         d = dict(self.terms)
+        get = d.get
         for e, c in other.terms.items():
-            nc = d.get(e, 0) + c
-            if nc:
-                d[e] = nc
-            elif e in d:
-                del d[e]
-        out = MultiPolynomial(self.num_vars)
-        out.terms = d
-        return out
+            d[e] = get(e, 0) + c
+        return MultiPolynomial._of(self.num_vars, {e: c for e, c in d.items() if c})
 
     def __neg__(self):
-        out = MultiPolynomial(self.num_vars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MultiPolynomial._of(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            out = MultiPolynomial(self.num_vars)
-            if other:
-                out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return MultiPolynomial._of(self.num_vars, terms)
         self._check(other)
         d = {}
+        get = d.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                nc = d.get(e, 0) + c1 * c2
-                if nc:
-                    d[e] = nc
-                elif e in d:
-                    del d[e]
-        out = MultiPolynomial(self.num_vars)
-        out.terms = d
-        return out
+            for e2, c2 in right:
+                e = e1 + e2
+                d[e] = get(e, 0) + c1 * c2
+        d = {e: c for e, c in d.items() if c}
+        if reduce(or_, d, 0) & _guards(self.num_vars):
+            raise InvalidInputError(f"product has an exponent of {LIMIT} or more")
+        return MultiPolynomial._of(self.num_vars, d)
 
     __rmul__ = __mul__
 
@@ -117,55 +138,43 @@ class MultiPolynomial:
         return hash((self.num_vars, frozenset(self.terms.items())))
 
     def __repr__(self):
-        return f"MultiPolynomial({self.num_vars}, {dict(sorted(self.terms.items()))})"
-
-
-def _ssyt_weights(shape, k):
-    """Yield the content vector of each semistandard tableau of the given
-    shape with entries in 1..k: rows weakly increase, columns strictly."""
-
-    rows = list(shape)
-
-    def rec(r, built):
-        if r == len(rows):
-            weight = [0] * k
-            for row in built:
-                for entry in row:
-                    weight[entry - 1] += 1
-            yield tuple(weight)
-            return
-        width = rows[r]
-        above = built[r - 1] if r else None
-
-        def fill(c, row):
-            if c == width:
-                yield from rec(r + 1, built + [row])
-                return
-            lo = row[c - 1] if c else 1
-            if above is not None and c < len(above):
-                lo = max(lo, above[c] + 1)
-            for val in range(lo, k + 1):
-                yield from fill(c + 1, row + [val])
-
-        yield from fill(0, [])
-
-    yield from rec(0, [])
+        k = self.num_vars
+        terms = {_unpack(e, k): c for e, c in sorted(self.terms.items())}
+        return f"MultiPolynomial({k}, {terms})"
 
 
 @lru_cache(maxsize=None)
 def schur_expand(lam: Partition, k: int) -> MultiPolynomial:
-    """The monomial expansion of s_lam(x_1..x_k) by tableau enumeration;
-    zero when the partition is longer than k."""
+    """The monomial expansion of s_lam(x_1..x_k) by the branching rule
+
+        s_lam(x_1..x_k) = sum over horizontal strips lam/mu of
+                          s_mu(x_1..x_{k-1}) * x_k^(|lam| - |mu|),
+
+    a semistandard tableau read as the chain of strips filled by 1, .., k.
+    Zero when the partition is longer than k."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    if lam.length() > k:
+    parts = lam.parts
+    if len(parts) > k:
         return MultiPolynomial.zero(k)
+    if k == 0:
+        return MultiPolynomial.one(0)
+    if parts and parts[0] >= LIMIT:
+        raise InvalidInputError(f"part {parts[0]} is an exponent of {LIMIT} or more")
+    # lam/mu is a horizontal strip iff lam_{i+1} <= mu_i <= lam_i; mu_k = 0
+    # keeps mu within k - 1 rows.
+    ranges = [range(low, high + 1) for high, low in zip(parts, parts[1:] + (0,))]
+    if len(parts) == k:
+        ranges[-1] = range(1)
+    size = sum(parts)
     d = {}
-    for weight in _ssyt_weights(lam.parts, k):
-        d[weight] = d.get(weight, 0) + 1
-    out = MultiPolynomial(k)
-    out.terms = d
-    return out
+    get = d.get
+    for mu in product(*ranges):
+        last = size - sum(mu)
+        for e, c in schur_expand(Partition(mu), k - 1).terms.items():
+            e = (e << SHIFT) | last
+            d[e] = get(e, 0) + c
+    return MultiPolynomial._of(k, d)
 
 
 @lru_cache(maxsize=None)
@@ -180,9 +189,7 @@ def complete_homogeneous(i: int, k: int) -> MultiPolynomial:
             exp[v] += 1
         exp = tuple(exp)
         d[exp] = d.get(exp, 0) + 1
-    out = MultiPolynomial(k)
-    out.terms = d
-    return out
+    return MultiPolynomial(k, d)
 
 
 def schur_decompose(p: MultiPolynomial) -> dict:
@@ -191,23 +198,27 @@ def schur_decompose(p: MultiPolynomial) -> dict:
     exponent vector.  Raises if the input is not symmetric."""
     k = p.num_vars
     out = {}
-    rem = p
-    while not rem.is_zero():
-        lead = rem.leading_exponent()
+    rem = dict(p.terms)
+    while rem:
+        top = max(rem)
+        lead = _unpack(top, k)
         if any(a < b for a, b in zip(lead, lead[1:])):
             raise InvalidInputError("polynomial is not symmetric")
         lam = Partition(lead)
-        c = rem.terms[lead]
-        out[lam] = out.get(lam, 0) + c
-        rem = rem - c * schur_expand(lam, k)
-    return {lam: c for lam, c in out.items() if c}
+        c = out[lam] = rem[top]
+        for e, v in schur_expand(lam, k).terms.items():
+            left = rem.get(e, 0) - c * v
+            if left:
+                rem[e] = left
+            else:
+                del rem[e]
+    return out
 
 
 @lru_cache(maxsize=None)
 def lr_expansion(lam: Partition, mu: Partition, k: int) -> tuple:
     """Schur expansion of s_lam * s_mu over k variables, as sorted pairs."""
-    product = schur_expand(lam, k) * schur_expand(mu, k)
-    dec = schur_decompose(product)
+    dec = schur_decompose(schur_expand(lam, k) * schur_expand(mu, k))
     return tuple(sorted(dec.items(), key=lambda t: t[0].parts))
 
 

@@ -225,6 +225,12 @@ def test_pieri_symbols_are_the_interleaving_raw_terms(indices, h):
     assert set(got) == {j for j in leibniz_raw_terms(h, indices) if interleaves(j)}
 
 
+@pytest.mark.parametrize("indices", [(3,), (1,), (2, 5), (1, 2), (1, 4, 6)])
+def test_pieri_symbols_vanish_for_negative_h(indices):
+    for h in (-1, -2, -7):
+        assert pieri_symbols(indices, h) == []
+
+
 def test_leibniz_raw_terms():
     raw = leibniz_raw_terms(2, (2, 3, 5))
     assert len(raw) == 6

@@ -1,8 +1,12 @@
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubert.exterior_core import InvalidInputError, Partition
 from schubert.schur_oracle import (
+    LIMIT,
     MultiPolynomial,
     complete_homogeneous,
     lr_coefficient,
@@ -38,7 +42,153 @@ class TestMultiPolynomial:
         assert not MultiPolynomial(2, {(1, 0): 1}).is_symmetric()
 
 
+# A tuple-keyed reference for MultiPolynomial: {exponent tuple: nonzero int}.
+
+
+def _ref(pairs) -> dict:
+    d = {}
+    for e, c in pairs:
+        d[e] = d.get(e, 0) + c
+    return {e: c for e, c in d.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    return _ref(
+        (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+        for e1, c1 in a.items()
+        for e2, c2 in b.items()
+    )
+
+
+def _ref_symmetric(d: dict) -> bool:
+    return all(d.get(p, 0) == c for e, c in d.items() for p in permutations(e))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """(k, a, b): term lists over k variables, possibly empty, with zero
+    coefficients, repeated exponents, b often cancelling part of a, and
+    symmetrised lists so that symmetric polynomials occur."""
+    k = draw(st.integers(0, 5))
+    exps = st.tuples(*[st.integers(0, 3)] * k)
+    terms = st.lists(st.tuples(exps, st.integers(-2, 2)), max_size=6)
+    a, b = draw(terms), draw(terms)
+    if draw(st.booleans()):
+        b = b + [(e, -c) for e, c in a[: draw(st.integers(0, len(a)))]]
+    if draw(st.booleans()):
+        a = [(p, c) for e, c in a for p in set(permutations(e))]
+    return k, a, b
+
+
+class TestMultiPolynomialAgainstReference:
+    @given(polynomial_pairs(), st.integers(-3, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tuple_keyed_reference(self, case, c):
+        k, a, b = case
+        pa, pb = MultiPolynomial(k, a), MultiPolynomial(k, b)
+        ra, rb = _ref(a), _ref(b)
+        cases = [
+            (pa, ra),
+            (pb, rb),
+            (pa + pb, _ref(list(ra.items()) + list(rb.items()))),
+            (pa - pb, _ref(list(ra.items()) + [(e, -v) for e, v in rb.items()])),
+            (pa - pa, {}),
+            (pa * pb, _ref_mul(ra, rb)),
+            (pa * c, _ref((e, v * c) for e, v in ra.items())),
+            (c * pa, _ref((e, v * c) for e, v in ra.items())),
+        ]
+        for got, want in cases:
+            assert repr(got) == f"MultiPolynomial({k}, {dict(sorted(want.items()))})"
+            rebuilt = MultiPolynomial(k, reversed(list(want.items())))
+            assert got == rebuilt and hash(got) == hash(rebuilt)
+            assert got.is_zero() == (not want)
+            if want:
+                assert got.leading_exponent() == max(want)
+            assert got.is_symmetric() == _ref_symmetric(want)
+        assert (pa == pb) == (ra == rb)
+
+    def test_exponent_limit_in_constructor(self):
+        top = LIMIT - 1
+        assert repr(MultiPolynomial(2, {(top, top): 1})) == f"MultiPolynomial(2, {{({top}, {top}): 1}})"
+        for exp in ((LIMIT, 0), (0, LIMIT), (LIMIT + 1, 0)):
+            with pytest.raises(InvalidInputError):
+                MultiPolynomial(2, {exp: 1})
+
+    def test_exponent_limit_in_product(self):
+        top = LIMIT - 1
+        y_top = MultiPolynomial(2, {(0, top): 1})
+        # an exponent of LIMIT in x_2 must raise, not carry into x_1
+        with pytest.raises(InvalidInputError):
+            y_top * MultiPolynomial(2, {(0, 1): 1})
+        with pytest.raises(InvalidInputError):
+            MultiPolynomial(2, {(top, 0): 1}) * MultiPolynomial(2, {(1, 5): 1})
+        assert y_top * MultiPolynomial(2, {(1, 0): 1}) == MultiPolynomial(2, {(1, top): 1})
+        half = MultiPolynomial(1, {(LIMIT // 2,): 1})
+        assert half * MultiPolynomial(1, {(LIMIT // 2 - 1,): 1}) == MultiPolynomial(1, {(top,): 1})
+        with pytest.raises(InvalidInputError):
+            half * half
+        with pytest.raises(InvalidInputError):
+            schur_expand(P((LIMIT,)), 1)
+
+
+def _ssyt_weights(shape, k):
+    """Yield the content vector of each semistandard tableau of the given
+    shape with entries in 1..k, filling cell by cell: rows weakly increase,
+    columns strictly."""
+
+    rows = list(shape)
+
+    def rec(r, built):
+        if r == len(rows):
+            weight = [0] * k
+            for row in built:
+                for entry in row:
+                    weight[entry - 1] += 1
+            yield tuple(weight)
+            return
+        width = rows[r]
+        above = built[r - 1] if r else None
+
+        def fill(c, row):
+            if c == width:
+                yield from rec(r + 1, built + [row])
+                return
+            lo = row[c - 1] if c else 1
+            if above is not None and c < len(above):
+                lo = max(lo, above[c] + 1)
+            for val in range(lo, k + 1):
+                yield from fill(c + 1, row + [val])
+
+        yield from fill(0, [])
+
+    yield from rec(0, [])
+
+
+def _hook_content(lam: Partition, k: int) -> int:
+    """s_lam(1, ..., 1) in k variables: the product over cells of
+    (k + content) / hook."""
+    parts = lam.parts
+    conj = [sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0)]
+    value = Fraction(1)
+    for i, row in enumerate(parts):
+        for j in range(row):
+            value *= Fraction(k + j - i, (row - j - 1) + (conj[j] - i - 1) + 1)
+    return int(value)
+
+
 class TestSchurExpand:
+    @pytest.mark.parametrize("k", range(5))
+    def test_matches_cell_by_cell_tableaux(self, k):
+        for lam in _box(4, 4):
+            want = MultiPolynomial(k)
+            if lam.length() <= k:
+                want = MultiPolynomial(k, [(w, 1) for w in _ssyt_weights(lam.parts, k)])
+            got = schur_expand(lam, k)
+            assert got == want and repr(got) == repr(want)
+            assert got.is_zero() == (lam.length() > k)
+            assert sum(got.terms.values()) == _hook_content(lam, k)
+
+
     def test_single_box(self):
         assert schur_expand(P((1,)), 2) == MultiPolynomial(2, {(1, 0): 1, (0, 1): 1})
 
