@@ -30,6 +30,7 @@ from .grassmann_contexts import (
     QUANTUM,
     GrassmannContext,
     box_partitions,
+    expansion_json_terms,
     multiply,
     quantum_pieri,
     reduce_kvector,
@@ -90,14 +91,6 @@ def _kvector_json(v: KVector) -> dict:
     return {"degree": v.degree, "terms": terms}
 
 
-def _expansion_json(expansion: dict) -> dict:
-    terms = [
-        {"nu": list(nu), "d": d, "coeff": c}
-        for (nu, d), c in sorted(expansion.items(), key=lambda t: (t[0][0].parts, t[0][1]))
-    ]
-    return {"terms": terms}
-
-
 def _context(args, k: int) -> GrassmannContext:
     if args.quantum:
         if args.n is None:
@@ -134,7 +127,10 @@ def cmd_mult(args) -> int:
     mu = parse_partition(args.mu)
     ctx = _context(args, args.k)
     product = multiply(lam, mu, ctx)
-    print(json.dumps(_expansion_json(product)) if args.json else render_sigma(product))
+    if args.json:
+        print(json.dumps({"terms": expansion_json_terms(product)}))
+    else:
+        print(render_sigma(product))
     return EXIT_OK
 
 
@@ -213,7 +209,8 @@ def run_checks(k: int, n: int) -> list:
     for lam in parts:
         for mu in parts:
             product = multiply(lam, mu, cctx)
-            lr = dict(lr_expansion(lam, mu, k))
+            # s_lam * s_mu commutes, so (mu, lam) reuses the cached (lam, mu).
+            lr = dict(lr_expansion(min(lam, mu), max(lam, mu), k))
             if any(d != 0 for (_, d) in product) or any(
                 product.get((nu, 0), 0) != lr.get(nu, 0) for nu in parts
             ):

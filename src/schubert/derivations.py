@@ -6,10 +6,10 @@ leibniz_d enumerates all compositions of h (most of which cancel) and
 pieri_d enumerates only the surviving interleaving symbols.  pieri_d is
 the production path; leibniz_d exists as an oracle.
 
-pieri_d and apply_operator regroup a k-vector's terms as one dict of
-index tuples per power of q, add plain ints there and flatten the result
-back into KVector terms.  Within one apply_operator call the Pieri targets
-of a symbol are enumerated once per h and shared by every monomial.
+apply_rows is the one loop that applies Pieri rows.  pieri_d runs it on a
+k-vector's flat (index tuple, q-degree) terms, apply_operator's later
+factors on one plain {index tuple: int} component per power of q, and the
+products of grassmann_contexts on their C(n,k) rows.
 """
 
 from __future__ import annotations
@@ -197,6 +197,21 @@ def pieri_symbols(indices, h: int) -> list:
     return [prefix + (last + rem,) for prefix, rem in partial]
 
 
+def apply_rows(terms: dict, rows: dict, fill) -> dict:
+    """Sum each key's coefficient into every target of its row: the one
+    loop that applies Pieri rows.  A key missing from rows gets
+    rows[key] = fill(key); targets that total 0 are dropped."""
+    acc = {}
+    get = acc.get
+    for key, c in terms.items():
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = fill(key)
+        for target in row:
+            acc[target] = get(target, 0) + c
+    return {target: c for target, c in acc.items() if c}
+
+
 def _by_q_degree(terms: dict) -> dict:
     """KVector terms regrouped as {q-degree: {index tuple: int}}."""
     out = {}
@@ -208,23 +223,6 @@ def _by_q_degree(terms: dict) -> dict:
     return out
 
 
-def _shift(h: int, components: dict, targets: dict) -> dict:
-    """D_h on {q-degree: {index tuple: int}}.  targets maps an index tuple
-    to its Pieri targets for this h and is filled on demand."""
-    out = {}
-    for e, comp in components.items():
-        acc = {}
-        get = acc.get
-        for indices, c in comp.items():
-            js = targets.get(indices)
-            if js is None:
-                js = targets[indices] = pieri_symbols(indices, h)
-            for j in js:
-                acc[j] = get(j, 0) + c
-        out[e] = {j: c for j, c in acc.items() if c}
-    return out
-
-
 def pieri_d(h: int, v: KVector) -> KVector:
     """D_h by cancellation-free Pieri enumeration (production path)."""
     if h < 0:
@@ -233,10 +231,9 @@ def pieri_d(h: int, v: KVector) -> KVector:
         return v
     if v.degree == 0:
         return KVector.zero(0)
-    shifted = _shift(h, _by_q_degree(v.terms), {})
-    return KVector._of(
-        v.degree, {(j, d): c for d, comp in shifted.items() for j, c in comp.items()}
-    )
+    return KVector._of(v.degree, apply_rows(
+        v.terms, {}, lambda key: [(j, key[1]) for j in pieri_symbols(key[0], h)]
+    ))
 
 
 def apply_operator(p: DPolynomial, v: KVector) -> KVector:
@@ -246,13 +243,13 @@ def apply_operator(p: DPolynomial, v: KVector) -> KVector:
     (the order is immaterial mathematically, fixed for reproducibility).
     The first factor is pieri_d on v, so pieri_d stays the derivation
     layer that a tracer or profiler sees under every operator evaluation.
-    Later factors act on plain-int {q-degree: {index tuple: int}}
-    components, and each symbol's Pieri targets for a given h are
+    Later factors run apply_rows on plain-int {q-degree: {index tuple:
+    int}} components, and each symbol's Pieri row for a given h is
     enumerated once per call and shared by every monomial.  Monomials
     sharing a leading factor sequence reuse the intermediate components,
     which matters for determinant expansions.  All monomials add their
     integer multiples into one accumulator."""
-    targets = {}
+    rows = {}
     memo = {(): _by_q_degree(v.terms)}
 
     def evaluate(parts):
@@ -262,7 +259,11 @@ def apply_operator(p: DPolynomial, v: KVector) -> KVector:
             if len(parts) == 1:
                 cached = _by_q_degree(pieri_d(h, v).terms)
             else:
-                cached = _shift(h, evaluate(parts[:-1]), targets.setdefault(h, {}))
+                row_h = rows.setdefault(h, {})
+                cached = {
+                    d: apply_rows(comp, row_h, lambda indices: pieri_symbols(indices, h))
+                    for d, comp in evaluate(parts[:-1]).items()
+                }
             memo[parts] = cached
         return cached
 
@@ -274,19 +275,26 @@ def apply_operator(p: DPolynomial, v: KVector) -> KVector:
     ))
 
 
+def _series_inverse(max_degree: int, top: int) -> list:
+    """Coefficients 0..max_degree of the formal inverse of
+    1 + D_1 t + ... + D_top t^top: E_m = -(D_1 E_{m-1} + ... + D_j E_{m-j})
+    with j = min(m, top)."""
+    es = [DPolynomial.identity()]
+    for m in range(1, max_degree + 1):
+        acc = DPolynomial.zero()
+        for i in range(1, min(m, top) + 1):
+            acc = acc + DPolynomial.generator(i) * es[m - i]
+        es.append(-acc)
+    return es
+
+
 def inverse_components(max_degree: int) -> list:
     """E_0, ..., E_{max_degree}: coefficients of the formal inverse of
     D_t = 1 + D_1 t + D_2 t^2 + ..., as operator polynomials.
 
     E_m = -(D_1 E_{m-1} + ... + D_m E_0); each E_m is homogeneous of
     degree m."""
-    es = [DPolynomial.identity()]
-    for m in range(1, max_degree + 1):
-        acc = DPolynomial.zero()
-        for i in range(1, m + 1):
-            acc = acc + DPolynomial.generator(i) * es[m - i]
-        es.append(-acc)
-    return es
+    return _series_inverse(max_degree, max_degree)
 
 
 def iterated_d1(m: int, v: KVector) -> KVector:

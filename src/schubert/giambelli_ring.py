@@ -8,6 +8,7 @@ from functools import lru_cache
 
 from .derivations import (
     DPolynomial,
+    _series_inverse,
     apply_operator,
     inverse_components,
     render_dpolynomial,
@@ -101,14 +102,7 @@ def y_polynomials(n: int, k: int) -> list:
     inverse of 1 + D_1 t + ... + D_{n-k} t^{n-k}."""
     if not 1 <= k < n:
         raise InvalidInputError("need 1 <= k < n")
-    cutoff = n - k
-    coeffs = [DPolynomial.identity()]
-    for i in range(1, n + 1):
-        acc = DPolynomial.zero()
-        for j in range(1, min(i, cutoff) + 1):
-            acc = acc + DPolynomial.generator(j) * coeffs[i - j]
-        coeffs.append(-acc)
-    return [((-1) ** i) * c for i, c in enumerate(coeffs)]
+    return [((-1) ** i) * c for i, c in enumerate(_series_inverse(n, n - k))]
 
 
 @dataclass

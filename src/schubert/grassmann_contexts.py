@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 # pieri_d is not called here but stays bound: perfbench/selftest.py checks
 # that a tracer rebinding pieri_d finds it in this namespace.
-from .derivations import pieri_d, pieri_symbols  # noqa: F401
+from .derivations import apply_rows, pieri_d, pieri_symbols  # noqa: F401
 from .exterior_core import (
     InvalidInputError,
     KVector,
@@ -82,31 +82,35 @@ def quantum_pieri(h: int, v: KVector, ctx: GrassmannContext) -> KVector:
         raise InvalidInputError(f"h={h} outside [1, {n - k}]")
     if v.degree != k:
         raise InvalidInputError("degree mismatch")
-    pairs = []
-    for (i, d), c in v.terms.items():
+
+    def fill(key):
+        i, d = key
         if i[-1] > n:
             raise InvalidInputError(f"symbol {i} has index above n={n}")
-        pairs.extend(((j, d + e), c) for j, e in _pieri_row(i, h, ctx))
-    return KVector._of(k, accumulate(pairs))
+        weight = sum(i) + h
+        return [(j, d + (weight - sum(j)) // n) for j in _pieri_row(ctx, h, i)]
+
+    return KVector._of(k, apply_rows(v.terms, {}, fill))
 
 
 @lru_cache(maxsize=None)
-def _pieri_row(indices: tuple, h: int, ctx: GrassmannContext) -> tuple:
+def _pieri_row(ctx: GrassmannContext, h: int, indices: tuple) -> tuple:
     """sigma_h * e^I in the context's C(n,k) basis, for 1 <= h <= n-k and
-    I inside [1, n]: the (J, q-degree) pairs, each with coefficient 1.
+    I inside [1, n]: the index tuples J, each with coefficient 1.
 
-    The classical interleavings that stay inside rank n, plus, in quantum
-    mode, q times the wrapped chains 1 <= j_1 < i_1 <= j_2 < ... <= j_k < i_k
-    with |J| = |I| + h - n.  Those are the interleavings of
-    (1, i_1, ..., i_{k-1}) by i_k + h - n - 1 that end below i_k.  (A
-    literal (-1)^(k-1) prefactor on the wrapped sum cancels against the
-    sign of moving the wrapped index to the front, so the net
+    First the classical interleavings that stay inside rank n, then, in
+    quantum mode, the wrapped chains 1 <= j_1 < i_1 <= j_2 < ... <= j_k < i_k
+    with |J| = |I| + h - n, which carry q.  Every J has |J| + n * (its
+    q-degree) = |I| + h, so callers read q off the weight.  The chains are
+    the interleavings of (1, i_1, ..., i_{k-1}) by i_k + h - n - 1 that end
+    below i_k.  (A literal (-1)^(k-1) prefactor on the wrapped sum cancels
+    against the sign of moving the wrapped index to the front, so the net
     q-coefficient is +1.)"""
     n = ctx.n
-    row = [(j, 0) for j in pieri_symbols(indices, h) if j[-1] <= n]
+    row = [j for j in pieri_symbols(indices, h) if j[-1] <= n]
     if ctx.mode == QUANTUM:
         chains = pieri_symbols((1,) + indices[:-1], indices[-1] + h - n - 1)
-        row.extend((j, 1) for j in chains if j[-1] < indices[-1])
+        row.extend(j for j in chains if j[-1] < indices[-1])
     return tuple(row)
 
 
@@ -137,32 +141,32 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     e^{I(lam)}, one Pieri row at a time, entirely in the context's C(n,k)
     basis.  sigma_h is 0 for h > n-k, so monomials with such a part are
     skipped.  The quantum ring needs no q-correction of the determinant
-    (Bertram's quantum Giambelli formula)."""
+    (Bertram's quantum Giambelli formula).  Terms are plain {J: int}: each
+    keeps |J| + n * d = |I(lam)| + |mu|, so d is read off the weight at the end."""
     if ctx.mode == INFINITE:
         raise InvalidInputError("multiply needs a classical or quantum context")
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if not isinstance(mu, Partition):
         mu = Partition(mu)
+    k, n = ctx.k, ctx.n
     for p in (lam, mu):
-        if not p.fits_box(ctx.k, ctx.n):
-            raise InvalidInputError(
-                f"{tuple(p)} outside the {ctx.k}x{ctx.n - ctx.k} box"
-            )
-    k = ctx.k
-    start = {(partition_to_symbol(lam, k).indices, 0): 1}
+        if not p.fits_box(k, n):
+            raise InvalidInputError(f"{tuple(p)} outside the {k}x{n - k} box")
+    indices = partition_to_symbol(lam, k).indices
+    start = {indices: 1}
+    rows = {}
     pairs = []
     for mono, c in giambelli_det(mu, k).terms.items():
-        if mono.parts and mono.parts[0] > ctx.n - k:
+        if mono.parts and mono.parts[0] > n - k:
             continue
         w = start
         for h in mono.parts:
-            w = accumulate(
-                ((j, d + e), x) for (i, d), x in w.items() for j, e in _pieri_row(i, h, ctx)
-            )
-        pairs.extend((key, c * x) for key, x in w.items())
+            w = apply_rows(w, rows.setdefault(h, {}), partial(_pieri_row, ctx, h))
+        pairs.extend((j, c * x) for j, x in w.items())
+    weight = sum(indices) + mu.weight()
     return dict(sorted(
-        ((symbol_to_partition(j), d), c) for (j, d), c in accumulate(pairs).items()
+        ((symbol_to_partition(j), (weight - sum(j)) // n), c) for j, c in accumulate(pairs).items()
     ))
 
 
@@ -190,6 +194,15 @@ def poincare_pair(lam, mu, ctx: GrassmannContext) -> int:
     return multiply(lam, mu, ctx).get((top, 0), 0)
 
 
+def expansion_json_terms(expansion: dict) -> list:
+    """A product's terms as JSON-ready {"nu", "d", "coeff"} dicts, in
+    ascending (nu, q-degree) order."""
+    return [
+        {"nu": list(nu), "d": d, "coeff": c}
+        for (nu, d), c in sorted(expansion.items(), key=lambda t: (t[0][0].parts, t[0][1]))
+    ]
+
+
 @dataclass
 class StructureTable:
     """All pairwise Schubert-class products in one context."""
@@ -198,15 +211,12 @@ class StructureTable:
     entries: dict  # {(lam, mu): {(nu, d): coeff}}
 
     def to_json_dict(self) -> dict:
-        entries = []
-        for (lam, mu) in sorted(self.entries, key=lambda p: (p[0].parts, p[1].parts)):
-            terms = [
-                {"nu": list(nu), "d": d, "coeff": c}
-                for (nu, d), c in sorted(
-                    self.entries[(lam, mu)].items(), key=lambda t: (t[0][0].parts, t[0][1])
-                )
-            ]
-            entries.append({"lambda": list(lam), "mu": list(mu), "terms": terms})
+        entries = [
+            {"lambda": list(lam), "mu": list(mu), "terms": expansion_json_terms(product)}
+            for (lam, mu), product in sorted(
+                self.entries.items(), key=lambda t: (t[0][0].parts, t[0][1].parts)
+            )
+        ]
         return {
             "context": {
                 "k": self.context.k,

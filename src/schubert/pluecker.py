@@ -4,7 +4,6 @@ certificate."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .exterior_core import InvalidInputError, SchubertSymbol
@@ -34,41 +33,20 @@ def read_matrix(path) -> list:
     return rows
 
 
-def determinant(matrix) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+def _eliminate(matrix) -> tuple:
+    """One fraction-free (Bareiss) elimination with row swaps.
+
+    Returns the 1-based pivot columns (column c is a pivot iff the first c
+    columns have greater rank than the first c - 1) and the last pivot,
+    signed by the row swaps.  Every entry below the pivot rows stays an
+    integer minor of the matrix (Sylvester's identity), so each division is
+    exact; for a square matrix of full rank the signed last pivot is the
+    determinant."""
     a = [list(row) for row in matrix]
-    m = len(a)
-    if any(len(row) != m for row in a):
-        raise InvalidInputError("determinant needs a square matrix")
-    if m == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for i in range(m - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, m):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, m):
-            for c in range(i + 1, m):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[m - 1][m - 1]
-
-
-def _pivot_columns(matrix) -> list:
-    """The 1-based pivot columns of an exact Gaussian elimination over the
-    rationals: column c is a pivot iff the first c columns have greater
-    rank than the first c - 1."""
-    a = [[Fraction(x) for x in row] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []
+    sign = prev = 1
     for c in range(cols):
         r = len(pivots)
         if r == rows:
@@ -76,20 +54,29 @@ def _pivot_columns(matrix) -> list:
         pivot = next((i for i in range(r, rows) if a[i][c]), None)
         if pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c]
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
         for i in range(r + 1, rows):
-            if a[i][c]:
-                f = a[i][c] / inv
-                for j in range(c, cols):
-                    a[i][j] -= f * a[r][j]
+            for j in range(c + 1, cols):
+                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
+        prev = a[r][c]
         pivots.append(c + 1)
-    return pivots
+    return pivots, sign * prev
+
+
+def determinant(matrix) -> int:
+    """Exact integer determinant: the signed last pivot of _eliminate, or 0
+    when the matrix is singular."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise InvalidInputError("determinant needs a square matrix")
+    pivots, last = _eliminate(matrix)
+    return last if len(pivots) == len(matrix) else 0
 
 
 def rank(matrix) -> int:
     """Row rank over the rationals: the number of pivot columns."""
-    return len(_pivot_columns(matrix))
+    return len(_eliminate(matrix)[0])
 
 
 def minor(matrix, columns) -> int:
@@ -112,7 +99,7 @@ def schubert_symbol(matrix) -> SchubertSymbol:
     which the rank of the first-i_j-columns submatrix jumps to j: the
     pivot columns of one exact elimination."""
     k = len(matrix)
-    pivots = _pivot_columns(matrix)
+    pivots, _ = _eliminate(matrix)
     if len(pivots) < k:
         raise RankDeficientError(f"matrix rank below k={k}")
     return SchubertSymbol(pivots)

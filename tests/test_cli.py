@@ -15,8 +15,10 @@ from schubert.cli import (
     main,
     parse_partition,
     render_sigma,
+    run_checks,
 )
 from schubert.exterior_core import Partition
+from schubert.schur_oracle import lr_expansion
 
 
 def run(capsys, *argv):
@@ -199,6 +201,12 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--k", "1", "--n", "3", "--json")
         assert code == EXIT_OK
         assert json.loads(out)["ok"] is True
+
+    def test_one_tableau_product_per_unordered_pair(self):
+        lr_expansion.cache_clear()
+        assert all(ok for _, ok in run_checks(2, 4))
+        # the 2 x 2 box holds 6 partitions: 21 unordered pairs
+        assert lr_expansion.cache_info().misses == 21
 
 
 class TestPluecker:

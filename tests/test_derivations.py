@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from schubert.derivations import (
     DPolynomial,
     apply_operator,
+    apply_rows,
     inverse_components,
     iterated_d1,
     leibniz_d,
@@ -229,6 +230,19 @@ def test_pieri_symbols_are_the_interleaving_raw_terms(indices, h):
 def test_pieri_symbols_vanish_for_negative_h(indices):
     for h in (-1, -2, -7):
         assert pieri_symbols(indices, h) == []
+
+
+def test_apply_rows_fills_each_row_once_and_drops_zeros():
+    filled = []
+
+    def fill(key):
+        filled.append(key)
+        return {"a": ("x", "y"), "b": ("y",), "c": ()}[key]
+
+    rows = {}
+    assert apply_rows({"a": 2, "b": -2, "c": 5}, rows, fill) == {"x": 2}
+    assert apply_rows({"a": 1, "c": 1}, rows, fill) == {"x": 1, "y": 1}
+    assert filled == ["a", "b", "c"]
 
 
 def test_leibniz_raw_terms():

@@ -26,6 +26,7 @@ from schubert.grassmann_contexts import (
     structure_table,
     unit_expansion,
 )
+from schubert.schur_oracle import lr_expansion
 
 P = Partition
 
@@ -39,6 +40,29 @@ def apply_then_reduce(lam, mu, ctx):
 
 def expand(pairs):
     return {(P(nu), d): c for (nu, d), c in pairs.items()}
+
+
+def rim_hook_product(lam, mu, k, n):
+    """sigma_lam * sigma_mu in QH*(G(k,n)) by the rim-hook rule of Bertram,
+    Ciocan-Fontanine and Fulton, over the tableau oracle: each s_nu of
+    s_lam * s_mu (nu with at most k rows) loses n-rim hooks until it fits
+    the k x (n-k) box, gaining q and (-1)^(k - height) per hook; a nu that
+    cannot get there adds nothing.  Hooks come off on the abacus of the
+    beta-numbers nu_i + k - i: an n-rim hook moves one bead from b to an
+    empty b - n >= 0, and its height is 1 + the beads strictly between."""
+    out = {}
+    for nu, c in lr_expansion(min(lam, mu), max(lam, mu), k):
+        beads = {part + k - 1 - i for i, part in enumerate(nu.padded(k))}
+        d = 0
+        while movable := [b for b in beads if b >= n and b - n not in beads]:
+            b = movable[0]
+            c *= (-1) ** (k - 1 - sum(b - n < x < b for x in beads))
+            beads = beads - {b} | {b - n}
+            d += 1
+        if max(beads) < n:
+            core = P(b - (k - 1 - i) for i, b in enumerate(sorted(beads, reverse=True)))
+            out[(core, d)] = out.get((core, d), 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
 class TestContext:
@@ -110,6 +134,20 @@ class TestQuantumPieri:
                         assert quantum_pieri(h, v, ctx) == reduce_kvector(
                             pieri_d(h, v), ctx
                         )
+
+    def test_mixed_q_degrees_against_reduction_oracle(self):
+        # each term's own power of q must survive under the one a row adds
+        rng = random.Random(7)
+        for k, n in ((1, 4), (2, 5), (3, 6), (3, 7)):
+            ctx = GrassmannContext(k, n, "quantum")
+            syms = [partition_to_symbol(lam, k) for lam in box_partitions(k, n)]
+            for _ in range(30):
+                v = KVector(k, [
+                    (rng.choice(syms), QInt({d: rng.randint(-2, 2) for d in range(3)}))
+                    for _ in range(4)
+                ])
+                for h in range(1, n - k + 1):
+                    assert quantum_pieri(h, v, ctx) == reduce_kvector(pieri_d(h, v), ctx)
 
     def test_range_validation(self):
         ctx = GrassmannContext(2, 4, "quantum")
@@ -219,6 +257,15 @@ class TestMultiply:
                     (symbol_to_partition(s), d): c for s, qc in w.items() for d, c in qc.items()
                 }
                 assert multiply(lam, mu, ctx) == want
+
+    @pytest.mark.parametrize("k,n", [(1, 4), (2, 4), (2, 5), (3, 6), (3, 7), (2, 8), (4, 8)])
+    def test_quantum_matches_rim_hook_rule(self, k, n):
+        # an oracle for the q-terms that shares no code with the Pieri rows
+        ctx = GrassmannContext(k, n, "quantum")
+        parts = box_partitions(k, n)
+        for lam in parts:
+            for mu in parts:
+                assert multiply(lam, mu, ctx) == rim_hook_product(lam, mu, k, n), (lam, mu)
 
     def test_projective_space(self):
         n = 5

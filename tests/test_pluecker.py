@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +103,30 @@ def test_symbol_is_where_prefix_rank_jumps(matrix):
     else:
         jumps = [c for c in range(1, n + 1) if prefix[c - 1] > (prefix[c - 2] if c > 1 else 0)]
         assert schubert_symbol(matrix) == SchubertSymbol(jumps)
+
+
+def permutation_determinant(matrix) -> int:
+    """The Leibniz expansion over all permutations (no elimination)."""
+    total = 0
+    for perm in permutations(range(len(matrix))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        term = (-1) ** inversions
+        for row, col in enumerate(perm):
+            term *= matrix[row][col]
+        total += term
+    return total
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda m: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 7]), min_size=m, max_size=m),
+        min_size=m,
+        max_size=m,
+    )
+))
+@settings(max_examples=300, deadline=None)
+def test_determinant_matches_permutation_expansion(matrix):
+    assert determinant(matrix) == permutation_determinant(matrix)
 
 
 class TestMinors:
