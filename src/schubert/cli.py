@@ -43,7 +43,7 @@ from .pluecker import (
     read_matrix,
     schubert_symbol,
 )
-from .schur_oracle import lr_expansion, verify_jacobi_trudi
+from .schur_oracle import lr_expansion, rim_hook_product, verify_jacobi_trudi
 
 EXIT_OK = 0
 EXIT_ORACLE = 1
@@ -205,17 +205,21 @@ def run_checks(k: int, n: int) -> list:
     results.append(("classical presentation", verify_presentation(k, n, CLASSICAL).ok))
     results.append(("quantum presentation", verify_presentation(k, n, QUANTUM).ok))
 
-    ok = True
+    classical_ok = quantum_ok = True
     for lam in parts:
         for mu in parts:
             product = multiply(lam, mu, cctx)
-            # s_lam * s_mu commutes, so (mu, lam) reuses the cached (lam, mu).
+            # s_lam * s_mu commutes, so (mu, lam) reuses the cached (lam, mu),
+            # and rim_hook_product reads the same cached expansion.
             lr = dict(lr_expansion(min(lam, mu), max(lam, mu), k))
             if any(d != 0 for (_, d) in product) or any(
                 product.get((nu, 0), 0) != lr.get(nu, 0) for nu in parts
             ):
-                ok = False
-    results.append(("classical products vs tableau oracle", ok))
+                classical_ok = False
+            if multiply(lam, mu, qctx) != rim_hook_product(lam, mu, k, n):
+                quantum_ok = False
+    results.append(("classical products vs tableau oracle", classical_ok))
+    results.append(("quantum products vs rim-hook oracle", quantum_ok))
 
     ok = all(verify_jacobi_trudi(lam, k) for lam in parts)
     results.append(("determinant formula vs tableau expansion", ok))

@@ -7,9 +7,11 @@ pieri_d enumerates only the surviving interleaving symbols.  pieri_d is
 the production path; leibniz_d exists as an oracle.
 
 apply_rows is the one loop that applies Pieri rows.  pieri_d runs it on a
-k-vector's flat (index tuple, q-degree) terms, apply_operator's later
-factors on one plain {index tuple: int} component per power of q, and the
-products of grassmann_contexts on their C(n,k) rows.
+k-vector's flat (index tuple, q-degree) terms, and the products of
+grassmann_contexts on their C(n,k) rows.  apply_operator makes one pass
+per monomial: pieri_d for the first factor, then apply_rows on one plain
+{index tuple: int} component per power of q for each later factor, over
+Pieri rows shared by every monomial of the call.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .exterior_core import (
     KVector,
     Partition,
     accumulate,
+    as_int,
     render_signed_terms,
     signed_sorted,
 )
@@ -37,7 +40,7 @@ class DPolynomial:
     def __init__(self, terms=None):
         items = terms.items() if hasattr(terms, "items") else terms or ()
         self.terms = accumulate(
-            (mono if isinstance(mono, Partition) else Partition(mono), int(c))
+            (mono if isinstance(mono, Partition) else Partition(mono), as_int(c))
             for mono, c in items
         )
 
@@ -92,6 +95,8 @@ class DPolynomial:
         return DPolynomial._of(accumulate(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
+        if not isinstance(other, DPolynomial):
+            raise InvalidInputError("can only subtract DPolynomials")
         return self + (-other)
 
     def __neg__(self):
@@ -100,16 +105,15 @@ class DPolynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return DPolynomial._of({m: c * other for m, c in self.terms.items()} if other else {})
+        if not isinstance(other, DPolynomial):
+            raise InvalidInputError("can only multiply DPolynomials by DPolynomials or ints")
         return DPolynomial._of(accumulate(
             (Partition(sorted(m1.parts + m2.parts, reverse=True)), c1 * c2)
             for m1, c1 in self.terms.items()
             for m2, c2 in other.terms.items()
         ))
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, DPolynomial) and self.terms == other.terms
@@ -240,32 +244,30 @@ def apply_operator(p: DPolynomial, v: KVector) -> KVector:
     """Evaluate an operator polynomial on a k-vector.
 
     Each monomial is applied factor by factor, largest subscript first
-    (the order is immaterial mathematically, fixed for reproducibility).
-    The first factor is pieri_d on v, so pieri_d stays the derivation
-    layer that a tracer or profiler sees under every operator evaluation.
-    Later factors run apply_rows on plain-int {q-degree: {index tuple:
-    int}} components, and each symbol's Pieri row for a given h is
-    enumerated once per call and shared by every monomial.  Monomials
-    sharing a leading factor sequence reuse the intermediate components,
-    which matters for determinant expansions.  All monomials add their
-    integer multiples into one accumulator."""
+    (the order is immaterial mathematically; smallest first enumerates
+    more row targets), and its terms stream into one accumulator, so a
+    call keeps only per-h first factors and rows.  The first factor is
+    pieri_d on v, cached per h: every monomial of a determinant starts
+    from one of a few D_h v, and pieri_d stays the derivation layer that a
+    tracer or profiler sees under every operator evaluation.  Later
+    factors run apply_rows on plain-int {q-degree: {index tuple: int}}
+    components, and each symbol's Pieri row for a given h is enumerated
+    once per call and shared by every monomial."""
     rows = {}
-    memo = {(): _by_q_degree(v.terms)}
+    firsts = {0: _by_q_degree(v.terms)}  # D_0 is the identity
 
     def evaluate(parts):
-        cached = memo.get(parts)
-        if cached is None:
-            h = parts[-1]
-            if len(parts) == 1:
-                cached = _by_q_degree(pieri_d(h, v).terms)
-            else:
-                row_h = rows.setdefault(h, {})
-                cached = {
-                    d: apply_rows(comp, row_h, lambda indices: pieri_symbols(indices, h))
-                    for d, comp in evaluate(parts[:-1]).items()
-                }
-            memo[parts] = cached
-        return cached
+        h, *rest = parts or (0,)
+        comps = firsts.get(h)
+        if comps is None:
+            comps = firsts[h] = _by_q_degree(pieri_d(h, v).terms)
+        for h in rest:
+            row_h = rows.setdefault(h, {})
+            comps = {
+                d: apply_rows(comp, row_h, lambda indices, h=h: pieri_symbols(indices, h))
+                for d, comp in comps.items()
+            }
+        return comps
 
     return KVector._of(v.degree, accumulate(
         ((j, d), c * x)

@@ -10,10 +10,21 @@ from __future__ import annotations
 
 import re
 from itertools import chain
+from operator import index
 
 
 class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
+
+
+def as_int(x) -> int:
+    """x as an exact int (anything with __index__).  A float, a string or
+    any other non-integer raises InvalidInputError instead of being
+    truncated."""
+    try:
+        return index(x)
+    except TypeError:
+        raise InvalidInputError(f"not an integer: {x!r}") from None
 
 
 def accumulate(pairs) -> dict:
@@ -31,7 +42,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(as_int, parts))
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise InvalidInputError(f"parts not weakly decreasing: {parts}")
@@ -93,7 +104,7 @@ class SchubertSymbol:
     __slots__ = ("indices",)
 
     def __init__(self, indices):
-        indices = tuple(int(i) for i in indices)
+        indices = tuple(map(as_int, indices))
         if any(i < 1 for i in indices):
             raise InvalidInputError(f"indices must be >= 1: {indices}")
         if any(a >= b for a, b in zip(indices, indices[1:])):
@@ -137,7 +148,7 @@ class QInt:
 
     def __init__(self, coeffs=None):
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
-        pairs = [(int(e), int(c)) for e, c in items]
+        pairs = [(as_int(e), as_int(c)) for e, c in items]
         for e, _ in pairs:
             if e < 0:
                 raise InvalidInputError(f"negative q exponent {e}")
@@ -193,6 +204,9 @@ class QInt:
         return isinstance(other, QInt) and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant hashes as the int it equals
+        if self.coeffs.keys() <= {0}:
+            return hash(self.constant_term())
         return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
@@ -211,11 +225,7 @@ class QInt:
 
 
 def _qint(c) -> QInt:
-    if isinstance(c, QInt):
-        return c
-    if isinstance(c, int):
-        return QInt.integer(c)
-    raise InvalidInputError(f"not a coefficient: {c!r}")
+    return c if isinstance(c, QInt) else QInt.integer(as_int(c))
 
 
 class KVector:
@@ -233,7 +243,7 @@ class KVector:
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree: int, terms=None):
-        degree = int(degree)
+        degree = as_int(degree)
         if degree < 0:
             raise InvalidInputError("degree must be nonnegative")
         self.degree = degree
@@ -290,12 +300,16 @@ class KVector:
         ))
 
     def __add__(self, other):
-        if not isinstance(other, KVector) or other.degree != self.degree:
-            raise InvalidInputError("can only add k-vectors of equal degree")
+        self._check(other)
         return KVector._of(self.degree, accumulate(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
+        self._check(other)
         return self + other.scale(-1)
+
+    def _check(self, other):
+        if not isinstance(other, KVector) or other.degree != self.degree:
+            raise InvalidInputError("can only add or subtract k-vectors of equal degree")
 
     def __neg__(self):
         return self.scale(-1)
@@ -371,7 +385,7 @@ def normalize(raw, degree=None) -> KVector:
         degree = len(raw[0][0])
     pairs = []
     for indices, coeff in raw:
-        indices = tuple(int(i) for i in indices)
+        indices = tuple(map(as_int, indices))
         if len(indices) != degree:
             raise InvalidInputError(f"index list {indices} has wrong length")
         if any(i < 1 for i in indices):
@@ -411,10 +425,12 @@ def q_factors(d: int) -> list:
 
 def render_signed_terms(terms) -> str:
     """Lay out (int coefficient, factor strings) pairs as 'x - 2*y + ...',
-    or '0' when there are none.  A unit coefficient is elided in front of
-    factors."""
+    or '0' when every coefficient is 0.  Zero terms are skipped, and a unit
+    coefficient is elided in front of factors."""
     chunks = []
     for c, factors in terms:
+        if not c:
+            continue
         term = "*".join(factors if abs(c) == 1 and factors else [str(abs(c)), *factors])
         if chunks:
             chunks.append((" - " if c < 0 else " + ") + term)

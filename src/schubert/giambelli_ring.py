@@ -105,6 +105,16 @@ def y_polynomials(n: int, k: int) -> list:
     return [((-1) ** i) * c for i, c in enumerate(_series_inverse(n, n - k))]
 
 
+def _relations(k: int, n: int, mode: str) -> list:
+    """The defining relations of the mode's ring on the k-th exterior power,
+    as pairs (h, c) meaning D_h = c * q: D_{n-k+1}, ..., D_n vanish, except
+    that the quantum ring has D_n = (-1)^(k-1) q."""
+    rels = [(h, 0) for h in range(n - k + 1, n + 1)]
+    if mode == "quantum":
+        rels[-1] = (n, (-1) ** (k - 1))
+    return rels
+
+
 @dataclass
 class PresentationReport:
     """Outcome of checking a ring presentation on the fundamental class."""
@@ -139,22 +149,11 @@ def verify_presentation(k: int, n: int, mode: str = "classical") -> Presentation
     ctx = GrassmannContext(k, n, mode)
     fund = fundamental(k)
     checked = []
-
-    def vanishing(h):
+    for h, c in _relations(k, n, mode):
         w = reduce_kvector(apply_operator(low_generator(h, k), fund), ctx)
-        checked.append((f"D{h} * e[1..{k}] = 0", w.is_zero(), w))
-
-    if mode == "classical":
-        for i in range(1, k + 1):
-            vanishing(n - k + i)
-    else:
-        for i in range(1, k):
-            vanishing(n - k + i)
-        w = reduce_kvector(apply_operator(low_generator(n, k), fund), ctx)
-        sign = (-1) ** (k - 1)
-        diff = w - fund.scale(QInt.q_power(1, sign))
-        name = f"D{n} * e[1..{k}] = {'q' if sign > 0 else '-q'} * e[1..{k}]"
-        checked.append((name, diff.is_zero(), diff))
+        diff = w - fund.scale(QInt.q_power(1, c))
+        rhs = f"{render_signed_terms([(c, ['q'])])} * e[1..{k}]" if c else "0"
+        checked.append((f"D{h} * e[1..{k}] = {rhs}", diff.is_zero(), diff))
 
     if k < n:
         ys = y_polynomials(n, k)
@@ -191,30 +190,17 @@ def render_presentation(report: PresentationReport) -> str:
     lines = [f"G({k},{n}) {mode} presentation"]
     gens = ", ".join(f"D{i}" for i in range(1, k + 1))
     base = "Z[q]" if mode == "quantum" else "Z"
-    if mode == "classical":
-        rels = ", ".join(f"D{n - k + i}" for i in range(1, k + 1))
-    else:
-        last = render_signed_terms([(1, [f"D{n}"]), (-((-1) ** (k - 1)), ["q"])])
-        rels = ", ".join([f"D{n - k + i}" for i in range(1, k)] + [last])
+    rels = ", ".join(render_signed_terms([(1, [f"D{h}"]), (-c, ["q"])])
+                     for h, c in _relations(k, n, mode))
     lines.append(f"D-form: {base}[{gens}] / ({rels})")
     lines.append("reduced relations:")
-    if mode == "classical":
-        for i in range(1, k + 1):
-            h = n - k + i
-            lines.append(f"  {render_dpolynomial(low_generator(h, k))} = 0")
-    else:
-        for i in range(1, k):
-            h = n - k + i
-            lines.append(f"  {render_dpolynomial(low_generator(h, k))} = 0")
-        rhs = "q" if (-1) ** (k - 1) > 0 else "-q"
-        lines.append(f"  {render_dpolynomial(low_generator(n, k))} = {rhs}")
+    for h, c in _relations(k, n, mode):
+        lines.append(f"  {render_dpolynomial(low_generator(h, k))} = "
+                     f"{render_signed_terms([(c, ['q'])])}")
     if k < n:
         ygens = ", ".join(f"D{i}" for i in range(1, n - k + 1))
-        if mode == "classical":
-            yrels = ", ".join(f"Y{i}(D)" for i in range(k + 1, n + 1))
-        else:
-            last = render_signed_terms([(1, [f"Y{n}(D)"]), (-((-1) ** (n - k - 1)), ["q"])])
-            yrels = ", ".join([f"Y{i}(D)" for i in range(k + 1, n)] + [last])
+        yrels = ", ".join(render_signed_terms([(1, [f"Y{h}(D)"]), (-c, ["q"])])
+                          for h, c in _relations(n - k, n, mode))
         lines.append(f"Y-form: {base}[{ygens}] / ({yrels})")
         ys = y_polynomials(n, k)
         for i in range(k + 1, n + 1):

@@ -1,6 +1,7 @@
-"""Independent cross-check for classical products: Schur polynomials in k
-variables by the branching rule, decomposition back into the Schur basis,
-and Littlewood-Richardson coefficients.
+"""Independent cross-checks for classical and quantum products: Schur
+polynomials in k variables by the branching rule, decomposition back into
+the Schur basis, Littlewood-Richardson coefficients, and quantum products
+by the rim-hook rule over them.
 
 A monomial x_1^e_1 ... x_k^e_k is stored as one packed int, the base-2^SHIFT
 number with digits e_1 (most significant) .. e_k.  Multiplying two monomials
@@ -19,7 +20,7 @@ from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, permutations, product
 from operator import or_
 
-from .exterior_core import InvalidInputError, Partition
+from .exterior_core import InvalidInputError, Partition, as_int
 
 SHIFT = 16
 LIMIT = 1 << (SHIFT - 1)
@@ -49,16 +50,16 @@ class MultiPolynomial:
     __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms=None):
-        self.num_vars = int(num_vars)
+        self.num_vars = as_int(num_vars)
         d = {}
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for exp, c in items:
-                exp = tuple(int(e) for e in exp)
+                exp = tuple(map(as_int, exp))
                 if len(exp) != self.num_vars or any(not 0 <= e < LIMIT for e in exp):
                     raise InvalidInputError(f"bad exponent vector {exp}")
                 key = _pack(exp)
-                d[key] = d.get(key, 0) + int(c)
+                d[key] = d.get(key, 0) + as_int(c)
         self.terms = {e: c for e, c in d.items() if c}
 
     @classmethod
@@ -229,6 +230,37 @@ def lr_coefficient(lam, mu, nu, k: int) -> int:
         if p.length() > k:
             raise InvalidInputError(f"partition {tuple(p)} longer than k={k}")
     return dict(lr_expansion(lam, mu, k)).get(nu, 0)
+
+
+def rim_hook_product(lam, mu, k: int, n: int) -> dict:
+    """sigma_lam * sigma_mu in QH*(G(k,n)) as {(nu, q-degree): coefficient}
+    by the rim-hook rule of Bertram, Ciocan-Fontanine and Fulton (J. Algebra
+    219, 1999), over lr_expansion of the unordered pair.
+
+    Each s_nu of s_lam * s_mu loses n-rim hooks until it fits the
+    k x (n-k) box, gaining q and (-1)^(k - height) per hook; a nu that
+    cannot get there adds nothing.  Hooks come off on the abacus of the
+    beta-numbers nu_i + k - i: an n-rim hook moves one bead from b to an
+    empty b - n >= 0, and its height is 1 + the beads strictly between."""
+    if not 1 <= k <= n:
+        raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    lam, mu = (p if isinstance(p, Partition) else Partition(p) for p in (lam, mu))
+    for p in (lam, mu):
+        if not p.fits_box(k, n):
+            raise InvalidInputError(f"{tuple(p)} outside the {k}x{n - k} box")
+    out = {}
+    for nu, c in lr_expansion(min(lam, mu), max(lam, mu), k):
+        beads = {part + k - 1 - i for i, part in enumerate(nu.padded(k))}
+        d = 0
+        while movable := [b for b in beads if b >= n and b - n not in beads]:
+            b = movable[0]
+            c *= (-1) ** (k - 1 - sum(b - n < x < b for x in beads))
+            beads = beads - {b} | {b - n}
+            d += 1
+        if max(beads) < n:
+            core = Partition(b - (k - 1 - i) for i, b in enumerate(sorted(beads, reverse=True)))
+            out[(core, d)] = out.get((core, d), 0) + c
+    return dict(sorted((key, c) for key, c in out.items() if c))
 
 
 def verify_jacobi_trudi(lam, k: int) -> bool:

@@ -36,7 +36,7 @@ from schubert.grassmann_contexts import (
     structure_table,
     unit_expansion,
 )
-from schubert.schur_oracle import lr_coefficient, verify_jacobi_trudi
+from schubert.schur_oracle import lr_coefficient, rim_hook_product, verify_jacobi_trudi
 
 P = Partition
 
@@ -287,6 +287,18 @@ def test_criterion_14_g48_tables():
     elapsed, ok = timed(run)
     report(14, "full G(4,8) tables: commutative, graded, positive, q^0 part classical",
            10.0, elapsed, ok)
+
+
+def test_criterion_15_quantum_g39_rim_hooks():
+    def run():
+        k, n = 3, 9
+        table = structure_table(GrassmannContext(k, n, "quantum")).entries
+        return all(
+            product == rim_hook_product(lam, mu, k, n) for (lam, mu), product in table.items()
+        )
+
+    elapsed, ok = timed(run)
+    report(15, "full quantum G(3,9) table equals the rim-hook oracle", 10.0, elapsed, ok)
 
 
 def _box(k, width):

@@ -208,6 +208,13 @@ class TestCheck:
         # the 2 x 2 box holds 6 partitions: 21 unordered pairs
         assert lr_expansion.cache_info().misses == 21
 
+    def test_quantum_products_checked_against_rim_hook_oracle(self, monkeypatch):
+        name = "quantum products vs rim-hook oracle"
+        assert dict(run_checks(2, 4))[name] is True
+        # a wrong oracle answer must show as a failed line
+        monkeypatch.setattr("schubert.cli.rim_hook_product", lambda lam, mu, k, n: {})
+        assert dict(run_checks(2, 4))[name] is False
+
 
 class TestPluecker:
     def test_echelon(self, capsys, tmp_path):

@@ -90,6 +90,25 @@ class TestDPolynomial:
         sq = DPolynomial.generator(1) * DPolynomial.generator(1)
         assert render_dpolynomial(sq) == "D1^2"
 
+    def test_non_integer_coefficient_rejected(self):
+        with pytest.raises(InvalidInputError):
+            DPolynomial({(1,): 2.5})
+        with pytest.raises(InvalidInputError):
+            DPolynomial({(1.5,): 1})
+
+    def test_operators_reject_other_types(self):
+        d = DPolynomial.generator(1)
+        for bad in ("x", 2.5, KVector(1)):
+            with pytest.raises(InvalidInputError):
+                d * bad
+            with pytest.raises(InvalidInputError):
+                bad * d
+        for bad in (5, "x"):
+            with pytest.raises(InvalidInputError):
+                d + bad
+            with pytest.raises(InvalidInputError):
+                d - bad
+
 
 class TestGoldenDerivatives:
     def test_first_derivative(self):
@@ -320,6 +339,31 @@ class TestApplyOperator:
         p = DPolynomial.monomial(Partition((3, 2, 1)))
         v = KVector.basis((1, 4, 6))
         expected = pieri_d(1, pieri_d(2, pieri_d(3, v)))
+        assert apply_operator(p, v) == expected
+
+    def test_zero_operator(self):
+        assert apply_operator(DPolynomial.zero(), KVector.basis((1, 3))) == KVector.zero(2)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_monomial_by_monomial(self, data):
+        # shared first factors and shared rows must not leak between monomials
+        k = data.draw(st.integers(1, 3))
+        symbol = st.lists(st.integers(1, 8), min_size=k, max_size=k, unique=True).map(sorted)
+        v = KVector(k, {
+            tuple(i): QInt({data.draw(st.integers(0, 3)): data.draw(st.integers(-3, 3))})
+            for i in data.draw(st.lists(symbol, max_size=4))
+        })
+        parts = st.lists(st.integers(1, 4), max_size=4).map(lambda xs: sorted(xs, reverse=True))
+        p = DPolynomial({
+            tuple(m): data.draw(st.integers(-3, 3)) for m in data.draw(st.lists(parts, max_size=5))
+        })
+        expected = KVector.zero(k)
+        for mono, c in p.terms.items():
+            w = v
+            for h in mono.parts:
+                w = pieri_d(h, w)
+            expected = expected + w.scale(c)
         assert apply_operator(p, v) == expected
 
 

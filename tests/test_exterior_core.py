@@ -234,3 +234,53 @@ def test_kvector_degree_mismatch():
         KVector(2, {(1, 2, 3): 1})
     with pytest.raises(InvalidInputError):
         KVector.basis((1, 2)) + KVector.basis((1, 2, 3))
+
+
+class TestIntegerInputs:
+    """Non-integers raise instead of being truncated; integer-like values
+    (anything with __index__) are accepted."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Partition((1.7,)),
+        lambda: Partition("21"),
+        lambda: SchubertSymbol((1.5, 2)),
+        lambda: QInt({0: 1.5}),
+        lambda: QInt({0.5: 1}),
+        lambda: KVector(2.9),
+        lambda: KVector(1, {(1,): 0.5}),
+        lambda: QInt() + 0.5,
+        lambda: normalize([((1.9, 2), 1)]),
+    ], ids=["partition", "partition-str", "symbol", "qint-coeff", "qint-exponent",
+            "kvector-degree", "kvector-coeff", "qint-add", "normalize"])
+    def test_rejected(self, build):
+        with pytest.raises(InvalidInputError):
+            build()
+
+    def test_index_types_accepted(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        assert Partition((Two(), 1)) == Partition((2, 1))
+        assert SchubertSymbol((1, Two())).indices == (1, 2)
+        assert QInt({Two(): Two()}) == QInt.q_power(2, 2)
+        assert KVector(Two()).degree == 2
+        assert KVector(2, {(1, 2): Two()}) == KVector.basis((1, 2), 2)
+        assert KVector.basis((1, 2)).scale(Two()) == KVector.basis((1, 2), 2)
+        assert QInt.q_power(1) + Two() == QInt({0: 2, 1: 1})
+
+
+class TestOperatorContracts:
+    def test_constant_qint_hashes_as_its_int(self):
+        assert QInt({0: 5}) == 5 and hash(QInt({0: 5})) == hash(5)
+        assert len({QInt({0: 5}), 5}) == 1
+        assert QInt() == 0 and len({QInt(), 0}) == 1
+        assert QInt.q_power(1) != 1
+
+    def test_kvector_add_and_sub_reject_non_vectors(self):
+        v = KVector(2)
+        for bad in (5, "x", KVector(3)):
+            with pytest.raises(InvalidInputError):
+                v + bad
+            with pytest.raises(InvalidInputError):
+                v - bad

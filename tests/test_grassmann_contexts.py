@@ -26,7 +26,7 @@ from schubert.grassmann_contexts import (
     structure_table,
     unit_expansion,
 )
-from schubert.schur_oracle import lr_expansion
+from schubert.schur_oracle import lr_expansion, rim_hook_product
 
 P = Partition
 
@@ -40,29 +40,6 @@ def apply_then_reduce(lam, mu, ctx):
 
 def expand(pairs):
     return {(P(nu), d): c for (nu, d), c in pairs.items()}
-
-
-def rim_hook_product(lam, mu, k, n):
-    """sigma_lam * sigma_mu in QH*(G(k,n)) by the rim-hook rule of Bertram,
-    Ciocan-Fontanine and Fulton, over the tableau oracle: each s_nu of
-    s_lam * s_mu (nu with at most k rows) loses n-rim hooks until it fits
-    the k x (n-k) box, gaining q and (-1)^(k - height) per hook; a nu that
-    cannot get there adds nothing.  Hooks come off on the abacus of the
-    beta-numbers nu_i + k - i: an n-rim hook moves one bead from b to an
-    empty b - n >= 0, and its height is 1 + the beads strictly between."""
-    out = {}
-    for nu, c in lr_expansion(min(lam, mu), max(lam, mu), k):
-        beads = {part + k - 1 - i for i, part in enumerate(nu.padded(k))}
-        d = 0
-        while movable := [b for b in beads if b >= n and b - n not in beads]:
-            b = movable[0]
-            c *= (-1) ** (k - 1 - sum(b - n < x < b for x in beads))
-            beads = beads - {b} | {b - n}
-            d += 1
-        if max(beads) < n:
-            core = P(b - (k - 1 - i) for i, b in enumerate(sorted(beads, reverse=True)))
-            out[(core, d)] = out.get((core, d), 0) + c
-    return {key: c for key, c in out.items() if c}
 
 
 class TestContext:

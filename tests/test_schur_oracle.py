@@ -10,6 +10,8 @@ from schubert.schur_oracle import (
     MultiPolynomial,
     complete_homogeneous,
     lr_coefficient,
+    lr_expansion,
+    rim_hook_product,
     schur_decompose,
     schur_expand,
     verify_jacobi_trudi,
@@ -36,6 +38,9 @@ class TestMultiPolynomial:
             MultiPolynomial(2, {(1,): 1})
         with pytest.raises(InvalidInputError):
             MultiPolynomial(2, {(-1, 0): 1})
+        for num_vars, terms in ((2.0, None), (2, {(1.5, 0): 1}), (2, {(1, 0): 0.5})):
+            with pytest.raises(InvalidInputError):
+                MultiPolynomial(num_vars, terms)
 
     def test_symmetry_detection(self):
         assert schur_expand(P((2, 1)), 3).is_symmetric()
@@ -249,6 +254,49 @@ class TestLRCoefficient:
         b = schur_decompose(schur_expand(mu, k) * schur_expand(lam, k))
         assert a == b
         assert all(c >= 0 for c in a.values())
+
+
+class TestRimHookProduct:
+    def test_quantum_goldens(self):
+        # G(2,4): s1 * s21 = s22 + q and s21 * s21 = q*s11 + q*s2; G(1,4): s3 * s1 = q
+        assert rim_hook_product(P((1,)), P((2, 1)), 2, 4) == {(P((2, 2)), 0): 1, (P(), 1): 1}
+        assert rim_hook_product(P((2, 1)), P((2, 1)), 2, 4) == {
+            (P((1, 1)), 1): 1, (P((2,)), 1): 1,
+        }
+        assert rim_hook_product(P((3,)), P((1,)), 1, 4) == {(P(), 1): 1}
+
+    def test_classical_part_is_lr(self):
+        k, n = 3, 6
+        for lam in _box(k, n - k):
+            for mu in _box(k, n - k):
+                got = {nu: c for (nu, d), c in rim_hook_product(lam, mu, k, n).items() if d == 0}
+                want = {nu: c for nu, c in lr_expansion(lam, mu, k) if nu.fits_box(k, n)}
+                assert got == want, (lam, mu)
+
+    def test_graded_and_sorted(self):
+        k, n = 2, 5
+        for lam in _box(k, n - k):
+            for mu in _box(k, n - k):
+                product = rim_hook_product(lam, mu, k, n)
+                assert list(product) == sorted(product)
+                for nu, d in product:
+                    assert nu.weight() + n * d == lam.weight() + mu.weight()
+
+    def test_rejects_partitions_outside_the_box(self):
+        with pytest.raises(InvalidInputError):
+            rim_hook_product(P((3,)), P((1,)), 2, 4)
+        with pytest.raises(InvalidInputError):
+            rim_hook_product(P((1,)), P((1, 1, 1)), 2, 4)
+        with pytest.raises(InvalidInputError):
+            rim_hook_product(P(), P(), 3, 2)
+
+    def test_imports_no_engine_code(self):
+        import ast
+        import schubert.schur_oracle as oracle
+
+        tree = ast.parse(open(oracle.__file__).read())
+        modules = {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
+        assert modules == {"__future__", "functools", "itertools", "operator", "exterior_core"}
 
 
 class TestJacobiTrudi:
