@@ -58,6 +58,8 @@ class Partition:
 
     def padded(self, k: int) -> tuple:
         """The parts as a length-k tuple, zero padded on the right."""
+        if k < 0:
+            raise InvalidInputError(f"k must be nonnegative, got k={k}")
         if len(self.parts) > k:
             raise InvalidInputError(f"partition {self.parts} longer than k={k}")
         return self.parts + (0,) * (k - len(self.parts))
@@ -335,7 +337,7 @@ def partition_to_symbol(lam: Partition, k: int) -> SchubertSymbol:
     """The symbol I with i_j = r_j + j, where r_j runs over lam reversed."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    if lam.length() > k:
+    if lam.length() > k >= 0:  # padded rejects a negative k
         raise InvalidInputError(f"partition length {lam.length()} exceeds k={k}")
     padded = lam.padded(k)
     return SchubertSymbol(tuple(padded[k - j] + j for j in range(1, k + 1)))

@@ -34,7 +34,7 @@ def giambelli_det(lam: Partition, k: int) -> DPolynomial:
     {descending-part tuple: int} dicts."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    if lam.length() > k:
+    if lam.length() > k >= 0:  # padded rejects a negative k
         raise InvalidInputError(f"partition length exceeds k={k}")
     r = tuple(reversed(lam.padded(k)))  # r[j-1] = lam_{k+1-j}
     memo = {(): {(): 1}}

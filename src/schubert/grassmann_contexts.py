@@ -133,16 +133,38 @@ def box_partitions(k: int, n: int, max_weight=None) -> list:
     return sorted(out, key=lambda p: p.parts)
 
 
+@lru_cache(maxsize=None)
+def _symbol(parts: tuple, k: int) -> tuple:
+    """I(lam) for the partition lam with these parts."""
+    return partition_to_symbol(Partition(parts), k).indices
+
+
+@lru_cache(maxsize=None)
+def _class(indices: tuple) -> tuple:
+    """(parts, lam) for the class of this symbol; the parts sort the product."""
+    lam = symbol_to_partition(indices)
+    return lam.parts, lam
+
+
+@lru_cache(maxsize=None)
+def _box_monomials(parts: tuple, k: int, width: int) -> tuple:
+    """The (parts, coefficient) monomials of the Giambelli determinant of
+    this partition whose parts are all <= width = n-k: sigma_h is 0 above."""
+    det = giambelli_det(Partition(parts), k).terms
+    return tuple((m.parts, c) for m, c in det.items() if not m.parts or m.parts[0] <= width)
+
+
 def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     """Product of Schubert classes: {(nu, q-degree): coefficient}, in
     ascending (nu, q-degree) order.
 
-    Evaluates the Giambelli determinant of mu at sigma_1..sigma_{n-k} on
-    e^{I(lam)}, one Pieri row at a time, entirely in the context's C(n,k)
-    basis.  sigma_h is 0 for h > n-k, so monomials with such a part are
-    skipped.  The quantum ring needs no q-correction of the determinant
-    (Bertram's quantum Giambelli formula).  Terms are plain {J: int}: each
-    keeps |J| + n * d = |I(lam)| + |mu|, so d is read off the weight at the end."""
+    Evaluates the Giambelli determinant of one factor at sigma_1..sigma_{n-k}
+    on the other's basis vector, one Pieri row at a time, in the context's
+    C(n,k) basis.  By Bertram's quantum Giambelli formula the determinant
+    needs no q-correction, and the ring is commutative, so either factor's
+    determinant gives the product: the one with fewer monomials inside the
+    box is applied (mu's on a tie).  Terms are plain {J: int}: each keeps
+    |J| + n * d = |lam| + |mu| + k(k+1)/2, so d is read off the weight."""
     if ctx.mode == INFINITE:
         raise InvalidInputError("multiply needs a classical or quantum context")
     if not isinstance(lam, Partition):
@@ -153,21 +175,22 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     for p in (lam, mu):
         if not p.fits_box(k, n):
             raise InvalidInputError(f"{tuple(p)} outside the {k}x{n - k} box")
-    indices = partition_to_symbol(lam, k).indices
-    start = {indices: 1}
+    monos, other = _box_monomials(mu.parts, k, n - k), lam
+    if len(monos) > 1:  # every determinant has an in-box monomial: sigma_lam != 0
+        lam_monos = _box_monomials(lam.parts, k, n - k)
+        if len(lam_monos) < len(monos):
+            monos, other = lam_monos, mu
+    start = {_symbol(other.parts, k): 1}
     rows = {}
     pairs = []
-    for mono, c in giambelli_det(mu, k).terms.items():
-        if mono.parts and mono.parts[0] > n - k:
-            continue
+    for mono, c in monos:
         w = start
-        for h in mono.parts:
+        for h in mono:
             w = apply_rows(w, rows.setdefault(h, {}), partial(_pieri_row, ctx, h))
         pairs.extend((j, c * x) for j, x in w.items())
-    weight = sum(indices) + mu.weight()
-    return dict(sorted(
-        ((symbol_to_partition(j), (weight - sum(j)) // n), c) for j, c in accumulate(pairs).items()
-    ))
+    weight = lam.weight() + mu.weight() + k * (k + 1) // 2
+    ordered = sorted((_class(j), j, c) for j, c in accumulate(pairs).items())
+    return {(nu, (weight - sum(j)) // n): c for (_, nu), j, c in ordered}
 
 
 def unit_expansion(lam) -> dict:

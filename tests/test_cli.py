@@ -108,6 +108,11 @@ class TestGiambelli:
         code, out, _ = run(capsys, "giambelli", "1,1", "--k", "2")
         assert (code, out) == (EXIT_OK, "D1^2 - D2")
 
+    def test_negative_k(self, capsys):
+        code, _, err = run(capsys, "giambelli", "", "--k", "-1")
+        assert code == EXIT_PARSE
+        assert "k must be nonnegative" in err
+
 
 class TestPresent:
     def test_classical(self, capsys):

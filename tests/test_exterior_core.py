@@ -46,6 +46,10 @@ class TestPartition:
         assert p.length() == 3
         assert p.padded(5) == (3, 3, 1, 0, 0)
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(InvalidInputError, match="k must be nonnegative"):
+            Partition().padded(-2)
+
     def test_box_membership(self):
         assert Partition((2, 2)).fits_box(2, 4)
         assert not Partition((3,)).fits_box(2, 4)
@@ -80,6 +84,10 @@ class TestConversions:
     def test_length_violation(self):
         with pytest.raises(InvalidInputError):
             partition_to_symbol(Partition((1, 1, 1)), 2)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(InvalidInputError, match="k must be nonnegative"):
+            partition_to_symbol(Partition(), -1)
 
     @given(partitions, st.integers(1, 8))
     def test_round_trip(self, lam, k):

@@ -49,6 +49,10 @@ class TestGiambelliDet:
         with pytest.raises(InvalidInputError):
             giambelli_det(Partition((1, 1, 1)), 2)
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(InvalidInputError, match="k must be nonnegative"):
+            giambelli_det(Partition(), -1)
+
     def test_action_is_basis_vector(self):
         for k in (1, 2, 3):
             for lam in box_partitions(k, k + 4):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -208,7 +209,25 @@ class TestMultiply:
         rng = random.Random(48)
         for _ in range(40):
             lam, mu = rng.choice(parts), rng.choice(parts)
-            assert multiply(lam, mu, ctx) == apply_then_reduce(lam, mu, ctx)
+            product = multiply(lam, mu, ctx)
+            # multiply applies only one of the two determinants; check both
+            assert product == apply_then_reduce(lam, mu, ctx)
+            assert product == apply_then_reduce(mu, lam, ctx)
+
+    def test_golden_digest(self):
+        # sha256 of every product repr, recorded before multiply chose the
+        # smaller of the two Giambelli determinants
+        digest = hashlib.sha256()
+        for k, n in ((3, 7), (4, 8)):
+            for mode in ("classical", "quantum"):
+                ctx = GrassmannContext(k, n, mode)
+                parts = box_partitions(k, n)
+                for lam in parts:
+                    for mu in parts:
+                        digest.update(repr(multiply(lam, mu, ctx)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "89dd284fe6192090c73b3d14ce6012fda06948c9af3b2a7bb2bbfaa798649a8f"
+        )
 
     def test_sorted_by_partition_then_q_degree(self):
         ctx = GrassmannContext(3, 6, "quantum")
