@@ -176,7 +176,7 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
         if not p.fits_box(k, n):
             raise InvalidInputError(f"{tuple(p)} outside the {k}x{n - k} box")
     monos, other = _box_monomials(mu.parts, k, n - k), lam
-    if len(monos) > 1:  # every determinant has an in-box monomial: sigma_lam != 0
+    if len(monos) > 1:  # lam's count is >= 1 (sigma_lam != 0), so only then can it be smaller
         lam_monos = _box_monomials(lam.parts, k, n - k)
         if len(lam_monos) < len(monos):
             monos, other = lam_monos, mu
