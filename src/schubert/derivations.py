@@ -8,14 +8,17 @@ the production path; leibniz_d exists as an oracle.
 
 apply_rows is the one loop that applies Pieri rows.  pieri_d runs it on a
 k-vector's flat (index tuple, q-degree) terms, and the products of
-grassmann_contexts on their C(n,k) rows.  apply_operator makes one pass
-per monomial: pieri_d for the first factor, then apply_rows on one plain
-{index tuple: int} component per power of q for each later factor, over
-Pieri rows shared by every monomial of the call.
+grassmann_contexts on their C(n,k) rows.  apply_operator evaluates a
+polynomial in the D_h as a Horner scheme on the same flat terms, with
+the same row fill: each group of monomials that share a largest part h
+is summed into one vector before D_h's rows are applied to it once, and
+a group whose rest is a constant is a leaf, pieri_d(h, v).  The
+recursion is a plain function, so a call leaves no reference cycle.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 
 from .exterior_core import (
@@ -216,15 +219,9 @@ def apply_rows(terms: dict, rows: dict, fill) -> dict:
     return {target: c for target, c in acc.items() if c}
 
 
-def _by_q_degree(terms: dict) -> dict:
-    """KVector terms regrouped as {q-degree: {index tuple: int}}."""
-    out = {}
-    for (indices, d), c in terms.items():
-        comp = out.get(d)
-        if comp is None:
-            comp = out[d] = {}
-        comp[indices] = c
-    return out
+def _targets(h: int, key: tuple) -> list:
+    """The Pieri row of D_h for a flat (index tuple, q-degree) key."""
+    return [(j, key[1]) for j in pieri_symbols(key[0], h)]
 
 
 def pieri_d(h: int, v: KVector) -> KVector:
@@ -235,46 +232,43 @@ def pieri_d(h: int, v: KVector) -> KVector:
         return v
     if v.degree == 0:
         return KVector.zero(0)
-    return KVector._of(v.degree, apply_rows(
-        v.terms, {}, lambda key: [(j, key[1]) for j in pieri_symbols(key[0], h)]
-    ))
+    return KVector._of(v.degree, apply_rows(v.terms, {}, partial(_targets, h)))
 
 
 def apply_operator(p: DPolynomial, v: KVector) -> KVector:
     """Evaluate an operator polynomial on a k-vector.
 
-    Each monomial is applied factor by factor, largest subscript first
-    (the order is immaterial mathematically; smallest first enumerates
-    more row targets), and its terms stream into one accumulator, so a
-    call keeps only per-h first factors and rows.  The first factor is
-    pieri_d on v, cached per h: every monomial of a determinant starts
-    from one of a few D_h v, and pieri_d stays the derivation layer that a
-    tracer or profiler sees under every operator evaluation.  Later
-    factors run apply_rows on plain-int {q-degree: {index tuple: int}}
-    components, and each symbol's Pieri row for a given h is enumerated
-    once per call and shared by every monomial."""
-    rows = {}
-    firsts = {0: _by_q_degree(v.terms)}  # D_0 is the identity
+    The D_h commute, so p is evaluated as a Horner scheme
+    p = c + sum_h D_h * p_h, where p_h holds the other parts of the
+    monomials whose largest part is h.  Each p_h v is summed into one flat
+    dict before D_h's rows are applied to it once, so terms cancel inside
+    the tree, and a symbol's row for D_h is enumerated once per call.  A
+    constant p_h is a leaf, pieri_d(h, v) cached per h and scaled, so
+    pieri_d stays the derivation layer a tracer sees under apply_operator."""
+    return KVector._of(v.degree, _horner([(m.parts, c) for m, c in p.terms.items()], v, {}, {}))
 
-    def evaluate(parts):
-        h, *rest = parts or (0,)
-        comps = firsts.get(h)
-        if comps is None:
-            comps = firsts[h] = _by_q_degree(pieri_d(h, v).terms)
-        for h in rest:
-            row_h = rows.setdefault(h, {})
-            comps = {
-                d: apply_rows(comp, row_h, lambda indices, h=h: pieri_symbols(indices, h))
-                for d, comp in comps.items()
-            }
-        return comps
 
-    return KVector._of(v.degree, accumulate(
-        ((j, d), c * x)
-        for mono, c in p.terms.items()
-        for d, comp in evaluate(mono.parts).items()
-        for j, x in comp.items()
-    ))
+def _horner(monos: list, v: KVector, rows: dict, leaves: dict) -> dict:
+    """Flat terms of the sum of c * D_parts v over these (descending parts,
+    c) pairs, sharing the call's per-h rows and leaves.  Module-level: a
+    closure that called itself would leave a reference cycle per call."""
+    groups = {}
+    pairs = []
+    for parts, c in monos:
+        if parts:
+            groups.setdefault(parts[0], []).append((parts[1:], c))
+        else:
+            pairs.extend((key, c * x) for key, x in v.terms.items())
+    for h, inner in groups.items():
+        if len(inner) > 1 or inner[0][0]:
+            inner_v = _horner(inner, v, rows, leaves)
+            pairs.extend(apply_rows(inner_v, rows.setdefault(h, {}), partial(_targets, h)).items())
+            continue
+        if h not in leaves:
+            leaves[h] = pieri_d(h, v).terms
+        c = inner[0][1]
+        pairs.extend((key, c * x) for key, x in leaves[h].items())
+    return accumulate(pairs)
 
 
 def _series_inverse(max_degree: int, top: int) -> list:

@@ -29,36 +29,43 @@ def giambelli_det(lam: Partition, k: int) -> DPolynomial:
     """The k x k determinant with entry (row i, col j) = D_{r_j + j - i},
     where r_j is lam reversed (zero padded), D_0 = 1 and D_{<0} = 0.
 
-    Homogeneous of degree |lam|.  Computed by Laplace expansion along the
-    last column, memoised on the remaining rows, over plain
-    {descending-part tuple: int} dicts."""
+    Homogeneous of degree |lam|.  _laplace with the largest entry,
+    lam_1 + k - 1, as the width keeps every monomial."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if lam.length() > k >= 0:  # padded rejects a negative k
         raise InvalidInputError(f"partition length exceeds k={k}")
-    r = tuple(reversed(lam.padded(k)))  # r[j-1] = lam_{k+1-j}
-    memo = {(): {(): 1}}
-
-    def minor(rows):
-        """The minor on these rows (1-indexed) and the first len(rows) columns."""
-        cached = memo.get(rows)
-        if cached is None:
-            col = len(rows)
-            pairs = []
-            for pos, i in enumerate(rows):
-                s = r[col - 1] + col - i
-                if s < 0:
-                    continue
-                sign = -1 if (col - 1 - pos) % 2 else 1
-                for mono, c in minor(rows[:pos] + rows[pos + 1 :]).items():
-                    if s:
-                        mono = tuple(sorted(mono + (s,), reverse=True))
-                    pairs.append((mono, sign * c))
-            cached = memo[rows] = accumulate(pairs)
-        return cached
-
-    det = minor(tuple(range(1, k + 1)))
+    det = _laplace(tuple(reversed(lam.padded(k))), max(lam.parts, default=0) + k - 1)
     return DPolynomial._of({Partition(mono): c for mono, c in det.items()})
+
+
+def _laplace(r: tuple, width: int) -> dict:
+    """The {descending-part tuple: int} monomials with all parts <= width
+    of the determinant with entry (row i, col j) = D_{r[j-1] + j - i}.
+    Entries above width are skipped as it builds: a monomial has a part
+    above width exactly when one of its entries does."""
+    return _minor(tuple(range(1, len(r) + 1)), r, width, {(): {(): 1}})
+
+
+def _minor(rows: tuple, r: tuple, width: int, memo: dict) -> dict:
+    """_laplace's minor on these rows (1-indexed) and the first len(rows)
+    columns: Laplace expansion along the last column, memoised on the
+    remaining rows.  Module-level, so it leaves no reference cycle."""
+    cached = memo.get(rows)
+    if cached is None:
+        col = len(rows)
+        pairs = []
+        for pos, i in enumerate(rows):
+            s = r[col - 1] + col - i
+            if not 0 <= s <= width:
+                continue
+            sign = -1 if (col - 1 - pos) % 2 else 1
+            for mono, c in _minor(rows[:pos] + rows[pos + 1 :], r, width, memo).items():
+                if s:
+                    mono = tuple(sorted(mono + (s,), reverse=True))
+                pairs.append((mono, sign * c))
+        cached = memo[rows] = accumulate(pairs)
+    return cached
 
 
 def low_generator(h: int, k: int) -> DPolynomial:

@@ -20,7 +20,7 @@ from .exterior_core import (
     signed_sorted,
     symbol_to_partition,
 )
-from .giambelli_ring import giambelli_det
+from .giambelli_ring import _laplace
 
 INFINITE = "infinite"
 CLASSICAL = "classical"
@@ -88,15 +88,16 @@ def quantum_pieri(h: int, v: KVector, ctx: GrassmannContext) -> KVector:
         if i[-1] > n:
             raise InvalidInputError(f"symbol {i} has index above n={n}")
         weight = sum(i) + h
-        return [(j, d + (weight - sum(j)) // n) for j in _pieri_row(ctx, h, i)]
+        return [(j, d + (weight - sum(j)) // n) for j in _pieri_row(n, True, h, i)]
 
     return KVector._of(k, apply_rows(v.terms, {}, fill))
 
 
 @lru_cache(maxsize=None)
-def _pieri_row(ctx: GrassmannContext, h: int, indices: tuple) -> tuple:
-    """sigma_h * e^I in the context's C(n,k) basis, for 1 <= h <= n-k and
-    I inside [1, n]: the index tuples J, each with coefficient 1.
+def _pieri_row(n: int, quantum: bool, h: int, indices: tuple) -> tuple:
+    """sigma_h * e^I in the C(n,k) basis of the classical or quantum
+    context of rank n (keyed on plain values, which hash fast), for
+    1 <= h <= n-k and I inside [1, n]: the index tuples J, coefficient 1.
 
     First the classical interleavings that stay inside rank n, then, in
     quantum mode, the wrapped chains 1 <= j_1 < i_1 <= j_2 < ... <= j_k < i_k
@@ -106,9 +107,8 @@ def _pieri_row(ctx: GrassmannContext, h: int, indices: tuple) -> tuple:
     below i_k.  (A literal (-1)^(k-1) prefactor on the wrapped sum cancels
     against the sign of moving the wrapped index to the front, so the net
     q-coefficient is +1.)"""
-    n = ctx.n
     row = [j for j in pieri_symbols(indices, h) if j[-1] <= n]
-    if ctx.mode == QUANTUM:
+    if quantum:
         chains = pieri_symbols((1,) + indices[:-1], indices[-1] + h - n - 1)
         row.extend(j for j in chains if j[-1] < indices[-1])
     return tuple(row)
@@ -150,8 +150,7 @@ def _class(indices: tuple) -> tuple:
 def _box_monomials(parts: tuple, k: int, width: int) -> tuple:
     """The (parts, coefficient) monomials of the Giambelli determinant of
     this partition whose parts are all <= width = n-k: sigma_h is 0 above."""
-    det = giambelli_det(Partition(parts), k).terms
-    return tuple((m.parts, c) for m, c in det.items() if not m.parts or m.parts[0] <= width)
+    return tuple(_laplace(tuple(reversed(Partition(parts).padded(k))), width).items())
 
 
 def multiply(lam, mu, ctx: GrassmannContext) -> dict:
@@ -181,12 +180,11 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
         if len(lam_monos) < len(monos):
             monos, other = lam_monos, mu
     start = {_symbol(other.parts, k): 1}
-    rows = {}
-    pairs = []
+    rows, pairs, quantum = {}, [], ctx.mode == QUANTUM
     for mono, c in monos:
         w = start
         for h in mono:
-            w = apply_rows(w, rows.setdefault(h, {}), partial(_pieri_row, ctx, h))
+            w = apply_rows(w, rows.setdefault(h, {}), partial(_pieri_row, n, quantum, h))
         pairs.extend((j, c * x) for j, x in w.items())
     weight = lam.weight() + mu.weight() + k * (k + 1) // 2
     ordered = sorted((_class(j), j, c) for j, c in accumulate(pairs).items())

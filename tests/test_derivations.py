@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -365,6 +367,50 @@ class TestApplyOperator:
                 w = pieri_d(h, w)
             expected = expected + w.scale(c)
         assert apply_operator(p, v) == expected
+
+    # vectors with q-degrees 0..3 and terms that meet after one derivation
+    horner_vectors = [
+        KVector(1, {(2,): QInt({0: 1, 3: -2}), (4,): QInt({1: 3, 2: 1})}),
+        KVector(2, {(1, 3): QInt({0: 2, 1: -1}), (2, 3): QInt({2: 1, 3: 4}), (1, 4): QInt({3: -1})}),
+        KVector(3, {(1, 2, 4): QInt({0: 1, 2: -3}), (1, 3, 4): QInt({1: 1, 3: 2})}),
+    ]
+
+    @pytest.mark.parametrize("v", horner_vectors)
+    @pytest.mark.parametrize("terms", [
+        # a constant next to monomials sharing their largest part, one of
+        # them the bare D_3, so the group mixes a constant with deeper terms
+        {(): 2, (3,): 4, (3, 1): 1, (3, 2): -1, (3, 2, 1): 3, (2, 1): -2},
+        # D_3 (D_1^2 - D_2) + D_2: on k = 1 the inner sum cancels to empty
+        {(3, 1, 1): 1, (3, 2): -1, (2,): 1},
+        # repeated factors, inside and across groups
+        {(2, 2, 2): 1, (2, 2, 1, 1): -2, (1, 1, 1, 1): 1, (4, 4): 3, (4, 1, 1): -1},
+        # only leaves, and only the identity
+        {(1,): 1, (2,): -1, (5,): 2},
+        {(): -3},
+    ])
+    def test_horner_groups_match_monomial_by_monomial(self, v, terms):
+        p = DPolynomial(terms)
+        assert apply_operator(p, v) == _composed_pieri(p, v)
+
+    def test_inner_sum_cancels_to_empty(self):
+        v = self.horner_vectors[0]
+        inner = DPolynomial({(1, 1): 1, (2,): -1})
+        assert _composed_pieri(inner, v).is_zero()
+        p = DPolynomial.generator(3) * inner
+        assert apply_operator(p, v).is_zero()
+
+    def test_leaves_no_reference_cycle(self):
+        # a recursion written as a closure that calls itself would keep
+        # the call's rows alive in a cycle until the cyclic collector runs;
+        # the cold giambelli_det is included on purpose
+        giambelli_det.cache_clear()
+        gc.collect()
+        gc.disable()
+        try:
+            apply_operator(giambelli_det((3, 2, 1), 3), fundamental(3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestIteratedD1:

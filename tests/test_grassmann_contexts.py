@@ -18,6 +18,7 @@ from schubert.giambelli_ring import expand_in_low_generators, giambelli_det
 from schubert.derivations import apply_operator
 from schubert.grassmann_contexts import (
     GrassmannContext,
+    _box_monomials,
     box_partitions,
     multiply,
     multiply_expansion,
@@ -273,6 +274,29 @@ class TestMultiply:
                     assert product == expand({((a + b,), 0): 1})
                 else:
                     assert product == {}
+
+
+class TestBoxMonomials:
+    def test_equal_to_the_filtered_determinant(self):
+        # entries above the width are skipped while the determinant is
+        # built; that must drop exactly the monomials with a part above it
+        for k in range(1, 6):
+            for lam in box_partitions(k, k + 5):
+                det = giambelli_det(lam, k).terms
+                for width in range(max(lam.parts, default=0), 6):
+                    want = {m.parts: c for m, c in det.items() if all(p <= width for p in m.parts)}
+                    assert dict(_box_monomials(lam.parts, k, width)) == want, (lam, k, width)
+
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_sigma1_times_a_large_staircase(self, mode):
+        # the full determinant of (12, 11, ..., 3) at k = 10 has 96,076
+        # monomials; only those inside the 10 x 12 box are built
+        lam = P(tuple(range(12, 2, -1)))
+        ctx = GrassmannContext(10, 22, mode)
+        w = reduce_kvector(pieri_d(1, KVector.basis(partition_to_symbol(lam, 10))), ctx)
+        want = {(symbol_to_partition(s), d): c for s, qc in w.items() for d, c in qc.items()}
+        assert multiply(P((1,)), lam, ctx) == want
+        assert multiply(lam, P((1,)), ctx) == want
 
 
 class TestQuantumGiambelli:
