@@ -120,17 +120,15 @@ def box_partitions(k: int, n: int, max_weight=None) -> list:
     if max_weight is not None and max_weight < 0:
         raise InvalidInputError(f"max weight must be nonnegative, got {max_weight}")
     cap = k * (n - k) if max_weight is None else min(max_weight, k * (n - k))
-    out = []
-
-    def rec(prefix, prev, remaining):
-        out.append(Partition(prefix))
-        if len(prefix) == k:
-            return
-        for part in range(1, min(prev, remaining) + 1):
-            rec(prefix + (part,), part, remaining - part)
-
-    rec((), n - k, cap)
-    return sorted(out, key=lambda p: p.parts)
+    out, level = [()], [()]
+    for _ in range(k):  # the partitions of each length, from the previous length's
+        level = [
+            p + (part,)
+            for p in level
+            for part in range(1, min(p[-1] if p else n - k, cap - sum(p)) + 1)
+        ]
+        out.extend(level)
+    return [Partition(p) for p in sorted(out)]
 
 
 @lru_cache(maxsize=None)
@@ -162,8 +160,11 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     C(n,k) basis.  By Bertram's quantum Giambelli formula the determinant
     needs no q-correction, and the ring is commutative, so either factor's
     determinant gives the product: the one with fewer monomials inside the
-    box is applied (mu's on a tie).  Terms are plain {J: int}: each keeps
-    |J| + n * d = |lam| + |mu| + k(k+1)/2, so d is read off the weight."""
+    box is applied, mu's on a tie.  A partition with at most one part has
+    exactly one, so when only lam is that short the factors swap first and
+    the longer one's determinant is never built.  Terms are plain
+    {J: int}: each keeps |J| + n * d = |lam| + |mu| + k(k+1)/2, so d is
+    read off the weight."""
     if ctx.mode == INFINITE:
         raise InvalidInputError("multiply needs a classical or quantum context")
     if not isinstance(lam, Partition):
@@ -174,6 +175,8 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     for p in (lam, mu):
         if not p.fits_box(k, n):
             raise InvalidInputError(f"{tuple(p)} outside the {k}x{n - k} box")
+    if len(lam.parts) <= 1 < len(mu.parts):  # lam's one monomial, D_{lam_1}, is no larger
+        lam, mu = mu, lam
     monos, other = _box_monomials(mu.parts, k, n - k), lam
     if len(monos) > 1:  # lam's count is >= 1 (sigma_lam != 0), so only then can it be smaller
         lam_monos = _box_monomials(lam.parts, k, n - k)

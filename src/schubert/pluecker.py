@@ -107,17 +107,11 @@ def schubert_symbol(matrix) -> SchubertSymbol:
 
 def bruhat_smaller(sym: SchubertSymbol, n: int) -> list:
     """All symbols componentwise <= sym (within 1..n), excluding sym itself."""
-    k = len(sym)
-
-    def rec(p, prev):
-        if p == k:
-            yield ()
-            return
-        for i in range(prev + 1, sym[p] + 1):
-            for rest in rec(p + 1, i):
-                yield (i,) + rest
-
-    return [SchubertSymbol(t) for t in rec(0, 0) if t != sym.indices]
+    top = sym.indices
+    level = [()]
+    for bound in top:  # extend every prefix in order, so the result is lexicographic
+        level = [t + (i,) for t in level for i in range((t[-1] if t else 0) + 1, bound + 1)]
+    return [SchubertSymbol(t) for t in level if t != top]
 
 
 def minimality_certificate(matrix, sym=None) -> list:

@@ -10,6 +10,11 @@ bit of every digit is a guard: exponents stay below LIMIT = 2^(SHIFT-1), so
 adding two of them never carries into the next digit, and a product with an
 exponent that reaches the guard bit raises instead of wrapping.
 
+verify_jacobi_trudi puts h_i(x_1..x_k) in place of each D_i of a Giambelli
+determinant (Macdonald, Symmetric Functions and Hall Polynomials, I.(3.4))
+and compares the whole result with schur_expand.  The substitution is a
+Horner scheme over the monomials' largest parts, like apply_operator's.
+
 Deliberately shares no code with the derivation machinery, so the two paths
 cannot fail the same way: the only call into it is verify_jacobi_trudi's
 giambelli_det, the determinant under test."""
@@ -265,16 +270,39 @@ def rim_hook_product(lam, mu, k: int, n: int) -> dict:
 
 def verify_jacobi_trudi(lam, k: int) -> bool:
     """True iff substituting h_i for the i-th generator in the Giambelli
-    determinant of lam reproduces schur_expand(lam, k)."""
+    determinant of lam reproduces schur_expand(lam, k), compared term by
+    term.  The substitution is a Horner scheme, _substitute."""
     from .giambelli_ring import giambelli_det
 
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     det = giambelli_det(lam, k)
-    total = MultiPolynomial.zero(k)
-    for mono, c in det.terms.items():
-        prod = MultiPolynomial.one(k)
-        for part in mono.parts:
-            prod = prod * complete_homogeneous(part, k)
-        total = total + c * prod
-    return total == schur_expand(lam, k)
+    # every exponent of the substitution is at most |lam|, so this one
+    # bound stands in for MultiPolynomial's per-product guard
+    if lam.weight() >= LIMIT:
+        raise InvalidInputError(f"weight {lam.weight()} is an exponent of {LIMIT} or more")
+    total = _substitute([(mono.parts, c) for mono, c in det.terms.items()], k)
+    return total == schur_expand(lam, k).terms
+
+
+def _substitute(monos: list, k: int) -> dict:
+    """Packed terms of the sum of c * h_parts(x_1..x_k) over these
+    (descending parts, c) pairs, as a Horner scheme: the monomials whose
+    largest part is h share one product by h_h of the sum of their other
+    parts.  Zeros are dropped once per call.  Module-level: a closure that
+    called itself would leave a reference cycle per call."""
+    groups = {}
+    out = {}
+    get = out.get
+    for parts, c in monos:
+        if parts:
+            groups.setdefault(parts[0], []).append((parts[1:], c))
+        else:
+            out[0] = get(0, 0) + c
+    for h, inner in groups.items():
+        right = complete_homogeneous(h, k).terms.items()
+        for e1, c1 in _substitute(inner, k).items():
+            for e2, c2 in right:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import itertools
 import json
 import random
 
@@ -298,6 +300,17 @@ class TestBoxMonomials:
         assert multiply(P((1,)), lam, ctx) == want
         assert multiply(lam, P((1,)), ctx) == want
 
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_one_part_factor_builds_only_its_determinant(self, mode):
+        # sigma_1 has one in-box monomial, so the staircase's 1,588 are
+        # never built, in either order
+        lam = P(tuple(range(12, 2, -1)))
+        ctx = GrassmannContext(10, 22, mode)
+        for pair in ((P((1,)), lam), (lam, P((1,)))):
+            _box_monomials.cache_clear()
+            multiply(*pair, ctx)
+            assert _box_monomials.cache_info().misses == 1
+
 
 class TestQuantumGiambelli:
     def test_no_q_correction(self):
@@ -365,3 +378,27 @@ def test_box_partitions():
     assert box_partitions(2, 4, 0) == [P()]
     with pytest.raises(InvalidInputError):
         box_partitions(2, 4, -1)
+
+
+def test_box_partitions_in_lexicographic_order():
+    # reference: every weakly decreasing k-tuple over 0..n-k, zeros dropped
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            for cap in (None, 0, 2, 5):
+                want = sorted(
+                    tuple(x for x in t if x)
+                    for t in itertools.product(range(n - k + 1), repeat=k)
+                    if list(t) == sorted(t, reverse=True) and (cap is None or sum(t) <= cap)
+                )
+                assert [p.parts for p in box_partitions(k, n, cap)] == want
+
+
+def test_box_partitions_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        box_partitions(4, 9)
+        box_partitions(3, 7, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations, permutations
 
 import pytest
@@ -146,6 +147,26 @@ class TestCertificate:
     def test_bruhat_smaller(self):
         smaller = bruhat_smaller(SchubertSymbol((2, 4)), 4)
         assert {s.indices for s in smaller} == {(1, 2), (1, 3), (1, 4), (2, 3)}
+
+    def test_bruhat_smaller_in_lexicographic_order(self):
+        for n in range(1, 7):
+            for k in range(n + 1):
+                for top in combinations(range(1, n + 1), k):
+                    got = [s.indices for s in bruhat_smaller(SchubertSymbol(top), n)]
+                    want = [
+                        t for t in combinations(range(1, n + 1), k)
+                        if t != top and all(a <= b for a, b in zip(t, top))
+                    ]
+                    assert got == want, top
+
+    def test_bruhat_smaller_leaves_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            bruhat_smaller(SchubertSymbol((3, 5, 7)), 7)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_certificate_all_zero(self):
         m = [[0, 1, 0, 0], [0, 0, 0, 1]]

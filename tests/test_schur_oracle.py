@@ -1,9 +1,11 @@
+import gc
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schubert.derivations import DPolynomial
 from schubert.exterior_core import InvalidInputError, Partition
 from schubert.schur_oracle import (
     LIMIT,
@@ -14,6 +16,7 @@ from schubert.schur_oracle import (
     rim_hook_product,
     schur_decompose,
     schur_expand,
+    _substitute,
     verify_jacobi_trudi,
 )
 
@@ -311,6 +314,95 @@ class TestJacobiTrudi:
         for k in (1, 2, 3, 4):
             for lam in _box(k, 4):
                 assert verify_jacobi_trudi(lam, k)
+
+    @pytest.mark.parametrize("lam,k", [((1,), 2), ((2, 1), 2), ((3, 1, 1), 3), ((3, 3, 2), 4), ((4, 2), 4)])
+    def test_perturbed_determinant_fails(self, monkeypatch, lam, k):
+        # each h_mu is a nonzero polynomial with positive coefficients, so a
+        # changed coefficient or a dropped monomial always changes the sum;
+        # moving a unit between two monomials keeps the coefficient of
+        # x_1^|lam|, which every h_mu has, so only a full comparison sees it
+        import schubert.giambelli_ring as ring
+
+        det = ring.giambelli_det(P(lam), k)
+        first, last = min(det.terms), max(det.terms)
+        bumped = dict(det.terms)
+        bumped[first] += 1
+        dropped = {m: c for m, c in det.terms.items() if m != first}
+        perturbed = [bumped, dropped]
+        if first != last:
+            moved = dict(det.terms)
+            moved[first] += 1
+            moved[last] -= 1
+            perturbed.append({m: c for m, c in moved.items() if c})
+        for terms in perturbed:
+            monkeypatch.setattr(ring, "giambelli_det", lambda *_: DPolynomial._of(terms))
+            assert not verify_jacobi_trudi(P(lam), k)
+        monkeypatch.undo()
+        assert verify_jacobi_trudi(P(lam), k)
+
+    def test_weight_at_the_exponent_limit_rejected(self):
+        with pytest.raises(InvalidInputError):
+            verify_jacobi_trudi(P((LIMIT,)), 1)
+
+    def test_leaves_no_reference_cycle(self):
+        # the cold giambelli_det is included on purpose
+        from schubert.giambelli_ring import giambelli_det
+
+        giambelli_det.cache_clear()
+        gc.collect()
+        gc.disable()
+        try:
+            assert verify_jacobi_trudi(P((3, 2, 1)), 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def _one_at_a_time(monos, k):
+    """The substitution before the Horner scheme: each monomial's product
+    of h's from 1, added into a running total."""
+    total = MultiPolynomial.zero(k)
+    for parts, c in monos:
+        prod = MultiPolynomial.one(k)
+        for part in parts:
+            prod = prod * complete_homogeneous(part, k)
+        total = total + c * prod
+    return total.terms
+
+
+class TestSubstitute:
+    def test_matches_one_monomial_at_a_time_on_determinants(self):
+        from schubert.giambelli_ring import giambelli_det
+
+        for k in range(5):
+            for lam in _box(k, 4):
+                monos = [(m.parts, c) for m, c in giambelli_det(lam, k).terms.items()]
+                assert _substitute(monos, k) == _one_at_a_time(monos, k), (lam, k)
+
+    @pytest.mark.parametrize(
+        "monos",
+        [
+            [],
+            [((), 5)],  # a constant term
+            [((), -2), ((1,), 3)],
+            [((2, 2, 1), 1), ((3, 3, 3), -2)],  # repeated parts
+            [((3, 1), 2), ((3, 2), -1), ((3,), 4), ((3, 3, 1), 1)],  # a shared largest part
+            [((2, 1), 1), ((2, 1), -1)],  # a repeated monomial that cancels
+            [((2, 1), 1), ((1, 1, 1), -2), ((3,), 1), ((), 0)],
+        ],
+    )
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_matches_one_monomial_at_a_time_by_hand(self, monos, k):
+        assert _substitute(monos, k) == _one_at_a_time(monos, k)
+
+    def test_sum_that_cancels_to_zero(self):
+        # in one variable every h_mu of degree 3 is x^3
+        assert _substitute([((2, 1), 1), ((3,), -1)], 1) == {}
+        # e_3 = h_1^3 - 2 h_2 h_1 + h_3 vanishes in fewer than three variables
+        e3 = [((1, 1, 1), 1), ((2, 1), -2), ((3,), 1)]
+        for k in (0, 1, 2):
+            assert _substitute(e3, k) == {}
+        assert _substitute(e3, 3) == MultiPolynomial(3, {(1, 1, 1): 1}).terms
 
 
 def _box(k, width):
