@@ -19,9 +19,9 @@ recursion is a plain function, so a call leaves no reference cycle.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
 
 from .exterior_core import (
+    FreeElement,
     InvalidInputError,
     KVector,
     Partition,
@@ -32,13 +32,13 @@ from .exterior_core import (
 )
 
 
-class DPolynomial:
+class DPolynomial(FreeElement):
     """Element of Z[D]: a map from monomial (a partition, parts = the
     subscripts of the D factors) to a nonzero integer coefficient.
 
     The empty partition is the identity operator."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         items = terms.items() if hasattr(terms, "items") else terms or ()
@@ -46,17 +46,6 @@ class DPolynomial:
             (mono if isinstance(mono, Partition) else Partition(mono), as_int(c))
             for mono, c in items
         )
-
-    @classmethod
-    def _of(cls, terms: dict) -> "DPolynomial":
-        """Wrap a {Partition: nonzero int} dict without checking it."""
-        out = cls.__new__(cls)
-        out.terms = terms
-        return out
-
-    @classmethod
-    def zero(cls) -> "DPolynomial":
-        return cls()
 
     @classmethod
     def identity(cls) -> "DPolynomial":
@@ -75,9 +64,6 @@ class DPolynomial:
     def monomial(cls, mono, coeff: int = 1) -> "DPolynomial":
         return cls({mono: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def max_part(self) -> int:
         return max((m.parts[0] for m in self.terms if m.parts), default=0)
 
@@ -92,40 +78,17 @@ class DPolynomial:
     def items(self):
         return [(m, self.terms[m]) for m in sorted(self.terms, key=lambda p: p.parts)]
 
-    def __add__(self, other):
-        if not isinstance(other, DPolynomial):
-            raise InvalidInputError("can only add DPolynomials")
-        return DPolynomial._of(accumulate(chain(self.terms.items(), other.terms.items())))
-
-    def __sub__(self, other):
-        if not isinstance(other, DPolynomial):
-            raise InvalidInputError("can only subtract DPolynomials")
-        return self + (-other)
-
-    def __neg__(self):
-        return self * -1
-
     def __mul__(self, other):
         if isinstance(other, int):
-            return DPolynomial._of({m: c * other for m, c in self.terms.items()} if other else {})
-        if not isinstance(other, DPolynomial):
-            raise InvalidInputError("can only multiply DPolynomials by DPolynomials or ints")
+            return self._times(other)
+        right = self._coerce(other).terms.items()
         return DPolynomial._of(accumulate(
             (Partition(sorted(m1.parts + m2.parts, reverse=True)), c1 * c2)
             for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items()
+            for m2, c2 in right
         ))
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, DPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __repr__(self):
         return f"DPolynomial({render_dpolynomial(self)!r})"
@@ -168,6 +131,7 @@ def leibniz_raw_terms(h: int, indices) -> list:
 
 def leibniz_d(h: int, v: KVector) -> KVector:
     """D_h by brute-force composition enumeration followed by normalization."""
+    h = as_int(h)
     if h < 0:
         raise InvalidInputError("h must be nonnegative")
     if h == 0:
@@ -226,6 +190,7 @@ def _targets(h: int, key: tuple) -> list:
 
 def pieri_d(h: int, v: KVector) -> KVector:
     """D_h by cancellation-free Pieri enumeration (production path)."""
+    h = as_int(h)
     if h < 0:
         raise InvalidInputError("h must be nonnegative")
     if h == 0:
@@ -295,6 +260,7 @@ def inverse_components(max_degree: int) -> list:
 
 def iterated_d1(m: int, v: KVector) -> KVector:
     """D_1 applied m times."""
+    m = as_int(m)
     if m < 0:
         raise InvalidInputError("m must be nonnegative")
     for _ in range(m):

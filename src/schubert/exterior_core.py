@@ -4,6 +4,10 @@ The ambient module M is freely spanned by e^1, e^2, e^3, ... and the k-th
 exterior power has wedge-basis elements e^{i1} ^ ... ^ e^{ik} indexed by strictly
 increasing symbols.  Coefficients are integer polynomials in a single
 variable q (plain Python ints, so arithmetic is exact at any size).
+
+QInt, KVector, the operator polynomials of Z[D] and the oracle's polynomials
+in x_1..x_k are all FreeElements: {basis key: nonzero int} dicts whose
+module operations are defined once, in FreeElement.
 """
 
 from __future__ import annotations
@@ -143,10 +147,71 @@ class SchubertSymbol:
         return f"SchubertSymbol({list(self.indices)})"
 
 
-class QInt:
-    """Sparse integer polynomial in q: a map from exponent to coefficient."""
+class FreeElement:
+    """A finite Z-linear combination: ``terms`` maps each basis key to a
+    nonzero int.  The free-module structure lives here once.  A subclass
+    picks its keys, its product and its rendering; one that carries more
+    than its terms (a degree, a variable count) overrides _new and _coerce."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms",)
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """Wrap a {key: nonzero int} dict without checking it."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def zero(cls, *shape):
+        """The zero element; shape is what the constructor takes before terms."""
+        return cls(*shape)
+
+    def _new(self, terms: dict):
+        """The element of self's module with these (nonzero) terms."""
+        return self._of(terms)
+
+    def _coerce(self, other):
+        """other as an element of self's module; InvalidInputError if it is not one."""
+        if not isinstance(other, type(self)):
+            raise InvalidInputError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        return other
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        return self._new(accumulate(chain(self.terms.items(), self._coerce(other).terms.items())))
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def _times(self, c: int):
+        """c * self for an int c."""
+        return self._new({key: c * x for key, x in self.terms.items()} if c else {})
+
+    def __eq__(self, other):
+        try:
+            other = self._coerce(other)
+        except InvalidInputError:
+            return False
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class QInt(FreeElement):
+    """Sparse integer polynomial in q: ``terms`` maps each exponent to its
+    coefficient.  An int acts as the constant QInt it equals."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
@@ -154,14 +219,12 @@ class QInt:
         for e, _ in pairs:
             if e < 0:
                 raise InvalidInputError(f"negative q exponent {e}")
-        self.coeffs = accumulate(pairs)
+        self.terms = accumulate(pairs)
 
-    @classmethod
-    def _of(cls, coeffs: dict) -> "QInt":
-        """Wrap an {exponent: nonzero int} dict without checking it."""
-        out = cls.__new__(cls)
-        out.coeffs = coeffs
-        return out
+    @property
+    def coeffs(self) -> dict:
+        """The {exponent: coefficient} terms (an alias of ``terms``)."""
+        return self.terms
 
     @classmethod
     def integer(cls, n: int) -> "QInt":
@@ -171,52 +234,39 @@ class QInt:
     def q_power(cls, d: int, c: int = 1) -> "QInt":
         return cls({d: c}) if c else cls()
 
+    @staticmethod
+    def _coerce(other) -> "QInt":
+        return other if isinstance(other, QInt) else QInt.integer(as_int(other))
+
     def items(self):
-        return self.coeffs.items()
+        return self.terms.items()
 
     def constant_term(self) -> int:
-        return self.coeffs.get(0, 0)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        return QInt._of(accumulate(chain(self.coeffs.items(), _qint(other).coeffs.items())))
-
-    def __neg__(self):
-        return QInt._of({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-_qint(other))
+        return self.terms.get(0, 0)
 
     def __mul__(self, other):
-        other = _qint(other)
+        other = QInt._coerce(other)
         return QInt._of(accumulate(
             (e1 + e2, c1 * c2)
-            for e1, c1 in self.coeffs.items()
-            for e2, c2 in other.coeffs.items()
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
         ))
 
     __rmul__ = __mul__
-    __radd__ = __add__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = QInt.integer(other)
-        return isinstance(other, QInt) and self.coeffs == other.coeffs
+    __radd__ = FreeElement.__add__
 
     def __hash__(self):
         # a constant hashes as the int it equals
-        if self.coeffs.keys() <= {0}:
+        if self.terms.keys() <= {0}:
             return hash(self.constant_term())
-        return hash(frozenset(self.coeffs.items()))
+        return super().__hash__()
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         bits = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e in sorted(self.terms):
+            c = self.terms[e]
             if e == 0:
                 bits.append(str(c))
             elif e == 1:
@@ -226,11 +276,7 @@ class QInt:
         return " + ".join(bits)
 
 
-def _qint(c) -> QInt:
-    return c if isinstance(c, QInt) else QInt.integer(as_int(c))
-
-
-class KVector:
+class KVector(FreeElement):
     """Element of the k-th exterior power.
 
     ``terms`` maps (index tuple, q-degree) to a nonzero int, so the vector
@@ -242,7 +288,7 @@ class KVector:
     exterior powers stay distinguishable.
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree",)
 
     def __init__(self, degree: int, terms=None):
         degree = as_int(degree)
@@ -259,7 +305,7 @@ class KVector:
                     raise InvalidInputError(
                         f"symbol {sym.indices} has length {len(sym)}, expected {degree}"
                     )
-                pairs.extend(((sym.indices, e), x) for e, x in _qint(c).coeffs.items())
+                pairs.extend(((sym.indices, e), x) for e, x in QInt._coerce(c).terms.items())
         self.terms = accumulate(pairs)
 
     @classmethod
@@ -270,17 +316,18 @@ class KVector:
         out.terms = terms
         return out
 
-    @classmethod
-    def zero(cls, degree: int) -> "KVector":
-        return cls(degree)
+    def _new(self, terms: dict) -> "KVector":
+        return KVector._of(self.degree, terms)
+
+    def _coerce(self, other):
+        if not isinstance(other, KVector) or other.degree != self.degree:
+            raise InvalidInputError("can only add or subtract k-vectors of equal degree")
+        return other
 
     @classmethod
     def basis(cls, indices, coeff=1) -> "KVector":
         sym = indices if isinstance(indices, SchubertSymbol) else SchubertSymbol(indices)
         return cls(len(sym), {sym: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def items(self):
         """(SchubertSymbol, QInt) terms in canonical (lexicographic symbol) order."""
@@ -294,40 +341,15 @@ class KVector:
         return QInt._of({d: c for (i, d), c in self.terms.items() if i == sym.indices})
 
     def scale(self, c) -> "KVector":
-        c = _qint(c)
+        c = QInt._coerce(c)
         return KVector._of(self.degree, accumulate(
             ((indices, d + e), x * y)
             for (indices, d), x in self.terms.items()
-            for e, y in c.coeffs.items()
+            for e, y in c.terms.items()
         ))
 
-    def __add__(self, other):
-        self._check(other)
-        return KVector._of(self.degree, accumulate(chain(self.terms.items(), other.terms.items())))
-
-    def __sub__(self, other):
-        self._check(other)
-        return self + other.scale(-1)
-
-    def _check(self, other):
-        if not isinstance(other, KVector) or other.degree != self.degree:
-            raise InvalidInputError("can only add or subtract k-vectors of equal degree")
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KVector)
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
+    # bound here, not only inherited, so a tracer can rebind it on KVector
+    __add__ = FreeElement.__add__
 
     def __repr__(self):
         return f"KVector({self.degree}, {render_kvector(self)!r})"
@@ -392,7 +414,7 @@ def normalize(raw, degree=None) -> KVector:
             raise InvalidInputError(f"index list {indices} has wrong length")
         if any(i < 1 for i in indices):
             raise InvalidInputError(f"index < 1 in {indices}")
-        pairs.extend(((indices, e), c) for e, c in _qint(coeff).coeffs.items())
+        pairs.extend(((indices, e), c) for e, c in QInt._coerce(coeff).terms.items())
     return KVector._of(degree, accumulate(signed_sorted(pairs)))
 
 

@@ -19,18 +19,21 @@ from .exterior_core import (
     Partition,
     QInt,
     accumulate,
+    as_int,
     fundamental,
     render_signed_terms,
 )
 
 
-@lru_cache(maxsize=None)
+# typed: a float k such as 2.0 hashes like 2, and must reach as_int, not 2's entry
+@lru_cache(maxsize=None, typed=True)
 def giambelli_det(lam: Partition, k: int) -> DPolynomial:
     """The k x k determinant with entry (row i, col j) = D_{r_j + j - i},
     where r_j is lam reversed (zero padded), D_0 = 1 and D_{<0} = 0.
 
     Homogeneous of degree |lam|.  _laplace with the largest entry,
     lam_1 + k - 1, as the width keeps every monomial."""
+    k = as_int(k)
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if lam.length() > k >= 0:  # padded rejects a negative k

@@ -16,6 +16,7 @@ from .exterior_core import (
     KVector,
     Partition,
     accumulate,
+    as_int,
     partition_to_symbol,
     signed_sorted,
     symbol_to_partition,
@@ -36,6 +37,8 @@ class GrassmannContext:
     mode: str = CLASSICAL
 
     def __post_init__(self):
+        object.__setattr__(self, "k", as_int(self.k))
+        object.__setattr__(self, "n", as_int(self.n))
         if not 1 <= self.k <= self.n:
             raise InvalidInputError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.mode not in (INFINITE, CLASSICAL, QUANTUM):
@@ -77,7 +80,7 @@ def quantum_pieri(h: int, v: KVector, ctx: GrassmannContext) -> KVector:
     cross-checked in the test suite."""
     if ctx.mode != QUANTUM:
         raise InvalidInputError("quantum_pieri needs a quantum context")
-    k, n = ctx.k, ctx.n
+    k, n, h = ctx.k, ctx.n, as_int(h)
     if not 1 <= h <= n - k:
         raise InvalidInputError(f"h={h} outside [1, {n - k}]")
     if v.degree != k:

@@ -25,7 +25,7 @@ from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, permutations, product
 from operator import or_
 
-from .exterior_core import InvalidInputError, Partition, as_int
+from .exterior_core import FreeElement, InvalidInputError, Partition, as_int
 
 SHIFT = 16
 LIMIT = 1 << (SHIFT - 1)
@@ -48,11 +48,13 @@ def _guards(k: int) -> int:
     return LIMIT * (((1 << (SHIFT * k)) - 1) // _DIGIT)
 
 
-class MultiPolynomial:
+class MultiPolynomial(FreeElement):
     """Integer polynomial in x_1..x_k.  The constructor takes exponent
-    tuples; ``terms`` maps each packed exponent int to a nonzero coefficient."""
+    tuples; ``terms`` maps each packed exponent int to a nonzero coefficient.
+    Only the linear structure comes from FreeElement: the product and every
+    computation below keep their own loops."""
 
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars",)
 
     def __init__(self, num_vars: int, terms=None):
         self.num_vars = as_int(num_vars)
@@ -75,16 +77,17 @@ class MultiPolynomial:
         out.terms = terms
         return out
 
-    @classmethod
-    def zero(cls, num_vars: int) -> "MultiPolynomial":
-        return cls(num_vars)
+    def _new(self, terms: dict) -> "MultiPolynomial":
+        return MultiPolynomial._of(self.num_vars, terms)
+
+    def _coerce(self, other):
+        if not isinstance(other, MultiPolynomial) or other.num_vars != self.num_vars:
+            raise InvalidInputError("variable-count mismatch")
+        return other
 
     @classmethod
     def one(cls, num_vars: int) -> "MultiPolynomial":
         return cls(num_vars, {(0,) * num_vars: 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def leading_exponent(self) -> tuple:
         return _unpack(max(self.terms), self.num_vars)
@@ -96,28 +99,12 @@ class MultiPolynomial:
                     return False
         return True
 
-    def __add__(self, other):
-        self._check(other)
-        d = dict(self.terms)
-        get = d.get
-        for e, c in other.terms.items():
-            d[e] = get(e, 0) + c
-        return MultiPolynomial._of(self.num_vars, {e: c for e, c in d.items() if c})
-
-    def __neg__(self):
-        return MultiPolynomial._of(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
-            terms = {e: c * other for e, c in self.terms.items()} if other else {}
-            return MultiPolynomial._of(self.num_vars, terms)
-        self._check(other)
+            return self._times(other)
+        right = self._coerce(other).terms.items()
         d = {}
         get = d.get
-        right = other.terms.items()
         for e1, c1 in self.terms.items():
             for e2, c2 in right:
                 e = e1 + e2
@@ -128,20 +115,6 @@ class MultiPolynomial:
         return MultiPolynomial._of(self.num_vars, d)
 
     __rmul__ = __mul__
-
-    def _check(self, other):
-        if not isinstance(other, MultiPolynomial) or other.num_vars != self.num_vars:
-            raise InvalidInputError("variable-count mismatch")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiPolynomial)
-            and self.num_vars == other.num_vars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
 
     def __repr__(self):
         k = self.num_vars

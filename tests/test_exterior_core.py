@@ -1,6 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from schubert.derivations import DPolynomial, iterated_d1, leibniz_d, pieri_d
+from schubert.giambelli_ring import giambelli_det
+from schubert.grassmann_contexts import GrassmannContext, quantum_pieri
+from schubert.schur_oracle import MultiPolynomial
 from schubert.exterior_core import (
     InvalidInputError,
     KVector,
@@ -258,8 +262,19 @@ class TestIntegerInputs:
         lambda: KVector(1, {(1,): 0.5}),
         lambda: QInt() + 0.5,
         lambda: normalize([((1.9, 2), 1)]),
+        lambda: GrassmannContext(2, 4.5),
+        lambda: GrassmannContext(2.0, 4, "quantum"),
+        lambda: pieri_d(1.0, KVector.basis((1, 3))),
+        lambda: leibniz_d(1.0, KVector.basis((1, 3))),
+        lambda: iterated_d1(2.0, KVector.basis((1, 3))),
+        lambda: quantum_pieri(1.0, KVector.basis((1, 3)), GrassmannContext(2, 4, "quantum")),
+        # the int call first: 2.0 hashes like 2, so a cache keyed on value
+        # alone would answer the float call from the int call's entry
+        lambda: (giambelli_det(Partition((1,)), 2), giambelli_det(Partition((1,)), 2.0)),
     ], ids=["partition", "partition-str", "symbol", "qint-coeff", "qint-exponent",
-            "kvector-degree", "kvector-coeff", "qint-add", "normalize"])
+            "kvector-degree", "kvector-coeff", "qint-add", "normalize", "context-n",
+            "context-k", "pieri-h", "leibniz-h", "iterated-m", "quantum-pieri-h",
+            "giambelli-k"])
     def test_rejected(self, build):
         with pytest.raises(InvalidInputError):
             build()
@@ -292,3 +307,38 @@ class TestOperatorContracts:
                 v + bad
             with pytest.raises(InvalidInputError):
                 v - bad
+
+
+# Per free module: an element, an element of another degree or variable
+# count (None where the module has no such shape), and times(c, a), the
+# module's public way to multiply a by the int c.
+MODULES = {
+    "qint": (QInt({0: 2, 3: -1}), None, lambda c, a: c * a),
+    "kvector": (KVector(2, {(1, 3): QInt({0: 2, 1: -1}), (2, 4): 5}),
+                KVector(3, {(1, 2, 3): 1}), lambda c, a: a.scale(c)),
+    "dpolynomial": (DPolynomial({(2, 1): 3, (): -1}), None, lambda c, a: c * a),
+    "multipolynomial": (MultiPolynomial(2, {(1, 0): 2, (0, 3): -1}),
+                        MultiPolynomial(3, {(1, 0, 0): 1}), lambda c, a: c * a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_module_laws(name):
+    a, other_shape, times = MODULES[name]
+    assert (a - a).is_zero() and not (a - a) and type(a - a) is type(a)
+    assert -(-a) == a and a + (-a) == a - a
+    assert times(0, a).is_zero() and a._times(0).is_zero()
+    assert times(3, a) == a._times(3) == a + a + a
+    b = a + a - a
+    assert b == a and hash(b) == hash(a) and b is not a
+    for other_name, (other, _, _) in MODULES.items():
+        if other_name != name:
+            assert a != other and other != a
+            with pytest.raises(InvalidInputError):
+                a + other
+            with pytest.raises(InvalidInputError):
+                a - other
+    if other_shape is not None:
+        assert a != other_shape and a.zero(2) != other_shape.zero(3)
+        with pytest.raises(InvalidInputError):
+            a + other_shape

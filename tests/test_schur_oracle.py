@@ -301,6 +301,25 @@ class TestRimHookProduct:
         modules = {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
         assert modules == {"__future__", "functools", "itertools", "operator", "exterior_core"}
 
+    def test_computes_without_the_shared_module_arithmetic(self, monkeypatch):
+        # MultiPolynomial takes its sum from FreeElement, which runs
+        # exterior_core.accumulate, as the engine's vectors do; the oracle's
+        # own computations must not reach it
+        import schubert.exterior_core as core
+
+        def shared(*_):
+            raise AssertionError("the oracle used the engine's accumulate")
+
+        monkeypatch.setattr(core, "accumulate", shared)
+        for cached in (schur_expand, complete_homogeneous, lr_expansion):
+            cached.cache_clear()
+        with pytest.raises(AssertionError):
+            MultiPolynomial.one(1) + MultiPolynomial.one(1)
+        assert lr_expansion(P((2, 1)), P((1,)), 3) == ((P((2, 1, 1)), 1), (P((2, 2)), 1), (P((3, 1)), 1))
+        square = schur_expand(P((1,)), 2) * schur_expand(P((1,)), 2)
+        assert schur_decompose(square) == {P((2,)): 1, P((1, 1)): 1}
+        assert rim_hook_product(P((1,)), P((2, 1)), 2, 4) == {(P(()), 1): 1, (P((2, 2)), 0): 1}
+
 
 class TestJacobiTrudi:
     def test_single_part(self):
