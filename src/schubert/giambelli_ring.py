@@ -78,13 +78,15 @@ def low_generator(h: int, k: int) -> DPolynomial:
     return DPolynomial.generator(h) if h <= k else reduce_generator(h, k)
 
 
-@lru_cache(maxsize=None)
+# typed, as giambelli_det's: a float h or k must reach as_int, not the int's entry
+@lru_cache(maxsize=None, typed=True)
 def reduce_generator(h: int, k: int) -> DPolynomial:
     """Express D_h (h > k) in D_1..D_k via the series-inverse recursion
     D_h = -(E_1 D_{h-1} + ... + E_k D_{h-k}) on the k-th exterior power.
 
     The result is homogeneous of degree h with all parts <= k and acts on
     any k-vector exactly as pieri_d(h, .)."""
+    h, k = as_int(h), as_int(k)
     if k < 1:
         raise InvalidInputError("k must be positive")
     if h <= k:
@@ -110,6 +112,7 @@ def expand_in_low_generators(p: DPolynomial, k: int) -> DPolynomial:
 def y_polynomials(n: int, k: int) -> list:
     """Y_0, ..., Y_n where (-1)^i Y_i is the i-th coefficient of the formal
     inverse of 1 + D_1 t + ... + D_{n-k} t^{n-k}."""
+    n, k = as_int(n), as_int(k)
     if not 1 <= k < n:
         raise InvalidInputError("need 1 <= k < n")
     return [((-1) ** i) * c for i, c in enumerate(_series_inverse(n, n - k))]

@@ -120,7 +120,8 @@ def _pieri_row(n: int, quantum: bool, h: int, indices: tuple) -> tuple:
 def box_partitions(k: int, n: int, max_weight=None) -> list:
     """All partitions in the k x (n-k) box, optionally weight-capped,
     in lexicographic order."""
-    if max_weight is not None and max_weight < 0:
+    k, n = as_int(k), as_int(n)
+    if max_weight is not None and as_int(max_weight) < 0:
         raise InvalidInputError(f"max weight must be nonnegative, got {max_weight}")
     cap = k * (n - k) if max_weight is None else min(max_weight, k * (n - k))
     out, level = [()], [()]

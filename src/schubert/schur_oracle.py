@@ -3,6 +3,19 @@ polynomials in k variables by the branching rule, decomposition back into
 the Schur basis, Littlewood-Richardson coefficients, and quantum products
 by the rim-hook rule over them.
 
+lr_expansion counts Littlewood-Richardson tableaux (Fulton, Young Tableaux,
+LMS Student Texts 35, 1997, Section 5; Macdonald, Symmetric Functions and
+Hall Polynomials, I.9): the lighter factor mu goes onto the other, lam,
+one letter at a time, mu_j copies of letter j as a horizontal strip on at
+most k rows, and only fillings whose reverse reading word is a lattice word
+count.  The lattice test for letter j+1 needs only the per-row counts of
+letter j, so equal (shape, counts) states are merged with their
+multiplicities after each letter.  Anders Buch's lrcalc
+(https://sites.math.rutgers.edu/~asbuch/lrcalc/) is the standard
+implementation of the rule.  No polynomial is multiplied: the route through
+schur_expand, MultiPolynomial products and schur_decompose stays public and
+serves as the tests' reference.
+
 A monomial x_1^e_1 ... x_k^e_k is stored as one packed int, the base-2^SHIFT
 number with digits e_1 (most significant) .. e_k.  Multiplying two monomials
 is then one int add, and int order is lex order on exponent vectors.  The top
@@ -23,7 +36,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, permutations, product
-from operator import or_
+from operator import add, or_
 
 from .exterior_core import FreeElement, InvalidInputError, Partition, as_int
 
@@ -194,15 +207,63 @@ def schur_decompose(p: MultiPolynomial) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+# typed: a float k such as 2.0 hashes like 2, and must reach as_int, not 2's entry
+@lru_cache(maxsize=None, typed=True)
 def lr_expansion(lam: Partition, mu: Partition, k: int) -> tuple:
-    """Schur expansion of s_lam * s_mu over k variables, as sorted pairs."""
-    dec = schur_decompose(schur_expand(lam, k) * schur_expand(mu, k))
-    return tuple(sorted(dec.items(), key=lambda t: t[0].parts))
+    """Schur expansion of s_lam * s_mu over k variables, as sorted pairs,
+    by the Littlewood-Richardson rule: the lighter factor is the content
+    of the tableaux and the other is the shape they fill out from."""
+    k = as_int(k)
+    if k < 0:
+        raise InvalidInputError(f"k must be nonnegative, got k={k}")
+    lam, mu = (p if isinstance(p, Partition) else Partition(p) for p in (lam, mu))
+    if lam.length() > k or mu.length() > k:
+        return ()
+    if lam.weight() < mu.weight():
+        lam, mu = mu, lam
+    # a state is (shape padded to k rows, per-row count of the last letter)
+    states = {(lam.padded(k), None): 1}
+    for m in mu.parts:
+        step = {}
+        get = step.get
+        for (shape, last), c in states.items():
+            for key in _lr_strips(shape, last, m):
+                step[key] = get(key, 0) + c
+        states = step
+    out = {}
+    for (shape, _), c in states.items():
+        out[shape] = out.get(shape, 0) + c
+    # zero padding keeps the order of the parts
+    return tuple((Partition(shape), c) for shape, c in sorted(out.items()))
+
+
+def _lr_strips(shape: tuple, last, m: int) -> list:
+    """(new shape, per-row counts) for each way to add the next letter m
+    times to shape as a horizontal strip, keeping the reverse reading word
+    a lattice word.  Read right to left, row r's new letters come before
+    its copies of the last letter, so the test is: for every r, the new
+    letters in rows 1..r are at most the last letter's in rows 1..r-1.
+    last is None for the first letter, which has no such test.  Built row
+    by row, like box_partitions."""
+    level = [((), 0)]
+    allowed = 0 if last is not None else m
+    for r, here in enumerate(shape):
+        room = shape[r - 1] - here if r else m
+        # rows below r take at most shape[r] - shape[-1] cells between them
+        need = m - here + shape[-1]
+        level = [
+            (counts + (a,), used + a)
+            for counts, used in level
+            for a in range(max(0, need - used), min(m - used, room, allowed - used) + 1)
+        ]
+        if last is not None:
+            allowed += last[r]
+    return [(tuple(map(add, shape, counts)), counts) for counts, _ in level]
 
 
 def lr_coefficient(lam, mu, nu, k: int) -> int:
     """Coefficient of s_nu in s_lam * s_mu over k variables."""
+    k = as_int(k)
     lam, mu, nu = (p if isinstance(p, Partition) else Partition(p) for p in (lam, mu, nu))
     for p in (lam, mu, nu):
         if p.length() > k:
@@ -220,6 +281,7 @@ def rim_hook_product(lam, mu, k: int, n: int) -> dict:
     cannot get there adds nothing.  Hooks come off on the abacus of the
     beta-numbers nu_i + k - i: an n-rim hook moves one bead from b to an
     empty b - n >= 0, and its height is 1 + the beads strictly between."""
+    k, n = as_int(k), as_int(n)
     if not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
     lam, mu = (p if isinstance(p, Partition) else Partition(p) for p in (lam, mu))

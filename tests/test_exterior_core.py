@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schubert.derivations import DPolynomial, iterated_d1, leibniz_d, pieri_d
-from schubert.giambelli_ring import giambelli_det
-from schubert.grassmann_contexts import GrassmannContext, quantum_pieri
-from schubert.schur_oracle import MultiPolynomial
+from schubert.giambelli_ring import giambelli_det, reduce_generator, y_polynomials
+from schubert.grassmann_contexts import GrassmannContext, box_partitions, quantum_pieri
+from schubert.schur_oracle import MultiPolynomial, lr_coefficient, lr_expansion, rim_hook_product
 from schubert.exterior_core import (
     InvalidInputError,
     KVector,
@@ -271,10 +271,24 @@ class TestIntegerInputs:
         # the int call first: 2.0 hashes like 2, so a cache keyed on value
         # alone would answer the float call from the int call's entry
         lambda: (giambelli_det(Partition((1,)), 2), giambelli_det(Partition((1,)), 2.0)),
+        lambda: (reduce_generator(3, 2), reduce_generator(3, 2.0)),
+        lambda: (reduce_generator(3, 2), reduce_generator(3.0, 2)),
+        lambda: (lr_expansion(Partition((1,)), Partition((1,)), 2),
+                 lr_expansion(Partition((1,)), Partition((1,)), 2.0)),
+        lambda: (lr_coefficient((1,), (1,), (2,), 2), lr_coefficient((1,), (1,), (2,), 2.0)),
+        lambda: y_polynomials(4.0, 2),
+        lambda: y_polynomials(4, 2.0),
+        lambda: rim_hook_product((1,), (1,), 2, 4.0),
+        lambda: rim_hook_product((1,), (1,), 2.0, 4),
+        lambda: box_partitions(2, 4.0),
+        lambda: box_partitions(2.0, 4),
+        lambda: box_partitions(2, 4, 1.5),
     ], ids=["partition", "partition-str", "symbol", "qint-coeff", "qint-exponent",
             "kvector-degree", "kvector-coeff", "qint-add", "normalize", "context-n",
             "context-k", "pieri-h", "leibniz-h", "iterated-m", "quantum-pieri-h",
-            "giambelli-k"])
+            "giambelli-k", "reduce-generator-k", "reduce-generator-h", "lr-expansion-k",
+            "lr-coefficient-k", "y-polynomials-n", "y-polynomials-k", "rim-hook-n",
+            "rim-hook-k", "box-partitions-n", "box-partitions-k", "box-partitions-cap"])
     def test_rejected(self, build):
         with pytest.raises(InvalidInputError):
             build()

@@ -259,6 +259,84 @@ class TestLRCoefficient:
         assert all(c >= 0 for c in a.values())
 
 
+def _polynomial_route(lam, mu, k):
+    """lr_expansion before the tableau rule: multiply the two Schur
+    polynomials in k variables and peel the product with schur_decompose."""
+    dec = schur_decompose(schur_expand(lam, k) * schur_expand(mu, k))
+    return tuple(sorted(dec.items(), key=lambda t: t[0].parts))
+
+
+def _assert_same(lam, mu, k):
+    got, want = lr_expansion(lam, mu, k), _polynomial_route(lam, mu, k)
+    assert repr(got) == repr(want), (lam, mu, k)
+
+
+class TestLRTableaux:
+    @pytest.mark.parametrize("k", range(4))
+    def test_matches_polynomial_route_on_the_3x3_box(self, k):
+        # for k < 3 some factors are longer than k
+        for lam in _box(3, 3):
+            for mu in _box(3, 3):
+                _assert_same(lam, mu, k)
+
+    def test_matches_polynomial_route_on_the_4x4_box(self):
+        for lam in _box(4, 4):
+            for mu in _box(4, 4):
+                _assert_same(lam, mu, 4)
+
+    @given(small_partitions, small_partitions, st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_polynomial_route_with_spare_rows(self, lam, mu, k):
+        _assert_same(lam, mu, k)
+
+    def test_factor_longer_than_k_is_empty(self):
+        for lam, mu, k in (((1, 1, 1), (1,), 2), ((1,), (2, 2, 1), 2), ((1,), (1,), 0), ((3, 2, 1), (3, 2, 1), 1)):
+            assert lr_expansion(P(lam), P(mu), k) == ()
+            _assert_same(P(lam), P(mu), k)
+
+    def test_k_zero_and_one(self):
+        assert lr_expansion(P(), P(), 0) == ((P(), 1),)
+        assert lr_expansion(P((2,)), P(), 0) == ()
+        for a in range(4):
+            for b in range(4):
+                assert lr_expansion(P((a,)), P((b,)), 1) == ((P((a + b,)), 1),)
+        for lam in _box(2, 3):
+            for mu in _box(2, 3):
+                for k in (0, 1):
+                    _assert_same(lam, mu, k)
+
+    def test_empty_partition_is_the_unit(self):
+        for k in range(5):
+            for lam in _box(min(k, 4), 3):
+                assert lr_expansion(P(), lam, k) == lr_expansion(lam, P(), k) == ((lam, 1),)
+                _assert_same(P(), lam, k)
+                _assert_same(lam, P(), k)
+
+    def test_golden_with_a_coefficient_of_two(self):
+        assert lr_expansion(P((2, 1)), P((2, 1)), 4) == (
+            (P((2, 2, 1, 1)), 1), (P((2, 2, 2)), 1), (P((3, 1, 1, 1)), 1),
+            (P((3, 2, 1)), 2), (P((3, 3)), 1), (P((4, 1, 1)), 1), (P((4, 2)), 1),
+        )
+
+    def test_plain_tuples_accepted(self):
+        assert lr_expansion((2, 1), (1,), 3) == lr_expansion(P((2, 1)), P((1,)), 3)
+        assert lr_coefficient((2, 1), (2, 1), (3, 2, 1), 3) == 2
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(InvalidInputError, match="k must be nonnegative"):
+            lr_expansion(P(), P(), -1)
+
+    def test_leaves_no_reference_cycle(self):
+        lr_expansion.cache_clear()
+        gc.collect()
+        gc.disable()
+        try:
+            assert lr_expansion(P((3, 2, 1)), P((2, 2, 1)), 4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestRimHookProduct:
     def test_quantum_goldens(self):
         # G(2,4): s1 * s21 = s22 + q and s21 * s21 = q*s11 + q*s2; G(1,4): s3 * s1 = q
