@@ -27,63 +27,63 @@ from .exterior_core import (
     Partition,
     accumulate,
     as_int,
+    as_partition,
     render_signed_terms,
     signed_sorted,
 )
 
 
 class DPolynomial(FreeElement):
-    """Element of Z[D]: a map from monomial (a partition, parts = the
-    subscripts of the D factors) to a nonzero integer coefficient.
+    """Element of Z[D]: ``terms`` maps each monomial, the descending tuple
+    of the subscripts of its D factors, to a nonzero integer coefficient.
+    The constructor takes Partitions or part tuples and validates them as
+    partitions, and ``items()`` gives Partitions; the engine works on
+    ``terms`` directly, keyed as giambelli_ring._laplace builds them.
 
-    The empty partition is the identity operator."""
+    The empty tuple is the identity operator."""
 
     __slots__ = ()
 
     def __init__(self, terms=None):
         items = terms.items() if hasattr(terms, "items") else terms or ()
-        self.terms = accumulate(
-            (mono if isinstance(mono, Partition) else Partition(mono), as_int(c))
-            for mono, c in items
-        )
+        self.terms = accumulate((as_partition(mono).parts, as_int(c)) for mono, c in items)
 
     @classmethod
     def identity(cls) -> "DPolynomial":
-        return cls({Partition(): 1})
+        return cls._of({(): 1})
 
     @classmethod
     def generator(cls, h: int) -> "DPolynomial":
         """D_h as an operator polynomial; D_0 is the identity, D_{h<0} = 0."""
+        h = as_int(h)
         if h < 0:
             return cls()
-        if h == 0:
-            return cls.identity()
-        return cls({Partition((h,)): 1})
+        return cls._of({(h,) if h else (): 1})
 
     @classmethod
     def monomial(cls, mono, coeff: int = 1) -> "DPolynomial":
         return cls({mono: coeff})
 
     def max_part(self) -> int:
-        return max((m.parts[0] for m in self.terms if m.parts), default=0)
+        return max((m[0] for m in self.terms if m), default=0)
 
     def degree(self) -> int:
         """Largest graded degree |mono| among the terms (-1 if zero)."""
-        return max((m.weight() for m in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degrees = {m.weight() for m in self.terms}
-        return len(degrees) <= 1
+        return len(set(map(sum, self.terms))) <= 1
 
     def items(self):
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=lambda p: p.parts)]
+        """(Partition, int) terms in ascending part order."""
+        return [(Partition(m), c) for m, c in sorted(self.terms.items())]
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self._times(other)
         right = self._coerce(other).terms.items()
         return DPolynomial._of(accumulate(
-            (Partition(sorted(m1.parts + m2.parts, reverse=True)), c1 * c2)
+            (tuple(sorted(m1 + m2, reverse=True)), c1 * c2)
             for m1, c1 in self.terms.items()
             for m2, c2 in right
         ))
@@ -97,10 +97,10 @@ class DPolynomial(FreeElement):
 def render_dpolynomial(p: DPolynomial) -> str:
     """Text form like 'D1*D2 - D3'; monomials sorted lexicographically."""
     terms = []
-    for mono, c in p.items():
+    for mono, c in sorted(p.terms.items()):
         factors = []
-        for part in sorted(set(mono.parts)):
-            e = mono.parts.count(part)
+        for part in sorted(set(mono)):
+            e = mono.count(part)
             factors.append(f"D{part}" if e == 1 else f"D{part}^{e}")
         terms.append((c, factors))
     return render_signed_terms(terms)
@@ -210,10 +210,10 @@ def apply_operator(p: DPolynomial, v: KVector) -> KVector:
     the tree, and a symbol's row for D_h is enumerated once per call.  A
     constant p_h is a leaf, pieri_d(h, v) cached per h and scaled, so
     pieri_d stays the derivation layer a tracer sees under apply_operator."""
-    return KVector._of(v.degree, _horner([(m.parts, c) for m, c in p.terms.items()], v, {}, {}))
+    return KVector._of(v.degree, _horner(p.terms.items(), v, {}, {}))
 
 
-def _horner(monos: list, v: KVector, rows: dict, leaves: dict) -> dict:
+def _horner(monos, v: KVector, rows: dict, leaves: dict) -> dict:
     """Flat terms of the sum of c * D_parts v over these (descending parts,
     c) pairs, sharing the call's per-h rows and leaves.  Module-level: a
     closure that called itself would leave a reference cycle per call."""
@@ -255,6 +255,7 @@ def inverse_components(max_degree: int) -> list:
 
     E_m = -(D_1 E_{m-1} + ... + D_m E_0); each E_m is homogeneous of
     degree m."""
+    max_degree = as_int(max_degree)
     return _series_inverse(max_degree, max_degree)
 
 

@@ -31,6 +31,12 @@ def as_int(x) -> int:
         raise InvalidInputError(f"not an integer: {x!r}") from None
 
 
+def as_partition(x) -> "Partition":
+    """x as a Partition: a Partition as it is, anything else validated
+    through the constructor."""
+    return x if isinstance(x, Partition) else Partition(x)
+
+
 def accumulate(pairs) -> dict:
     """Sum (key, int) pairs into {key: total}, dropping keys that total 0."""
     acc = {}
@@ -62,6 +68,7 @@ class Partition:
 
     def padded(self, k: int) -> tuple:
         """The parts as a length-k tuple, zero padded on the right."""
+        k = as_int(k)
         if k < 0:
             raise InvalidInputError(f"k must be nonnegative, got k={k}")
         if len(self.parts) > k:
@@ -70,6 +77,7 @@ class Partition:
 
     def fits_box(self, k: int, n: int) -> bool:
         """True iff the diagram fits in the k x (n-k) box."""
+        k, n = as_int(k), as_int(n)
         return self.length() <= k and (not self.parts or self.parts[0] <= n - k)
 
     def box_complement(self, k: int, n: int) -> "Partition":
@@ -357,8 +365,7 @@ class KVector(FreeElement):
 
 def partition_to_symbol(lam: Partition, k: int) -> SchubertSymbol:
     """The symbol I with i_j = r_j + j, where r_j runs over lam reversed."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
+    lam, k = as_partition(lam), as_int(k)
     if lam.length() > k >= 0:  # padded rejects a negative k
         raise InvalidInputError(f"partition length {lam.length()} exceeds k={k}")
     padded = lam.padded(k)
@@ -439,6 +446,9 @@ def weight_components(v: KVector) -> dict:
 
 def fundamental(k: int) -> KVector:
     """The fundamental k-vector e^1 ^ e^2 ^ ... ^ e^k."""
+    k = as_int(k)
+    if k < 0:
+        raise InvalidInputError(f"k must be nonnegative, got k={k}")
     return KVector.basis(range(1, k + 1))
 
 

@@ -20,6 +20,7 @@ from .exterior_core import (
     QInt,
     accumulate,
     as_int,
+    as_partition,
     fundamental,
     render_signed_terms,
 )
@@ -33,13 +34,11 @@ def giambelli_det(lam: Partition, k: int) -> DPolynomial:
 
     Homogeneous of degree |lam|.  _laplace with the largest entry,
     lam_1 + k - 1, as the width keeps every monomial."""
-    k = as_int(k)
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
+    k, lam = as_int(k), as_partition(lam)
     if lam.length() > k >= 0:  # padded rejects a negative k
         raise InvalidInputError(f"partition length exceeds k={k}")
     det = _laplace(tuple(reversed(lam.padded(k))), max(lam.parts, default=0) + k - 1)
-    return DPolynomial._of({Partition(mono): c for mono, c in det.items()})
+    return DPolynomial._of(det)
 
 
 def _laplace(r: tuple, width: int) -> dict:
@@ -103,7 +102,7 @@ def expand_in_low_generators(p: DPolynomial, k: int) -> DPolynomial:
     out = DPolynomial.zero()
     for mono, c in p.terms.items():
         prod = DPolynomial.identity()
-        for part in mono.parts:
+        for part in mono:
             prod = prod * low_generator(part, k)
         out = out + prod * c
     return out
@@ -177,13 +176,9 @@ def verify_presentation(k: int, n: int, mode: str = "classical") -> Presentation
             # generators D_{n-k+1}, ..., D_{m-1} already imposed at earlier
             # stages, so monomials containing one of those parts are dropped
             # before comparing.
-            lhs = DPolynomial(
-                {
-                    mono: c
-                    for mono, c in es[m].terms.items()
-                    if not any(n - k < p < m for p in mono.parts)
-                }
-            )
+            lhs = DPolynomial._of({
+                mono: c for mono, c in es[m].terms.items() if not any(n - k < p < m for p in mono)
+            })
             rhs = (-1) * DPolynomial.generator(m) + ((-1) ** m) * ys[m]
             diff = lhs - rhs
             witness = apply_operator(expand_in_low_generators(diff, k), fund)

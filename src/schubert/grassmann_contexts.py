@@ -17,6 +17,7 @@ from .exterior_core import (
     Partition,
     accumulate,
     as_int,
+    as_partition,
     partition_to_symbol,
     signed_sorted,
     symbol_to_partition,
@@ -121,6 +122,8 @@ def box_partitions(k: int, n: int, max_weight=None) -> list:
     """All partitions in the k x (n-k) box, optionally weight-capped,
     in lexicographic order."""
     k, n = as_int(k), as_int(n)
+    if not 0 <= k <= n:
+        raise InvalidInputError(f"need 0 <= k <= n, got k={k}, n={n}")
     if max_weight is not None and as_int(max_weight) < 0:
         raise InvalidInputError(f"max weight must be nonnegative, got {max_weight}")
     cap = k * (n - k) if max_weight is None else min(max_weight, k * (n - k))
@@ -149,10 +152,10 @@ def _class(indices: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _box_monomials(parts: tuple, k: int, width: int) -> tuple:
-    """The (parts, coefficient) monomials of the Giambelli determinant of
+def _box_monomials(parts: tuple, k: int, width: int) -> dict:
+    """The {parts: coefficient} monomials of the Giambelli determinant of
     this partition whose parts are all <= width = n-k: sigma_h is 0 above."""
-    return tuple(_laplace(tuple(reversed(Partition(parts).padded(k))), width).items())
+    return _laplace(tuple(reversed(Partition(parts).padded(k))), width)
 
 
 def multiply(lam, mu, ctx: GrassmannContext) -> dict:
@@ -171,10 +174,7 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     read off the weight."""
     if ctx.mode == INFINITE:
         raise InvalidInputError("multiply needs a classical or quantum context")
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    if not isinstance(mu, Partition):
-        mu = Partition(mu)
+    lam, mu = as_partition(lam), as_partition(mu)
     k, n = ctx.k, ctx.n
     for p in (lam, mu):
         if not p.fits_box(k, n):
@@ -188,7 +188,7 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
             monos, other = lam_monos, mu
     start = {_symbol(other.parts, k): 1}
     rows, pairs, quantum = {}, [], ctx.mode == QUANTUM
-    for mono, c in monos:
+    for mono, c in monos.items():
         w = start
         for h in mono:
             w = apply_rows(w, rows.setdefault(h, {}), partial(_pieri_row, n, quantum, h))
@@ -200,9 +200,7 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
 
 def unit_expansion(lam) -> dict:
     """The expansion {(lam, 0): 1} of a single Schubert class."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    return {(lam, 0): 1}
+    return {(as_partition(lam), 0): 1}
 
 
 def multiply_expansion(expansion: dict, mu, ctx: GrassmannContext) -> dict:

@@ -38,7 +38,7 @@ from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, permutations, product
 from operator import add, or_
 
-from .exterior_core import FreeElement, InvalidInputError, Partition, as_int
+from .exterior_core import FreeElement, InvalidInputError, Partition, as_int, as_partition
 
 SHIFT = 16
 LIMIT = 1 << (SHIFT - 1)
@@ -71,6 +71,8 @@ class MultiPolynomial(FreeElement):
 
     def __init__(self, num_vars: int, terms=None):
         self.num_vars = as_int(num_vars)
+        if self.num_vars < 0:
+            raise InvalidInputError(f"num_vars must be nonnegative, got {self.num_vars}")
         d = {}
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
@@ -135,7 +137,8 @@ class MultiPolynomial(FreeElement):
         return f"MultiPolynomial({k}, {terms})"
 
 
-@lru_cache(maxsize=None)
+# typed, as lr_expansion's: a float k must reach as_int, not the int's entry
+@lru_cache(maxsize=None, typed=True)
 def schur_expand(lam: Partition, k: int) -> MultiPolynomial:
     """The monomial expansion of s_lam(x_1..x_k) by the branching rule
 
@@ -144,9 +147,9 @@ def schur_expand(lam: Partition, k: int) -> MultiPolynomial:
 
     a semistandard tableau read as the chain of strips filled by 1, .., k.
     Zero when the partition is longer than k."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    parts = lam.parts
+    k, parts = as_int(k), as_partition(lam).parts
+    if k < 0:
+        raise InvalidInputError(f"k must be nonnegative, got k={k}")
     if len(parts) > k:
         return MultiPolynomial.zero(k)
     if k == 0:
@@ -169,9 +172,10 @@ def schur_expand(lam: Partition, k: int) -> MultiPolynomial:
     return MultiPolynomial._of(k, d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def complete_homogeneous(i: int, k: int) -> MultiPolynomial:
     """h_i(x_1..x_k): the sum of all degree-i monomials."""
+    i, k = as_int(i), as_int(k)
     if i < 0:
         return MultiPolynomial.zero(k)
     d = {}
@@ -216,7 +220,7 @@ def lr_expansion(lam: Partition, mu: Partition, k: int) -> tuple:
     k = as_int(k)
     if k < 0:
         raise InvalidInputError(f"k must be nonnegative, got k={k}")
-    lam, mu = (p if isinstance(p, Partition) else Partition(p) for p in (lam, mu))
+    lam, mu = as_partition(lam), as_partition(mu)
     if lam.length() > k or mu.length() > k:
         return ()
     if lam.weight() < mu.weight():
@@ -264,7 +268,7 @@ def _lr_strips(shape: tuple, last, m: int) -> list:
 def lr_coefficient(lam, mu, nu, k: int) -> int:
     """Coefficient of s_nu in s_lam * s_mu over k variables."""
     k = as_int(k)
-    lam, mu, nu = (p if isinstance(p, Partition) else Partition(p) for p in (lam, mu, nu))
+    lam, mu, nu = map(as_partition, (lam, mu, nu))
     for p in (lam, mu, nu):
         if p.length() > k:
             raise InvalidInputError(f"partition {tuple(p)} longer than k={k}")
@@ -284,7 +288,7 @@ def rim_hook_product(lam, mu, k: int, n: int) -> dict:
     k, n = as_int(k), as_int(n)
     if not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    lam, mu = (p if isinstance(p, Partition) else Partition(p) for p in (lam, mu))
+    lam, mu = as_partition(lam), as_partition(mu)
     for p in (lam, mu):
         if not p.fits_box(k, n):
             raise InvalidInputError(f"{tuple(p)} outside the {k}x{n - k} box")
@@ -309,18 +313,17 @@ def verify_jacobi_trudi(lam, k: int) -> bool:
     term.  The substitution is a Horner scheme, _substitute."""
     from .giambelli_ring import giambelli_det
 
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
+    lam = as_partition(lam)
     det = giambelli_det(lam, k)
     # every exponent of the substitution is at most |lam|, so this one
     # bound stands in for MultiPolynomial's per-product guard
     if lam.weight() >= LIMIT:
         raise InvalidInputError(f"weight {lam.weight()} is an exponent of {LIMIT} or more")
-    total = _substitute([(mono.parts, c) for mono, c in det.terms.items()], k)
+    total = _substitute(det.terms.items(), k)
     return total == schur_expand(lam, k).terms
 
 
-def _substitute(monos: list, k: int) -> dict:
+def _substitute(monos, k: int) -> dict:
     """Packed terms of the sum of c * h_parts(x_1..x_k) over these
     (descending parts, c) pairs, as a Horner scheme: the monomials whose
     largest part is h share one product by h_h of the sum of their other

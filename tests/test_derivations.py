@@ -58,7 +58,7 @@ def _composed_pieri(p, v):
     out = KVector.zero(v.degree)
     for mono, c in p.terms.items():
         w = v
-        for h in mono.parts:
+        for h in mono:
             w = pieri_d(h, w)
         out = out + w.scale(c)
     return out
@@ -68,7 +68,7 @@ class TestDPolynomial:
     def test_identity_and_generator(self):
         assert DPolynomial.generator(0) == DPolynomial.identity()
         assert DPolynomial.generator(-1).is_zero()
-        assert DPolynomial.generator(3).terms == {Partition((3,)): 1}
+        assert DPolynomial.generator(3).terms == {(3,): 1}
 
     def test_ring_axioms(self):
         a = DPolynomial.generator(1)
@@ -91,6 +91,21 @@ class TestDPolynomial:
         assert render_dpolynomial(DPolynomial.zero()) == "0"
         sq = DPolynomial.generator(1) * DPolynomial.generator(1)
         assert render_dpolynomial(sq) == "D1^2"
+
+    def test_keys_are_part_tuples(self):
+        # a Partition and its part tuple name the same monomial; items()
+        # gives Partitions back, in ascending part order
+        p = DPolynomial({Partition((2, 1)): 3, (): -1})
+        assert p == DPolynomial({(2, 1): 3, (): -1})
+        assert p.terms == {(2, 1): 3, (): -1}
+        assert p.items() == [(Partition(), -1), (Partition((2, 1)), 3)]
+        assert (p * p).terms == {(2, 2, 1, 1): 9, (2, 1): -6, (): 1}
+
+    @pytest.mark.parametrize("mono", [(1, 2), (-1,), (1.5,)],
+                             ids=["ascending", "negative", "float"])
+    def test_non_partition_monomial_rejected(self, mono):
+        with pytest.raises(InvalidInputError):
+            DPolynomial({mono: 1})
 
     def test_non_integer_coefficient_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -363,7 +378,7 @@ class TestApplyOperator:
         expected = KVector.zero(k)
         for mono, c in p.terms.items():
             w = v
-            for h in mono.parts:
+            for h in mono:
                 w = pieri_d(h, w)
             expected = expected + w.scale(c)
         assert apply_operator(p, v) == expected

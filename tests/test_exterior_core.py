@@ -1,10 +1,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from schubert.derivations import DPolynomial, iterated_d1, leibniz_d, pieri_d
+from schubert.derivations import DPolynomial, inverse_components, iterated_d1, leibniz_d, pieri_d
 from schubert.giambelli_ring import giambelli_det, reduce_generator, y_polynomials
 from schubert.grassmann_contexts import GrassmannContext, box_partitions, quantum_pieri
-from schubert.schur_oracle import MultiPolynomial, lr_coefficient, lr_expansion, rim_hook_product
+from schubert.schur_oracle import (
+    MultiPolynomial,
+    complete_homogeneous,
+    lr_coefficient,
+    lr_expansion,
+    rim_hook_product,
+    schur_expand,
+)
 from schubert.exterior_core import (
     InvalidInputError,
     KVector,
@@ -283,12 +290,34 @@ class TestIntegerInputs:
         lambda: box_partitions(2, 4.0),
         lambda: box_partitions(2.0, 4),
         lambda: box_partitions(2, 4, 1.5),
+        lambda: schur_expand(Partition((1,)), 2.0),
+        lambda: (schur_expand(Partition((1,)), 2), schur_expand(Partition((1,)), 2.0)),
+        lambda: schur_expand(Partition(()), -1),
+        lambda: MultiPolynomial(-1),
+        lambda: complete_homogeneous(2, 2.0),
+        lambda: (complete_homogeneous(2, 2), complete_homogeneous(2, 2.0)),
+        lambda: fundamental(2.0),
+        lambda: fundamental(-1),
+        lambda: inverse_components(2.0),
+        lambda: Partition((1,)).padded(2.0),
+        lambda: Partition((1,)).fits_box(2.0, 4),
+        lambda: partition_to_symbol((1,), 2.0),
+        lambda: DPolynomial.generator(0.0),
+        lambda: DPolynomial.generator(-1.5),
+        lambda: box_partitions(3, 2),
+        lambda: box_partitions(-1, 2),
     ], ids=["partition", "partition-str", "symbol", "qint-coeff", "qint-exponent",
             "kvector-degree", "kvector-coeff", "qint-add", "normalize", "context-n",
             "context-k", "pieri-h", "leibniz-h", "iterated-m", "quantum-pieri-h",
             "giambelli-k", "reduce-generator-k", "reduce-generator-h", "lr-expansion-k",
             "lr-coefficient-k", "y-polynomials-n", "y-polynomials-k", "rim-hook-n",
-            "rim-hook-k", "box-partitions-n", "box-partitions-k", "box-partitions-cap"])
+            "rim-hook-k", "box-partitions-n", "box-partitions-k", "box-partitions-cap",
+            "schur-expand-k", "schur-expand-k-warm", "schur-expand-negative-k",
+            "multipolynomial-negative-vars", "complete-homogeneous-k",
+            "complete-homogeneous-k-warm", "fundamental-k", "fundamental-negative-k",
+            "inverse-components", "padded-k", "fits-box-k", "partition-to-symbol-k",
+            "generator-zero-float", "generator-negative-float", "box-partitions-k-above-n",
+            "box-partitions-negative-k"])
     def test_rejected(self, build):
         with pytest.raises(InvalidInputError):
             build()

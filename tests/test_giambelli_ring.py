@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -13,6 +15,7 @@ from schubert.exterior_core import (
     partition_to_symbol,
 )
 from schubert.giambelli_ring import (
+    _laplace,
     expand_in_low_generators,
     giambelli_det,
     low_generator,
@@ -76,6 +79,15 @@ class TestGiambelliDet:
                         Partition(sorted(subs, reverse=True)), (-1) ** inversions
                     )
                 assert giambelli_det(lam, k) == want, (lam, k)
+
+    def test_terms_are_the_laplace_dict(self):
+        # the determinant keeps the part tuples _laplace builds, unwrapped
+        for k in range(6):
+            for lam in box_partitions(k, k + 5):
+                terms = giambelli_det(lam, k).terms
+                width = max(lam.parts, default=0) + k - 1
+                assert terms == _laplace(tuple(reversed(lam.padded(k))), width), (lam, k)
+                assert all(type(mono) is tuple for mono in terms), (lam, k)
 
     def test_k7_acts_as_basis_vector(self):
         lam = Partition((2, 1, 1))
@@ -283,3 +295,21 @@ class TestPresentations:
         assert "FAIL" not in text
         classical = render_presentation(verify_presentation(2, 4, "classical"))
         assert "D3" in classical and "Y-form" in classical
+
+
+def test_determinant_and_presentation_text_unchanged():
+    # one sha256 over the reprs, items() and JSON terms of every
+    # determinant in the k x 5 boxes, k <= 5, then over rendered
+    # presentations in both modes: a change of the monomial representation
+    # must leave every byte of this output as it is
+    digest = hashlib.sha256()
+    for k in range(1, 6):
+        for lam in box_partitions(k, k + 5):
+            det = giambelli_det(lam, k)
+            digest.update(repr(det).encode())
+            digest.update(repr(det.items()).encode())
+            digest.update(json.dumps([[list(m), c] for m, c in det.items()]).encode())
+    for k, n in [(1, 4), (2, 5), (3, 7), (4, 8)]:
+        for mode in ("classical", "quantum"):
+            digest.update(render_presentation(verify_presentation(k, n, mode)).encode())
+    assert digest.hexdigest() == "1b4140ec330440ae173ddb81bf1458ea75c86067ba837052e442ab2256a1e6f7"

@@ -286,7 +286,7 @@ class TestBoxMonomials:
             for lam in box_partitions(k, k + 5):
                 det = giambelli_det(lam, k).terms
                 for width in range(max(lam.parts, default=0), 6):
-                    want = {m.parts: c for m, c in det.items() if all(p <= width for p in m.parts)}
+                    want = {m: c for m, c in det.items() if all(p <= width for p in m)}
                     assert dict(_box_monomials(lam.parts, k, width)) == want, (lam, k, width)
 
     @pytest.mark.parametrize("mode", ["classical", "quantum"])
