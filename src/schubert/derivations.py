@@ -256,6 +256,8 @@ def inverse_components(max_degree: int) -> list:
     E_m = -(D_1 E_{m-1} + ... + D_m E_0); each E_m is homogeneous of
     degree m."""
     max_degree = as_int(max_degree)
+    if max_degree < 0:
+        raise InvalidInputError(f"max_degree must be nonnegative, got {max_degree}")
     return _series_inverse(max_degree, max_degree)
 
 

@@ -25,8 +25,17 @@ exponent that reaches the guard bit raises instead of wrapping.
 
 verify_jacobi_trudi puts h_i(x_1..x_k) in place of each D_i of a Giambelli
 determinant (Macdonald, Symmetric Functions and Hall Polynomials, I.(3.4))
-and compares the whole result with schur_expand.  The substitution is a
-Horner scheme over the monomials' largest parts, like apply_operator's.
+and compares the result with schur_expand.  The substitution is a Horner
+scheme over the monomials' largest parts, like apply_operator's.  Both
+sides are symmetric: the substitution is a Z-combination of products of
+h_i whatever the determinant holds, and schur_expand is by the branching
+rule.  Each S_k-orbit of exponent vectors holds exactly one weakly
+decreasing ("dominant") vector, so two symmetric polynomials are equal iff
+their coefficients agree there (the m_kappa basis, Macdonald I.2).  So the
+outermost product of the Horner scheme is computed only at the dominant
+vectors of weight |lam|, and the inner levels stay whole.  A determinant
+monomial whose parts do not sum to |lam| only adds exponents that no
+target reads, so a weight guard rejects such a determinant first.
 
 Deliberately shares no code with the derivation machinery, so the two paths
 cannot fail the same way: the only call into it is verify_jacobi_trudi's
@@ -34,6 +43,7 @@ giambelli_det, the determinant under test."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, permutations, product
 from operator import add, or_
@@ -309,38 +319,92 @@ def rim_hook_product(lam, mu, k: int, n: int) -> dict:
 
 def verify_jacobi_trudi(lam, k: int) -> bool:
     """True iff substituting h_i for the i-th generator in the Giambelli
-    determinant of lam reproduces schur_expand(lam, k), compared term by
-    term.  The substitution is a Horner scheme, _substitute."""
+    determinant of lam reproduces schur_expand(lam, k).  Both sides are
+    symmetric, so they are compared only at the dominant exponent vectors
+    of weight |lam|, after a guard that every monomial of the determinant
+    has weight |lam|; see the module docstring."""
     from .giambelli_ring import giambelli_det
 
     lam = as_partition(lam)
     det = giambelli_det(lam, k)
+    size = lam.weight()
     # every exponent of the substitution is at most |lam|, so this one
     # bound stands in for MultiPolynomial's per-product guard
-    if lam.weight() >= LIMIT:
-        raise InvalidInputError(f"weight {lam.weight()} is an exponent of {LIMIT} or more")
-    total = _substitute(det.terms.items(), k)
-    return total == schur_expand(lam, k).terms
+    if size >= LIMIT:
+        raise InvalidInputError(f"weight {size} is an exponent of {LIMIT} or more")
+    if any(sum(parts) != size for parts in det.terms):
+        return False
+    targets = _dominant(size, k)
+    want = schur_expand(lam, k).terms
+    return _substitute_at(det.terms.items(), k, targets) == [want.get(t, 0) for t in targets]
+
+
+def _dominant(size: int, k: int) -> list:
+    """The packed weakly decreasing exponent vectors of weight size in k
+    variables: the partitions of size into at most k parts, zero padded.
+    Built part by part, each at least the mean of what is left."""
+    level = [((), size)]
+    for rest in range(k, 0, -1):
+        level = [
+            (exp + (e,), left - e)
+            for exp, left in level
+            for e in range(-(-left // rest), min((left,) + exp[-1:]) + 1)
+        ]
+    return [_pack(exp) for exp, left in level if not left]
+
+
+def _by_largest_part(monos) -> tuple:
+    """The constant term of these (descending parts, c) pairs, and the
+    others grouped by largest part as {h: [(other parts, c), ...]}."""
+    constant = 0
+    groups = {}
+    for parts, c in monos:
+        if parts:
+            groups.setdefault(parts[0], []).append((parts[1:], c))
+        else:
+            constant += c
+    return constant, groups
 
 
 def _substitute(monos, k: int) -> dict:
     """Packed terms of the sum of c * h_parts(x_1..x_k) over these
     (descending parts, c) pairs, as a Horner scheme: the monomials whose
     largest part is h share one product by h_h of the sum of their other
-    parts.  Zeros are dropped once per call.  Module-level: a closure that
+    parts; every coefficient of h_h is 1, so each term adds c1 as it is.
+    Zeros are dropped once per call.  Module-level: a closure that
     called itself would leave a reference cycle per call."""
-    groups = {}
-    out = {}
+    constant, groups = _by_largest_part(monos)
+    out = {0: constant} if constant else {}
     get = out.get
-    for parts, c in monos:
-        if parts:
-            groups.setdefault(parts[0], []).append((parts[1:], c))
-        else:
-            out[0] = get(0, 0) + c
     for h, inner in groups.items():
-        right = complete_homogeneous(h, k).terms.items()
+        right = complete_homogeneous(h, k).terms
         for e1, c1 in _substitute(inner, k).items():
-            for e2, c2 in right:
+            for e2 in right:
                 e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
+                out[e] = get(e, 0) + c1
     return {e: c for e, c in out.items() if c}
+
+
+def _substitute_at(monos, k: int, targets: list) -> list:
+    """The coefficients of _substitute(monos, k) at these packed targets,
+    in order.  Only the outermost product by h_h is restricted: the
+    coefficient at kappa is the sum of inner[kappa - e] over the exponents
+    e <= kappa of h_h, whose coefficients are all 1.  e <= kappa is read
+    off the guard bits: kappa + G - e keeps every guard bit set exactly
+    when no digit of the subtraction borrows.  Sorting h_h's exponents by
+    their last digit first skips every e whose last digit exceeds kappa's."""
+    constant, groups = _by_largest_part(monos)
+    out = [constant if t == 0 else 0 for t in targets]
+    guards = _guards(k)
+    for h, inner in groups.items():
+        get = _substitute(inner, k).get
+        es = sorted(complete_homogeneous(h, k).terms, key=_DIGIT.__and__)
+        right = [guards - e for e in es]
+        for i, t in enumerate(targets):
+            total = 0
+            for g in right[: bisect_right(es, t & _DIGIT, key=_DIGIT.__and__)]:
+                d = t + g
+                if d & guards == guards:
+                    total += get(d - guards, 0)
+            out[i] += total
+    return out

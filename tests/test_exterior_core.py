@@ -299,6 +299,8 @@ class TestIntegerInputs:
         lambda: fundamental(2.0),
         lambda: fundamental(-1),
         lambda: inverse_components(2.0),
+        lambda: inverse_components(-1),
+        lambda: inverse_components(-3),
         lambda: Partition((1,)).padded(2.0),
         lambda: Partition((1,)).fits_box(2.0, 4),
         lambda: partition_to_symbol((1,), 2.0),
@@ -315,7 +317,8 @@ class TestIntegerInputs:
             "schur-expand-k", "schur-expand-k-warm", "schur-expand-negative-k",
             "multipolynomial-negative-vars", "complete-homogeneous-k",
             "complete-homogeneous-k-warm", "fundamental-k", "fundamental-negative-k",
-            "inverse-components", "padded-k", "fits-box-k", "partition-to-symbol-k",
+            "inverse-components", "inverse-components-negative-1",
+            "inverse-components-negative-3", "padded-k", "fits-box-k", "partition-to-symbol-k",
             "generator-zero-float", "generator-negative-float", "box-partitions-k-above-n",
             "box-partitions-negative-k"])
     def test_rejected(self, build):

@@ -1,6 +1,6 @@
 import gc
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +16,11 @@ from schubert.schur_oracle import (
     rim_hook_product,
     schur_decompose,
     schur_expand,
+    _dominant,
+    _pack,
     _substitute,
+    _substitute_at,
+    _unpack,
     verify_jacobi_trudi,
 )
 
@@ -223,6 +227,12 @@ class TestSchurExpand:
     def test_symmetric(self, lam, k):
         assert schur_expand(lam, k).is_symmetric()
 
+    @pytest.mark.parametrize("k", range(5))
+    def test_symmetric_on_the_4x4_box(self, k):
+        # verify_jacobi_trudi reads schur_expand only at dominant exponents
+        for lam in _box(k, 4):
+            assert schur_expand(lam, k).is_symmetric(), lam
+
 
 class TestSchurDecompose:
     def test_schur_is_its_own_expansion(self):
@@ -377,7 +387,7 @@ class TestRimHookProduct:
 
         tree = ast.parse(open(oracle.__file__).read())
         modules = {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
-        assert modules == {"__future__", "functools", "itertools", "operator", "exterior_core"}
+        assert modules == {"__future__", "bisect", "functools", "itertools", "operator", "exterior_core"}
 
     def test_computes_without_the_shared_module_arithmetic(self, monkeypatch):
         # MultiPolynomial takes its sum from FreeElement, which runs
@@ -436,6 +446,31 @@ class TestJacobiTrudi:
             assert not verify_jacobi_trudi(P(lam), k)
         monkeypatch.undo()
         assert verify_jacobi_trudi(P(lam), k)
+
+    def test_monomial_of_the_wrong_weight_fails(self, monkeypatch):
+        # h_1 adds only weight-1 exponents, none of them a weight-3 target,
+        # so the dominant comparison alone cannot see D_1: the weight guard must
+        import schubert.giambelli_ring as ring
+
+        lam, k = P((2, 1)), 2
+        det = ring.giambelli_det(lam, k).terms
+        extra = {**det, (1,): 1}
+        targets = _dominant(3, k)
+        assert _substitute_at(extra.items(), k, targets) == _substitute_at(det.items(), k, targets)
+        monkeypatch.setattr(ring, "giambelli_det", lambda *_: DPolynomial._of(extra))
+        assert not verify_jacobi_trudi(lam, k)
+
+    def test_empty_partition_at_k_zero(self):
+        assert verify_jacobi_trudi(P(()), 0)
+
+    @pytest.mark.parametrize(
+        "lam,k",
+        [((1,), 0), ((), -1), ((1,), -1), ((1,), 2.0), ((), 0.0), ((1, 1), 1), ((2, 1, 1), 2)],
+        ids=["k-zero", "negative-k-empty", "negative-k", "float-k", "float-k-zero", "too-long", "too-long-hook"],
+    )
+    def test_bad_input_rejected(self, lam, k):
+        with pytest.raises(InvalidInputError):
+            verify_jacobi_trudi(P(lam), k)
 
     def test_weight_at_the_exponent_limit_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -500,6 +535,43 @@ class TestSubstitute:
         for k in (0, 1, 2):
             assert _substitute(e3, k) == {}
         assert _substitute(e3, 3) == MultiPolynomial(3, {(1, 1, 1): 1}).terms
+
+
+def _is_dominant(key, k):
+    exp = _unpack(key, k)
+    return all(a >= b for a, b in zip(exp, exp[1:]))
+
+
+class TestDominantStep:
+    @pytest.mark.parametrize("k", range(5))
+    def test_targets_are_the_padded_partitions(self, k):
+        for size in range(9):
+            want = [_pack(e) for e in product(range(size + 1), repeat=k) if sum(e) == size]
+            assert sorted(_dominant(size, k)) == sorted(e for e in want if _is_dominant(e, k))
+
+    def test_matches_the_full_substitution_at_dominant_keys(self):
+        # the determinants of the 4x4 box, k <= 4, and each with its first
+        # three monomials moved by +1 and by -1
+        from schubert.giambelli_ring import giambelli_det
+
+        for k in range(5):
+            for lam in _box(k, 4):
+                det = giambelli_det(lam, k).terms
+                targets = _dominant(lam.weight(), k)
+                variants = [det]
+                for mono in sorted(det)[:3]:
+                    for step in (1, -1):
+                        variants.append({**det, mono: det[mono] + step})
+                for terms in variants:
+                    full = _substitute(terms.items(), k)
+                    got = dict(zip(targets, _substitute_at(terms.items(), k, targets)))
+                    want = {e: c for e, c in full.items() if _is_dominant(e, k)}
+                    assert {t: c for t, c in got.items() if c} == want, (lam, k, terms)
+
+    def test_constant_term_and_empty_groups(self):
+        assert _substitute_at([((), 3)], 2, _dominant(0, 2)) == [3]
+        assert _substitute_at([((), 3), ((1,), 2)], 2, _dominant(1, 2)) == [2]
+        assert _substitute_at([], 3, _dominant(2, 3)) == [0, 0]
 
 
 def _box(k, width):
