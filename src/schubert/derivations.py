@@ -10,15 +10,22 @@ apply_rows is the one loop that applies Pieri rows.  pieri_d runs it on a
 k-vector's flat (index tuple, q-degree) terms, and the products of
 grassmann_contexts on their C(n,k) rows.  apply_operator evaluates a
 polynomial in the D_h as a Horner scheme on the same flat terms, with
-the same row fill: each group of monomials that share a largest part h
-is summed into one vector before D_h's rows are applied to it once, and
-a group whose rest is a constant is a leaf, pieri_d(h, v).  The
-recursion is a plain function, so a call leaves no reference cycle.
+the same rows: each group of monomials that share a largest part h is
+summed into one vector before D_h's rows are applied to it once, and a
+group whose rest is a constant is a leaf, pieri_d(h, v).  The recursion
+is a plain function, so a call leaves no reference cycle.
+
+The rows of the infinite context come from one process-wide lru_cache,
+_row(h, key), as grassmann_contexts._pieri_row serves the finite ones: a
+symbol's row for D_h is enumerated once per process, not once per call.
+Like _pieri_row it is unbounded; _row.cache_info() gives its size.  Its
+targets are interned through a second lru_cache, _target, so rows that
+reach the same (index tuple, q-degree) share one tuple.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 from .exterior_core import (
     FreeElement,
@@ -168,24 +175,31 @@ def pieri_symbols(indices, h: int) -> list:
     return [prefix + (last + rem,) for prefix, rem in partial]
 
 
-def apply_rows(terms: dict, rows: dict, fill) -> dict:
-    """Sum each key's coefficient into every target of its row: the one
-    loop that applies Pieri rows.  A key missing from rows gets
-    rows[key] = fill(key); targets that total 0 are dropped."""
+def apply_rows(terms: dict, row) -> dict:
+    """Sum each key's coefficient into every target of row(key): the one
+    loop that applies Pieri rows.  Targets that total 0 are dropped."""
     acc = {}
     get = acc.get
     for key, c in terms.items():
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = fill(key)
-        for target in row:
+        for target in row(key):
             acc[target] = get(target, 0) + c
     return {target: c for target, c in acc.items() if c}
 
 
-def _targets(h: int, key: tuple) -> list:
-    """The Pieri row of D_h for a flat (index tuple, q-degree) key."""
-    return [(j, key[1]) for j in pieri_symbols(key[0], h)]
+@lru_cache(maxsize=None)
+def _target(j: tuple, d: int) -> tuple:
+    """The one (j, d) tuple that every cached row holding this target
+    shares, so the rows cost one tuple per distinct target."""
+    return j, d
+
+
+@lru_cache(maxsize=None)
+def _row(h: int, key: tuple) -> tuple:
+    """The Pieri row of D_h for a flat (index tuple, q-degree) key in the
+    infinite context, built once per process (as _pieri_row is for the
+    finite ones) and holding interned targets."""
+    d = key[1]
+    return tuple(_target(j, d) for j in pieri_symbols(key[0], h))
 
 
 def pieri_d(h: int, v: KVector) -> KVector:
@@ -197,7 +211,7 @@ def pieri_d(h: int, v: KVector) -> KVector:
         return v
     if v.degree == 0:
         return KVector.zero(0)
-    return KVector._of(v.degree, apply_rows(v.terms, {}, partial(_targets, h)))
+    return KVector._of(v.degree, apply_rows(v.terms, partial(_row, h)))
 
 
 def apply_operator(p: DPolynomial, v: KVector) -> KVector:
@@ -207,16 +221,17 @@ def apply_operator(p: DPolynomial, v: KVector) -> KVector:
     p = c + sum_h D_h * p_h, where p_h holds the other parts of the
     monomials whose largest part is h.  Each p_h v is summed into one flat
     dict before D_h's rows are applied to it once, so terms cancel inside
-    the tree, and a symbol's row for D_h is enumerated once per call.  A
-    constant p_h is a leaf, pieri_d(h, v) cached per h and scaled, so
-    pieri_d stays the derivation layer a tracer sees under apply_operator."""
-    return KVector._of(v.degree, _horner(p.terms.items(), v, {}, {}))
+    the tree, and a symbol's row for D_h is enumerated once per process
+    (the shared _row cache).  A constant p_h is a leaf, pieri_d(h, v)
+    cached per h for the call and scaled, so pieri_d stays the derivation
+    layer a tracer sees under apply_operator."""
+    return KVector._of(v.degree, _horner(p.terms.items(), v, {}))
 
 
-def _horner(monos, v: KVector, rows: dict, leaves: dict) -> dict:
+def _horner(monos, v: KVector, leaves: dict) -> dict:
     """Flat terms of the sum of c * D_parts v over these (descending parts,
-    c) pairs, sharing the call's per-h rows and leaves.  Module-level: a
-    closure that called itself would leave a reference cycle per call."""
+    c) pairs, sharing the call's per-h leaves.  Module-level: a closure
+    that called itself would leave a reference cycle per call."""
     groups = {}
     pairs = []
     for parts, c in monos:
@@ -226,8 +241,8 @@ def _horner(monos, v: KVector, rows: dict, leaves: dict) -> dict:
             pairs.extend((key, c * x) for key, x in v.terms.items())
     for h, inner in groups.items():
         if len(inner) > 1 or inner[0][0]:
-            inner_v = _horner(inner, v, rows, leaves)
-            pairs.extend(apply_rows(inner_v, rows.setdefault(h, {}), partial(_targets, h)).items())
+            inner_v = _horner(inner, v, leaves)
+            pairs.extend(apply_rows(inner_v, partial(_row, h)).items())
             continue
         if h not in leaves:
             leaves[h] = pieri_d(h, v).terms

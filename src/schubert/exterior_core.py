@@ -482,7 +482,7 @@ def render_kvector(v: KVector) -> str:
     )
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*)?(?:q(?:\^(\d+))?\*)?e\[([0-9,\s]*)\]$")
+_TERM_RE = re.compile(r"^(?:(\d+)\*)?(?:q(?:\^(\d+))?\*)?e\[\s*(\d+(?:\s*,\s*\d+)*)?\s*\]$")
 
 
 def parse_kvector(text: str, degree=None) -> KVector:
@@ -507,10 +507,9 @@ def parse_kvector(text: str, degree=None) -> KVector:
         mag = int(m.group(1)) if m.group(1) else 1
         has_q = "q" in term.split("e[")[0]
         d = int(m.group(2)) if m.group(2) else (1 if has_q else 0)
-        idx_text = m.group(3).strip()
-        if not idx_text:
-            raise InvalidInputError(f"empty symbol in term: {term!r}")
-        indices = tuple(int(x) for x in idx_text.split(","))
+        # e[] is the symbol of Lambda^0; normalize's length check rejects
+        # it next to longer symbols
+        indices = tuple(int(x) for x in m.group(3).split(",")) if m.group(3) else ()
         sign = 1 if sign_tok == "+" else -1
         raw.append((indices, QInt.q_power(d, sign * mag)))
     return normalize(raw, degree)

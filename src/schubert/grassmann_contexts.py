@@ -87,14 +87,14 @@ def quantum_pieri(h: int, v: KVector, ctx: GrassmannContext) -> KVector:
     if v.degree != k:
         raise InvalidInputError("degree mismatch")
 
-    def fill(key):
+    def row(key):
         i, d = key
         if i[-1] > n:
             raise InvalidInputError(f"symbol {i} has index above n={n}")
         weight = sum(i) + h
         return [(j, d + (weight - sum(j)) // n) for j in _pieri_row(n, True, h, i)]
 
-    return KVector._of(k, apply_rows(v.terms, {}, fill))
+    return KVector._of(k, apply_rows(v.terms, row))
 
 
 @lru_cache(maxsize=None)
@@ -187,11 +187,11 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
         if len(lam_monos) < len(monos):
             monos, other = lam_monos, mu
     start = {_symbol(other.parts, k): 1}
-    rows, pairs, quantum = {}, [], ctx.mode == QUANTUM
+    pairs, quantum = [], ctx.mode == QUANTUM
     for mono, c in monos.items():
         w = start
         for h in mono:
-            w = apply_rows(w, rows.setdefault(h, {}), partial(_pieri_row, n, quantum, h))
+            w = apply_rows(w, partial(_pieri_row, n, quantum, h))
         pairs.extend((j, c * x) for j, x in w.items())
     weight = lam.weight() + mu.weight() + k * (k + 1) // 2
     ordered = sorted((_class(j), j, c) for j, c in accumulate(pairs).items())

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import schubert
 from schubert.cli import (
@@ -17,7 +18,7 @@ from schubert.cli import (
     render_sigma,
     run_checks,
 )
-from schubert.exterior_core import Partition
+from schubert.exterior_core import KVector, Partition, QInt, parse_kvector
 from schubert.schur_oracle import lr_expansion
 
 
@@ -63,6 +64,30 @@ class TestPieri:
         code, _, err = run(capsys, "pieri", "1", "2,x")
         assert code == EXIT_PARSE
         assert "error" in err
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_text_parses_to_the_json_vector(self, capsys, data):
+        # ROADMAP item 5: the text and --json forms of one request agree
+        k = data.draw(st.integers(1, 3))
+        symbol = data.draw(st.lists(st.integers(1, 8), min_size=k, max_size=k, unique=True))
+        h = data.draw(st.integers(0, 5))
+        mode = data.draw(st.sampled_from(["infinite", "classical", "quantum"]))
+        argv = ["pieri", str(h), ",".join(map(str, sorted(symbol)))]
+        if mode != "infinite":
+            argv += ["--k", str(k), "--n", str(data.draw(st.integers(k, 8)))]
+        if mode == "quantum":
+            argv.append("--quantum")
+        code, text, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        listed = KVector(payload["degree"], [
+            (t["indices"], QInt.q_power(t["d"], t["coeff"])) for t in payload["terms"]
+        ])
+        assert parse_kvector(text, payload["degree"]) == listed
 
 
 class TestMult:

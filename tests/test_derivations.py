@@ -3,6 +3,7 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schubert import derivations
 from schubert.derivations import (
     DPolynomial,
     apply_operator,
@@ -22,9 +23,11 @@ from schubert.exterior_core import (
     QInt,
     fundamental,
     normalize,
+    partition_to_symbol,
     wedge,
 )
 from schubert.giambelli_ring import giambelli_det
+from schubert.grassmann_contexts import box_partitions
 
 symbols = st.sets(st.integers(1, 12), min_size=1, max_size=4).map(
     lambda s: tuple(sorted(s))
@@ -269,16 +272,18 @@ def test_pieri_symbols_vanish_for_negative_h(indices):
 
 
 def test_apply_rows_fills_each_row_once_and_drops_zeros():
+    # one row(key) call per key of each call; caching rows across calls
+    # is the row function's business (derivations._row is an lru_cache)
     filled = []
 
-    def fill(key):
+    def row(key):
         filled.append(key)
         return {"a": ("x", "y"), "b": ("y",), "c": ()}[key]
 
-    rows = {}
-    assert apply_rows({"a": 2, "b": -2, "c": 5}, rows, fill) == {"x": 2}
-    assert apply_rows({"a": 1, "c": 1}, rows, fill) == {"x": 1, "y": 1}
+    assert apply_rows({"a": 2, "b": -2, "c": 5}, row) == {"x": 2}
     assert filled == ["a", "b", "c"]
+    assert apply_rows({"a": 1, "c": 1}, row) == {"x": 1, "y": 1}
+    assert filled == ["a", "b", "c", "a", "c"]
 
 
 def test_leibniz_raw_terms():
@@ -426,6 +431,60 @@ class TestApplyOperator:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestSharedRows:
+    """derivations._row: D_h's rows for the infinite context, one lru_cache
+    per process, with targets interned through derivations._target."""
+
+    @staticmethod
+    def clear():
+        derivations._row.cache_clear()
+        derivations._target.cache_clear()
+
+    def test_cold_and_warm_cache_agree_on_the_5x5_box(self):
+        cases = [(lam, k) for k in range(1, 6) for lam in box_partitions(k, k + 5)]
+        assert len(cases) == 461
+        cold = []
+        for lam, k in cases:
+            self.clear()
+            cold.append(apply_operator(giambelli_det(lam, k), fundamental(k)))
+        assert derivations._row.cache_info().currsize > 0
+        # warm: every row of the reversed pass comes from the pass before it
+        for lam, k in cases:
+            apply_operator(giambelli_det(lam, k), fundamental(k))
+        misses = derivations._row.cache_info().misses
+        for (lam, k), want in zip(reversed(cases), reversed(cold)):
+            assert want == KVector.basis(partition_to_symbol(lam, k).indices)
+            assert apply_operator(giambelli_det(lam, k), fundamental(k)) == want
+        assert derivations._row.cache_info().misses == misses
+
+    @given(symbols, st.integers(0, 6), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_positive_q_degree_carries_d(self, indices, h, d):
+        self.clear()
+        at_zero = derivations._row(h, (indices, 0))
+        assert derivations._row(h, (indices, d)) == tuple((j, d) for j, _ in at_zero)
+        assert [j for j, _ in at_zero] == pieri_symbols(indices, h)
+        v = KVector.basis(indices, QInt.q_power(d, 3))
+        assert pieri_d(h, v) == pieri_d(h, KVector.basis(indices)).scale(QInt.q_power(d, 3))
+
+    def test_rows_share_target_tuples(self):
+        self.clear()
+        a = derivations._row(1, ((1, 3), 0))
+        b = derivations._row(2, ((1, 2), 0))
+        assert a[a.index(((1, 4), 0))] is b[b.index(((1, 4), 0))]
+        # two steps of D_1..D_3 from e[1,2,3]: equal targets are one object
+        keys = [((1, 2, 3), 0)]
+        rows = []
+        for _ in range(2):
+            rows += [derivations._row(h, key) for key in keys for h in (1, 2, 3)]
+            keys = {t for row in rows for t in row}
+        seen = {}
+        for row in rows:
+            for t in row:
+                assert seen.setdefault(t, t) is t
+        assert len(seen) < sum(map(len, rows))
 
 
 class TestIteratedD1:

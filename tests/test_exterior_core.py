@@ -200,6 +200,26 @@ class TestRenderParse:
             v = v + KVector.basis(sym, QInt.q_power(d, c))
         assert parse_kvector(render_kvector(v), 2) == v
 
+    def test_degree_zero_round_trip(self):
+        v = KVector(0, {(): QInt({0: 3, 2: -1})})
+        text = render_kvector(v)
+        assert text == "3*e[] - q^2*e[]"
+        assert parse_kvector(text) == v
+        assert parse_kvector(text, 0) == v
+        assert parse_kvector("e[ ]") == KVector.basis(())
+
+    @pytest.mark.parametrize("text, degree", [
+        ("e[] + e[1]", None), ("e[1,2] - q*e[]", None), ("e[]", 2), ("e[1]", 0),
+    ])
+    def test_degree_zero_mixed_with_longer_symbols_rejected(self, text, degree):
+        with pytest.raises(InvalidInputError, match="wrong length"):
+            parse_kvector(text, degree)
+
+    @pytest.mark.parametrize("text", ["e[1,,2]", "e[,]", "e[1,]", "e[,3]", "2*e[1 2]"])
+    def test_malformed_symbol_rejected(self, text):
+        with pytest.raises(InvalidInputError, match="cannot parse term"):
+            parse_kvector(text)
+
 
 class TestKVectorBoundary:
     """Terms are stored as {(indices, q-degree): int}; the constructor,
