@@ -15,10 +15,9 @@ summed into one vector before D_h's rows are applied to it once, and a
 group whose rest is a constant is a leaf, pieri_d(h, v).  The recursion
 is a plain function, so a call leaves no reference cycle.
 
-The rows of the infinite context come from one process-wide lru_cache,
-_row(h, key), as grassmann_contexts._pieri_row serves the finite ones: a
-symbol's row for D_h is enumerated once per process, not once per call.
-Like _pieri_row it is unbounded; _row.cache_info() gives its size.  Its
+Every context, infinite, classical or quantum, takes its rows from one
+process-wide, unbounded lru_cache, _row(n, quantum, h, key): a symbol's
+row for D_h is enumerated once per process, not once per call.  Its
 targets are interned through a second lru_cache, _target, so rows that
 reach the same (index tuple, q-degree) share one tuple.
 """
@@ -194,12 +193,26 @@ def _target(j: tuple, d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _row(h: int, key: tuple) -> tuple:
-    """The Pieri row of D_h for a flat (index tuple, q-degree) key in the
-    infinite context, built once per process (as _pieri_row is for the
-    finite ones) and holding interned targets."""
-    d = key[1]
-    return tuple(_target(j, d) for j in pieri_symbols(key[0], h))
+def _row(n: int | None, quantum: bool, h: int, key: tuple) -> tuple:
+    """The Pieri row of D_h = sigma_h for a flat (index tuple I, q-degree d)
+    key, built once per process and holding interned targets, each with
+    coefficient 1.  n is None in the infinite context; at rank n, for
+    1 <= h <= n-k and I inside [1, n], only the targets with j_k <= n are
+    kept, and in quantum mode the wrapped chains
+    1 <= j_1 < i_1 <= j_2 < ... <= j_k < i_k with |J| = |I| + h - n follow
+    at q-degree d + 1: the interleavings of (1, i_1, ..., i_{k-1}) by
+    i_k + h - n - 1 that end below i_k.  (A literal (-1)^(k-1) prefactor on
+    the wrapped sum cancels against the sign of moving the wrapped index to
+    the front, so the net q-coefficient is +1.)  A row at q-degree d > 0 is
+    the row at 0 with every target's degree raised by d."""
+    indices, d = key
+    if d:
+        return tuple(_target(j, e + d) for j, e in _row(n, quantum, h, (indices, 0)))
+    row = [_target(j, 0) for j in pieri_symbols(indices, h) if n is None or j[-1] <= n]
+    if quantum:
+        chains = pieri_symbols((1,) + indices[:-1], indices[-1] + h - n - 1)
+        row.extend(_target(j, 1) for j in chains if j[-1] < indices[-1])
+    return tuple(row)
 
 
 def pieri_d(h: int, v: KVector) -> KVector:
@@ -211,7 +224,7 @@ def pieri_d(h: int, v: KVector) -> KVector:
         return v
     if v.degree == 0:
         return KVector.zero(0)
-    return KVector._of(v.degree, apply_rows(v.terms, partial(_row, h)))
+    return KVector._of(v.degree, apply_rows(v.terms, partial(_row, None, False, h)))
 
 
 def apply_operator(p: DPolynomial, v: KVector) -> KVector:
@@ -242,7 +255,7 @@ def _horner(monos, v: KVector, leaves: dict) -> dict:
     for h, inner in groups.items():
         if len(inner) > 1 or inner[0][0]:
             inner_v = _horner(inner, v, leaves)
-            pairs.extend(apply_rows(inner_v, partial(_row, h)).items())
+            pairs.extend(apply_rows(inner_v, partial(_row, None, False, h)).items())
             continue
         if h not in leaves:
             leaves[h] = pieri_d(h, v).terms

@@ -154,6 +154,7 @@ def verify_presentation(k: int, n: int, mode: str = "classical") -> Presentation
     the fundamental class)."""
     from .grassmann_contexts import GrassmannContext, reduce_kvector
 
+    k, n = as_int(k), as_int(n)
     if mode not in ("classical", "quantum"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     if not 1 <= k <= n:

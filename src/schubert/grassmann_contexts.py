@@ -10,7 +10,7 @@ from functools import lru_cache, partial
 
 # pieri_d is not called here but stays bound: perfbench/selftest.py checks
 # that a tracer rebinding pieri_d finds it in this namespace.
-from .derivations import apply_rows, pieri_d, pieri_symbols  # noqa: F401
+from .derivations import _row, apply_rows, pieri_d  # noqa: F401
 from .exterior_core import (
     InvalidInputError,
     KVector,
@@ -75,7 +75,9 @@ def reduce_kvector(v: KVector, ctx: GrassmannContext) -> KVector:
 
 
 def quantum_pieri(h: int, v: KVector, ctx: GrassmannContext) -> KVector:
-    """Direct quantum Pieri: sigma_h on v, one _pieri_row per term.
+    """Direct quantum Pieri: sigma_h on v, one quantum row of
+    derivations._row per term, the classical targets at the term's
+    q-degree d and the wrapped ones at d + 1.
 
     Equals reduce_kvector(pieri_d(h, v), ctx) by construction; the two are
     cross-checked in the test suite."""
@@ -86,36 +88,10 @@ def quantum_pieri(h: int, v: KVector, ctx: GrassmannContext) -> KVector:
         raise InvalidInputError(f"h={h} outside [1, {n - k}]")
     if v.degree != k:
         raise InvalidInputError("degree mismatch")
-
-    def row(key):
-        i, d = key
+    for i, _ in v.terms:
         if i[-1] > n:
             raise InvalidInputError(f"symbol {i} has index above n={n}")
-        weight = sum(i) + h
-        return [(j, d + (weight - sum(j)) // n) for j in _pieri_row(n, True, h, i)]
-
-    return KVector._of(k, apply_rows(v.terms, row))
-
-
-@lru_cache(maxsize=None)
-def _pieri_row(n: int, quantum: bool, h: int, indices: tuple) -> tuple:
-    """sigma_h * e^I in the C(n,k) basis of the classical or quantum
-    context of rank n (keyed on plain values, which hash fast), for
-    1 <= h <= n-k and I inside [1, n]: the index tuples J, coefficient 1.
-
-    First the classical interleavings that stay inside rank n, then, in
-    quantum mode, the wrapped chains 1 <= j_1 < i_1 <= j_2 < ... <= j_k < i_k
-    with |J| = |I| + h - n, which carry q.  Every J has |J| + n * (its
-    q-degree) = |I| + h, so callers read q off the weight.  The chains are
-    the interleavings of (1, i_1, ..., i_{k-1}) by i_k + h - n - 1 that end
-    below i_k.  (A literal (-1)^(k-1) prefactor on the wrapped sum cancels
-    against the sign of moving the wrapped index to the front, so the net
-    q-coefficient is +1.)"""
-    row = [j for j in pieri_symbols(indices, h) if j[-1] <= n]
-    if quantum:
-        chains = pieri_symbols((1,) + indices[:-1], indices[-1] + h - n - 1)
-        row.extend(j for j in chains if j[-1] < indices[-1])
-    return tuple(row)
+    return KVector._of(k, apply_rows(v.terms, partial(_row, n, True, h)))
 
 
 def box_partitions(k: int, n: int, max_weight=None) -> list:
@@ -169,9 +145,8 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     determinant gives the product: the one with fewer monomials inside the
     box is applied, mu's on a tie.  A partition with at most one part has
     exactly one, so when only lam is that short the factors swap first and
-    the longer one's determinant is never built.  Terms are plain
-    {J: int}: each keeps |J| + n * d = |lam| + |mu| + k(k+1)/2, so d is
-    read off the weight."""
+    the longer one's determinant is never built.  Terms are flat
+    {(J, q-degree): int}, and the quantum rows carry q themselves."""
     if ctx.mode == INFINITE:
         raise InvalidInputError("multiply needs a classical or quantum context")
     lam, mu = as_partition(lam), as_partition(mu)
@@ -186,16 +161,15 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
         lam_monos = _box_monomials(lam.parts, k, n - k)
         if len(lam_monos) < len(monos):
             monos, other = lam_monos, mu
-    start = {_symbol(other.parts, k): 1}
+    start = {(_symbol(other.parts, k), 0): 1}
     pairs, quantum = [], ctx.mode == QUANTUM
     for mono, c in monos.items():
         w = start
         for h in mono:
-            w = apply_rows(w, partial(_pieri_row, n, quantum, h))
-        pairs.extend((j, c * x) for j, x in w.items())
-    weight = lam.weight() + mu.weight() + k * (k + 1) // 2
-    ordered = sorted((_class(j), j, c) for j, c in accumulate(pairs).items())
-    return {(nu, (weight - sum(j)) // n): c for (_, nu), j, c in ordered}
+            w = apply_rows(w, partial(_row, n, quantum, h))
+        pairs.extend((key, c * x) for key, x in w.items())
+    ordered = sorted((_class(j), d, c) for (j, d), c in accumulate(pairs).items())
+    return {(nu, d): c for (_, nu), d, c in ordered}
 
 
 def unit_expansion(lam) -> dict:

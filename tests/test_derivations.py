@@ -27,7 +27,7 @@ from schubert.exterior_core import (
     wedge,
 )
 from schubert.giambelli_ring import giambelli_det
-from schubert.grassmann_contexts import box_partitions
+from schubert.grassmann_contexts import GrassmannContext, box_partitions, reduce_kvector
 
 symbols = st.sets(st.integers(1, 12), min_size=1, max_size=4).map(
     lambda s: tuple(sorted(s))
@@ -434,8 +434,9 @@ class TestApplyOperator:
 
 
 class TestSharedRows:
-    """derivations._row: D_h's rows for the infinite context, one lru_cache
-    per process, with targets interned through derivations._target."""
+    """derivations._row: the one Pieri-row cache of every context, an
+    lru_cache per process keyed on (n, quantum, h, flat key), with targets
+    interned through derivations._target."""
 
     @staticmethod
     def clear():
@@ -463,22 +464,53 @@ class TestSharedRows:
     @settings(max_examples=60, deadline=None)
     def test_positive_q_degree_carries_d(self, indices, h, d):
         self.clear()
-        at_zero = derivations._row(h, (indices, 0))
-        assert derivations._row(h, (indices, d)) == tuple((j, d) for j, _ in at_zero)
+        at_zero = derivations._row(None, False, h, (indices, 0))
+        assert derivations._row(None, False, h, (indices, d)) == tuple((j, d) for j, _ in at_zero)
         assert [j for j, _ in at_zero] == pieri_symbols(indices, h)
         v = KVector.basis(indices, QInt.q_power(d, 3))
         assert pieri_d(h, v) == pieri_d(h, KVector.basis(indices)).scale(QInt.q_power(d, 3))
 
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_finite_rows_on_every_small_symbol(self, d):
+        # every symbol of rank n <= 8 and every 1 <= h <= n-k
+        checked = 0
+        for n in range(2, 9):
+            for k in range(1, n):
+                ctx = GrassmannContext(k, n, "quantum")
+                for lam in box_partitions(k, n):
+                    indices = partition_to_symbol(lam, k).indices
+                    for h in range(1, n - k + 1):
+                        infinite = derivations._row(None, False, h, (indices, d))
+                        classical = derivations._row(n, False, h, (indices, d))
+                        quantum = derivations._row(n, True, h, (indices, d))
+                        assert classical == tuple(t for t in infinite if t[0][-1] <= n)
+                        assert quantum[:len(classical)] == classical
+                        wrapped = quantum[len(classical):]
+                        assert all(e == d + 1 for _, e in wrapped)
+                        # the wrapped targets are those of the reduced derivative
+                        v = KVector.basis(indices, QInt.q_power(d))
+                        reduced = reduce_kvector(pieri_d(h, v), ctx).terms
+                        assert dict.fromkeys(quantum, 1) == reduced
+                        checked += 1
+        assert checked == 1757
+
     def test_rows_share_target_tuples(self):
         self.clear()
-        a = derivations._row(1, ((1, 3), 0))
-        b = derivations._row(2, ((1, 2), 0))
+        a = derivations._row(None, False, 1, ((1, 3), 0))
+        b = derivations._row(None, False, 2, ((1, 2), 0))
         assert a[a.index(((1, 4), 0))] is b[b.index(((1, 4), 0))]
+        # the finite rows reach the same tuples
+        c = derivations._row(4, True, 1, ((1, 3), 0))
+        assert c[c.index(((1, 4), 0))] is a[a.index(((1, 4), 0))]
+        # and so do the rows at a positive q-degree
+        a1 = derivations._row(None, False, 1, ((1, 3), 1))
+        c1 = derivations._row(4, True, 2, ((1, 2), 1))
+        assert a1[a1.index(((1, 4), 1))] is c1[c1.index(((1, 4), 1))]
         # two steps of D_1..D_3 from e[1,2,3]: equal targets are one object
         keys = [((1, 2, 3), 0)]
         rows = []
         for _ in range(2):
-            rows += [derivations._row(h, key) for key in keys for h in (1, 2, 3)]
+            rows += [derivations._row(None, False, h, key) for key in keys for h in (1, 2, 3)]
             keys = {t for row in rows for t in row}
         seen = {}
         for row in rows:

@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schubert.derivations import DPolynomial, inverse_components, iterated_d1, leibniz_d, pieri_d
-from schubert.giambelli_ring import giambelli_det, reduce_generator, y_polynomials
+from schubert.giambelli_ring import (
+    giambelli_det,
+    reduce_generator,
+    verify_presentation,
+    y_polynomials,
+)
 from schubert.grassmann_contexts import GrassmannContext, box_partitions, quantum_pieri
 from schubert.schur_oracle import (
     MultiPolynomial,
@@ -328,6 +333,8 @@ class TestIntegerInputs:
         lambda: DPolynomial.generator(-1.5),
         lambda: box_partitions(3, 2),
         lambda: box_partitions(-1, 2),
+        lambda: verify_presentation("2", 4),
+        lambda: verify_presentation(2, "4"),
     ], ids=["partition", "partition-str", "symbol", "qint-coeff", "qint-exponent",
             "kvector-degree", "kvector-coeff", "qint-add", "normalize", "context-n",
             "context-k", "pieri-h", "leibniz-h", "iterated-m", "quantum-pieri-h",
@@ -340,7 +347,8 @@ class TestIntegerInputs:
             "inverse-components", "inverse-components-negative-1",
             "inverse-components-negative-3", "padded-k", "fits-box-k", "partition-to-symbol-k",
             "generator-zero-float", "generator-negative-float", "box-partitions-k-above-n",
-            "box-partitions-negative-k"])
+            "box-partitions-negative-k",
+            "verify-presentation-k-str", "verify-presentation-n-str"])
     def test_rejected(self, build):
         with pytest.raises(InvalidInputError):
             build()

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from schubert import derivations
 from schubert.derivations import pieri_d
 from schubert.exterior_core import (
     InvalidInputError,
@@ -136,6 +137,18 @@ class TestQuantumPieri:
             quantum_pieri(3, fundamental(2), ctx)
         with pytest.raises(InvalidInputError):
             quantum_pieri(1, fundamental(2), GrassmannContext(2, 4))
+
+    def test_index_above_n_rejected(self):
+        ctx = GrassmannContext(2, 4, "quantum")
+        with pytest.raises(InvalidInputError):
+            quantum_pieri(1, KVector.basis((1, 5)), ctx)
+        # only the second term is out of range, and no row is built for it
+        derivations._row.cache_clear()
+        v = KVector.basis((1, 2)) + KVector.basis((3, 5))
+        assert [i for i, _ in v.terms] == [(1, 2), (3, 5)]
+        with pytest.raises(InvalidInputError):
+            quantum_pieri(1, v, ctx)
+        assert derivations._row.cache_info().currsize == 0
 
 
 class TestMultiply:
@@ -359,6 +372,16 @@ class TestStructureTable:
                 assert set(term) == {"nu", "d", "coeff"}
                 assert term["coeff"] > 0
                 assert term["d"] >= 0
+
+    @pytest.mark.parametrize("mode,digest", [
+        ("classical", "4d603c96fd40cd8e083df48e11053a8165585a8b1364ce4f7e5aab6c9e9ad9d0"),
+        ("quantum", "838de69e6bba212efdd20262290d5abc4334231e81c010cf2ac8ad5d5ed688a5"),
+    ], ids=["classical", "quantum"])
+    def test_golden_digest_g49(self, mode, digest):
+        # sha256 of the whole table's JSON, recorded while the finite
+        # contexts still had a row cache of their own
+        text = structure_table(GrassmannContext(4, 9, mode)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_classical_d_zero_only(self):
         table = structure_table(GrassmannContext(2, 4))
