@@ -3,7 +3,7 @@ and verification of the classical and quantum ring presentations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .derivations import (
@@ -127,14 +127,11 @@ def _relations(k: int, n: int, mode: str) -> list:
     return rels
 
 
-@dataclass
-class PresentationReport:
-    """Outcome of checking a ring presentation on the fundamental class."""
+class PresentationReport(namedtuple("PresentationReport", "k n mode checked_relations")):
+    """Outcome of checking a ring presentation on the fundamental class;
+    checked_relations holds (name, holds, witness KVector) triples."""
 
-    k: int
-    n: int
-    mode: str
-    checked_relations: list  # (name, holds, witness KVector)
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -5,7 +5,7 @@ products and structure tables."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 
 # pieri_d is not called here but stays bound: perfbench/selftest.py checks
@@ -29,21 +29,22 @@ CLASSICAL = "classical"
 QUANTUM = "quantum"
 
 
-@dataclass(frozen=True)
-class GrassmannContext:
-    """Selects which reduction applies after a derivation acts."""
+class GrassmannContext(namedtuple("GrassmannContext", "k n mode")):
+    """Selects which reduction applies after a derivation acts: an
+    immutable (k, n, mode) named tuple, checked when it is built."""
 
-    k: int
-    n: int
-    mode: str = CLASSICAL
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", as_int(self.k))
-        object.__setattr__(self, "n", as_int(self.n))
-        if not 1 <= self.k <= self.n:
-            raise InvalidInputError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.mode not in (INFINITE, CLASSICAL, QUANTUM):
-            raise InvalidInputError(f"unknown mode {self.mode!r}")
+    def __new__(cls, k: int, n: int, mode: str = CLASSICAL):
+        k, n = as_int(k), as_int(n)
+        if not 1 <= k <= n:
+            raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
+        if mode not in (INFINITE, CLASSICAL, QUANTUM):
+            raise InvalidInputError(f"unknown mode {mode!r}")
+        return super().__new__(cls, k, n, mode)
+
+    # namedtuple's _make (and so _replace) skips __new__; route it through the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def reduce_kvector(v: KVector, ctx: GrassmannContext) -> KVector:
@@ -203,12 +204,11 @@ def expansion_json_terms(expansion: dict) -> list:
     ]
 
 
-@dataclass
-class StructureTable:
-    """All pairwise Schubert-class products in one context."""
+class StructureTable(namedtuple("StructureTable", "context entries")):
+    """All pairwise Schubert-class products in one context; entries maps
+    (lam, mu) to {(nu, d): coeff}."""
 
-    context: GrassmannContext
-    entries: dict  # {(lam, mu): {(nu, d): coeff}}
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         entries = [

@@ -221,6 +221,50 @@ def test_closed_stdout_pipe():
     assert (code, err) == (EXIT_BROKEN_PIPE, b"")
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # the three value classes are named tuples, so start-up never pays for
+    # dataclasses and the inspect module it imports; -S keeps the
+    # environment's site imports out of the module set
+    src = os.path.dirname(os.path.dirname(os.path.abspath(schubert.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import schubert.cli, sys; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+# k = 1 and k = n for every n <= 5: the one-row and the zero-width boxes
+EDGE_CONTEXTS = [(k, n) for n in range(1, 6) for k in sorted({1, n})]
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("k,n", EDGE_CONTEXTS, ids=[f"G({k},{n})" for k, n in EDGE_CONTEXTS])
+@pytest.mark.parametrize("command", ["mult", "pieri", "present", "table"])
+def test_edge_contexts(capsys, command, k, n, mode):
+    width = n - k
+    argv = {
+        "mult": ["mult", str(width) if width else "", "1" if width else ""],
+        "pieri": ["pieri", "1", ",".join(str(i) for i in range(1, k + 1))],
+        "present": ["present"],
+        "table": ["table"],
+    }[command] + ["--k", str(k), "--n", str(n)] + (["--quantum"] if mode == "quantum" else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "") and out
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    if command == "pieri":
+        assert payload["degree"] == k
+    elif command == "present":
+        assert (payload["k"], payload["n"], payload["mode"], payload["ok"]) == (k, n, mode, True)
+    elif command == "table":
+        assert payload["context"] == {"k": k, "n": n, "mode": mode}
+        assert len(payload["entries"]) == (n if k == 1 else 1) ** 2
+    else:
+        assert all(set(term) == {"nu", "d", "coeff"} for term in payload["terms"])
+
+
 class TestCheck:
     def test_pass(self, capsys):
         code, out, _ = run(capsys, "check", "--k", "2", "--n", "4")

@@ -22,7 +22,6 @@ from schubert.exterior_core import (
     Partition,
     QInt,
     fundamental,
-    normalize,
     partition_to_symbol,
     wedge,
 )

@@ -15,6 +15,7 @@ from schubert.exterior_core import (
     partition_to_symbol,
 )
 from schubert.giambelli_ring import (
+    PresentationReport,
     _laplace,
     expand_in_low_generators,
     giambelli_det,
@@ -288,6 +289,20 @@ class TestPresentations:
         for _, holds, witness in report.checked_relations:
             if not holds:
                 assert not witness.is_zero()
+
+    def test_report_fields(self):
+        report = verify_presentation(2, 4, "classical")
+        assert (report.k, report.n, report.mode) == (2, 4, "classical")
+        assert report.ok and report.failures() == []
+        with pytest.raises(AttributeError):
+            report.mode = "quantum"
+
+    def test_failing_report(self):
+        witness = KVector.basis((1, 3))
+        report = PresentationReport(2, 4, "classical", [("holds", True, KVector.zero(2)),
+                                                        ("fails", False, witness)])
+        assert not report.ok
+        assert report.failures() == [("fails", witness)]
 
     def test_render(self):
         text = render_presentation(verify_presentation(1, 4, "quantum"))

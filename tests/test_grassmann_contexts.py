@@ -31,7 +31,7 @@ from schubert.grassmann_contexts import (
     structure_table,
     unit_expansion,
 )
-from schubert.schur_oracle import lr_expansion, rim_hook_product
+from schubert.schur_oracle import rim_hook_product
 
 P = Partition
 
@@ -49,13 +49,38 @@ def expand(pairs):
 
 class TestContext:
     def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            GrassmannContext(3, 2)
-        with pytest.raises(InvalidInputError):
-            GrassmannContext(2, 4, "weird")
+        for args in [(3, 2), (0, 4), (2, 4.5), (2, 4, "weird"), (2, 4, "affine")]:
+            with pytest.raises(InvalidInputError):
+                GrassmannContext(*args)
 
     def test_modes(self):
         assert GrassmannContext(2, 4).mode == "classical"
+
+    def test_repr_and_keywords(self):
+        assert repr(GrassmannContext(2, 4, "quantum")) == "GrassmannContext(k=2, n=4, mode='quantum')"
+        assert GrassmannContext(k=2, n=4) == GrassmannContext(2, 4, "classical")
+        assert GrassmannContext(n=4, mode="quantum", k=2) == GrassmannContext(2, 4, "quantum")
+
+    def test_equality_and_hash(self):
+        a, b = GrassmannContext(2, 4, "quantum"), GrassmannContext(2, 4, "quantum")
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert GrassmannContext(2, 4) != GrassmannContext(2, 4, "quantum")
+
+    def test_immutable(self):
+        ctx = GrassmannContext(2, 4)
+        with pytest.raises(AttributeError):
+            ctx.k = 3
+        table = structure_table(ctx, max_weight=1)
+        with pytest.raises(AttributeError):
+            table.entries = {}
+
+    def test_is_a_tuple(self):
+        ctx = GrassmannContext(2, 4, "quantum")
+        assert len(ctx) == 3 and ctx == (2, 4, "quantum")
+        assert ctx._replace(mode="classical") == GrassmannContext(2, 4)
+        with pytest.raises(InvalidInputError):
+            ctx._replace(n=1)
 
 
 class TestReduce:
@@ -382,6 +407,12 @@ class TestStructureTable:
         # contexts still had a row cache of their own
         text = structure_table(GrassmannContext(4, 9, mode)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_fields(self):
+        ctx = GrassmannContext(2, 4)
+        table = structure_table(ctx, max_weight=1)
+        assert table.context == ctx
+        assert set(table.entries) == {(P(), P()), (P(), P((1,))), (P((1,)), P()), (P((1,)), P((1,)))}
 
     def test_classical_d_zero_only(self):
         table = structure_table(GrassmannContext(2, 4))
