@@ -171,53 +171,43 @@ def cmd_present(args) -> int:
 def cmd_table(args) -> int:
     if args.k is None or args.n is None:
         raise InvalidInputError("table requires --k and --n")
-    ctx = _context(args, args.k)
-    if ctx.mode == INFINITE:
-        raise InvalidInputError("table requires --n")
-    table = structure_table(ctx, args.max_weight)
+    table = structure_table(_context(args, args.k), args.max_weight)
     print(table.to_json(indent=None if args.json else 2))
     return EXIT_OK
 
 
 def run_checks(k: int, n: int) -> list:
-    """The aggregated oracle suite for one (k, n): returns (name, ok) pairs."""
-    results = []
+    """The aggregated oracle suite for one (k, n): returns (name, ok) pairs.
+
+    Each oracle expansion is computed once per unordered pair {lam, mu} and
+    compared whole with multiply in both orders, which differ when the two
+    determinants tie in size; each D_h of a box symbol is computed once and
+    checked against both Leibniz and quantum Pieri."""
     cctx = GrassmannContext(k, n, CLASSICAL)
     qctx = GrassmannContext(k, n, QUANTUM)
     parts = box_partitions(k, n)
-    symbols = [partition_to_symbol(p, k) for p in parts]
 
-    ok = all(
-        pieri_d(h, KVector.basis(s)) == leibniz_d(h, KVector.basis(s))
-        for s in symbols
-        for h in range(0, n - k + 2)
-    )
-    results.append(("pieri vs leibniz on box symbols", ok))
-
-    ok = all(
-        quantum_pieri(h, KVector.basis(s), qctx)
-        == reduce_kvector(pieri_d(h, KVector.basis(s)), qctx)
-        for s in symbols
-        for h in range(1, n - k + 1)
-    )
-    results.append(("quantum pieri vs reduced derivative", ok))
-
-    results.append(("classical presentation", verify_presentation(k, n, CLASSICAL).ok))
-    results.append(("quantum presentation", verify_presentation(k, n, QUANTUM).ok))
+    leibniz_ok = pieri_ok = True
+    for p in parts:
+        v = KVector.basis(partition_to_symbol(p, k))
+        for h in range(n - k + 2):
+            derivative = pieri_d(h, v)
+            leibniz_ok &= derivative == leibniz_d(h, v)
+            if 1 <= h <= n - k:
+                pieri_ok &= quantum_pieri(h, v, qctx) == reduce_kvector(derivative, qctx)
+    results = [("pieri vs leibniz on box symbols", leibniz_ok),
+               ("quantum pieri vs reduced derivative", pieri_ok),
+               ("classical presentation", verify_presentation(k, n, CLASSICAL).ok),
+               ("quantum presentation", verify_presentation(k, n, QUANTUM).ok)]
 
     classical_ok = quantum_ok = True
-    for lam in parts:
-        for mu in parts:
-            product = multiply(lam, mu, cctx)
-            # s_lam * s_mu commutes, so (mu, lam) reuses the cached (lam, mu),
-            # and rim_hook_product reads the same cached expansion.
-            lr = dict(lr_expansion(min(lam, mu), max(lam, mu), k))
-            if any(d != 0 for (_, d) in product) or any(
-                product.get((nu, 0), 0) != lr.get(nu, 0) for nu in parts
-            ):
-                classical_ok = False
-            if multiply(lam, mu, qctx) != rim_hook_product(lam, mu, k, n):
-                quantum_ok = False
+    for i, lam in enumerate(parts):
+        for mu in parts[i:]:  # lam <= mu: lr_expansion's cache key for the pair
+            lr = {(nu, 0): c for nu, c in lr_expansion(lam, mu, k) if nu.fits_box(k, n)}
+            rim = rim_hook_product(lam, mu, k, n)
+            for a, b in {(lam, mu), (mu, lam)}:  # the diagonal once
+                classical_ok &= multiply(a, b, cctx) == lr
+                quantum_ok &= multiply(a, b, qctx) == rim
     results.append(("classical products vs tableau oracle", classical_ok))
     results.append(("quantum products vs rim-hook oracle", quantum_ok))
 

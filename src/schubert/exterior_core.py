@@ -482,7 +482,7 @@ def render_kvector(v: KVector) -> str:
     )
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*)?(?:q(?:\^(\d+))?\*)?e\[\s*(\d+(?:\s*,\s*\d+)*)?\s*\]$")
+_TERM_RE = re.compile(r"^(?:(\d+)\*)?(?:(q)(?:\^(\d+))?\*)?e\[\s*(\d+(?:\s*,\s*\d+)*)?\s*\]$")
 
 
 def parse_kvector(text: str, degree=None) -> KVector:
@@ -505,11 +505,10 @@ def parse_kvector(text: str, degree=None) -> KVector:
         if m is None:
             raise InvalidInputError(f"cannot parse term: {term!r}")
         mag = int(m.group(1)) if m.group(1) else 1
-        has_q = "q" in term.split("e[")[0]
-        d = int(m.group(2)) if m.group(2) else (1 if has_q else 0)
+        d = int(m.group(3) or 1) if m.group(2) else 0
         # e[] is the symbol of Lambda^0; normalize's length check rejects
         # it next to longer symbols
-        indices = tuple(int(x) for x in m.group(3).split(",")) if m.group(3) else ()
+        indices = tuple(int(x) for x in m.group(4).split(",")) if m.group(4) else ()
         sign = 1 if sign_tok == "+" else -1
         raw.append((indices, QInt.q_power(d, sign * mag)))
     return normalize(raw, degree)

@@ -19,7 +19,8 @@ from schubert.cli import (
     run_checks,
 )
 from schubert.exterior_core import KVector, Partition, QInt, parse_kvector
-from schubert.schur_oracle import lr_expansion
+from schubert.grassmann_contexts import CLASSICAL, multiply
+from schubert.schur_oracle import lr_expansion, rim_hook_product
 
 
 def run(capsys, *argv):
@@ -194,6 +195,11 @@ class TestTable:
             for term in entry["terms"]
         )
 
+    @pytest.mark.parametrize("mode", [[], ["--quantum"]], ids=["classical", "quantum"])
+    def test_requires_n(self, capsys, mode):
+        code, out, err = run(capsys, "table", "--k", "2", *mode)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert "--n" in err
 
     def test_negative_max_weight(self, capsys):
         code, out, err = run(capsys, "table", "--k", "2", "--n", "4", "--max-weight", "-1")
@@ -240,7 +246,7 @@ EDGE_CONTEXTS = [(k, n) for n in range(1, 6) for k in sorted({1, n})]
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("k,n", EDGE_CONTEXTS, ids=[f"G({k},{n})" for k, n in EDGE_CONTEXTS])
-@pytest.mark.parametrize("command", ["mult", "pieri", "present", "table"])
+@pytest.mark.parametrize("command", ["mult", "pieri", "present", "table", "check"])
 def test_edge_contexts(capsys, command, k, n, mode):
     width = n - k
     argv = {
@@ -248,6 +254,7 @@ def test_edge_contexts(capsys, command, k, n, mode):
         "pieri": ["pieri", "1", ",".join(str(i) for i in range(1, k + 1))],
         "present": ["present"],
         "table": ["table"],
+        "check": ["check"],
     }[command] + ["--k", str(k), "--n", str(n)] + (["--quantum"] if mode == "quantum" else [])
     code, out, err = run(capsys, *argv)
     assert (code, err) == (EXIT_OK, "") and out
@@ -261,6 +268,8 @@ def test_edge_contexts(capsys, command, k, n, mode):
     elif command == "table":
         assert payload["context"] == {"k": k, "n": n, "mode": mode}
         assert len(payload["entries"]) == (n if k == 1 else 1) ** 2
+    elif command == "check":
+        assert payload["ok"] is True
     else:
         assert all(set(term) == {"nu", "d", "coeff"} for term in payload["terms"])
 
@@ -288,6 +297,46 @@ class TestCheck:
         # a wrong oracle answer must show as a failed line
         monkeypatch.setattr("schubert.cli.rim_hook_product", lambda lam, mu, k, n: {})
         assert dict(run_checks(2, 4))[name] is False
+
+    def test_one_rim_hook_product_per_unordered_pair(self, monkeypatch):
+        calls = []
+
+        def counted(lam, mu, k, n):
+            calls.append((lam, mu))
+            return rim_hook_product(lam, mu, k, n)
+
+        monkeypatch.setattr("schubert.cli.rim_hook_product", counted)
+        assert all(ok for _, ok in run_checks(2, 4))
+        assert len(calls) == len(set(calls)) == 21
+
+    def test_classical_oracle_missing_a_term_fails(self, monkeypatch):
+        monkeypatch.setattr("schubert.cli.lr_expansion",
+                            lambda lam, mu, k: lr_expansion(lam, mu, k)[1:])
+        results = dict(run_checks(2, 4))
+        assert results["classical products vs tableau oracle"] is False
+        assert results["quantum products vs rim-hook oracle"] is True
+
+    def test_classical_product_with_a_q_term_fails(self, monkeypatch):
+        def with_q_term(lam, mu, ctx):
+            product = multiply(lam, mu, ctx)
+            return {**product, (Partition(), 1): 1} if ctx.mode == CLASSICAL else product
+
+        monkeypatch.setattr("schubert.cli.multiply", with_q_term)
+        results = dict(run_checks(2, 4))
+        assert results["classical products vs tableau oracle"] is False
+        assert results["quantum products vs rim-hook oracle"] is True
+
+    def test_both_orders_of_each_pair_compared(self, monkeypatch):
+        # wrong only when the larger partition comes first; no product on
+        # G(2,4) has a q^5 term
+        def wrong_when_swapped(lam, mu, ctx):
+            product = multiply(lam, mu, ctx)
+            return {**product, (Partition(), 5): 1} if mu < lam else product
+
+        monkeypatch.setattr("schubert.cli.multiply", wrong_when_swapped)
+        results = dict(run_checks(2, 4))
+        assert results["classical products vs tableau oracle"] is False
+        assert results["quantum products vs rim-hook oracle"] is False
 
 
 class TestPluecker:
