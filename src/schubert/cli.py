@@ -76,7 +76,7 @@ def parse_symbol(text: str) -> tuple:
 def render_sigma(expansion: dict) -> str:
     """Sigma-basis text like 's[2,2] + q*s[]'; terms sorted by q-degree
     then partition."""
-    entries = sorted(expansion.items(), key=lambda t: (t[0][1], t[0][0].parts))
+    entries = sorted(expansion.items(), key=lambda t: (t[0][1], t[0][0]))
     return render_signed_terms(
         (c, q_factors(d) + ["s[" + ",".join(str(p) for p in nu) + "]"])
         for (nu, d), c in entries
@@ -245,15 +245,15 @@ def cmd_pluecker(args) -> int:
         payload = {
             "k": k,
             "n": n,
-            "minors": [{"indices": list(s.indices), "value": m} for s, m in minors],
-            "symbol": list(sym.indices),
+            "minors": [{"indices": list(s), "value": m} for s, m in minors],
+            "symbol": list(sym),
             "minimality_certificate": cert_ok,
         }
         print(json.dumps(payload))
     else:
         for s, m in minors:
-            print(f"p[{','.join(str(i) for i in s.indices)}] = {m}")
-        print(f"symbol: ({','.join(str(i) for i in sym.indices)})")
+            print(f"p[{','.join(map(str, s))}] = {m}")
+        print(f"symbol: ({','.join(map(str, sym))})")
         print(f"minimality certificate: {'all smaller minors vanish' if cert_ok else 'FAILED'}")
     return EXIT_OK if cert_ok else EXIT_ORACLE
 

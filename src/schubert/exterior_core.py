@@ -8,6 +8,11 @@ variable q (plain Python ints, so arithmetic is exact at any size).
 QInt, KVector, the operator polynomials of Z[D] and the oracle's polynomials
 in x_1..x_k are all FreeElements: {basis key: nonzero int} dicts whose
 module operations are defined once, in FreeElement.
+
+A Schubert class is named by a Partition lam or by its SchubertSymbol
+I(lam).  Both are tuples, checked when they are built: each equals, hashes
+and orders like the plain tuple of its parts or indices, so it serves as a
+dict key or sort key as it is.
 """
 
 from __future__ import annotations
@@ -31,10 +36,23 @@ def as_int(x) -> int:
         raise InvalidInputError(f"not an integer: {x!r}") from None
 
 
+def as_nonnegative(x, name: str) -> int:
+    """x as an int, as as_int; a negative value raises InvalidInputError."""
+    x = as_int(x)
+    if x < 0:
+        raise InvalidInputError(f"{name} must be nonnegative, got {name}={x}")
+    return x
+
+
 def as_partition(x) -> "Partition":
     """x as a Partition: a Partition as it is, anything else validated
     through the constructor."""
     return x if isinstance(x, Partition) else Partition(x)
+
+
+def as_symbol(x) -> "SchubertSymbol":
+    """x as a SchubertSymbol, in the manner of as_partition."""
+    return x if isinstance(x, SchubertSymbol) else SchubertSymbol(x)
 
 
 def accumulate(pairs) -> dict:
@@ -46,113 +64,83 @@ def accumulate(pairs) -> dict:
     return {key: c for key, c in acc.items() if c}
 
 
-class Partition:
-    """Weakly decreasing positive integer parts; trailing zeros are dropped."""
+class Partition(tuple):
+    """Weakly decreasing positive integer parts; trailing zeros are dropped.
+    A tuple of its parts: it equals, hashes and orders like that tuple."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(map(as_int, parts))
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise InvalidInputError(f"parts not weakly decreasing: {parts}")
         if parts and parts[-1] < 0:
             raise InvalidInputError(f"negative part in {parts}")
-        self.parts = tuple(p for p in parts if p > 0)
+        return super().__new__(cls, (p for p in parts if p > 0))
+
+    @property
+    def parts(self) -> tuple:
+        """The parts as a plain tuple."""
+        return tuple(self)
 
     def weight(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     def length(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     def padded(self, k: int) -> tuple:
         """The parts as a length-k tuple, zero padded on the right."""
-        k = as_int(k)
-        if k < 0:
-            raise InvalidInputError(f"k must be nonnegative, got k={k}")
-        if len(self.parts) > k:
+        k = as_nonnegative(k, "k")
+        if len(self) > k:
             raise InvalidInputError(f"partition {self.parts} longer than k={k}")
-        return self.parts + (0,) * (k - len(self.parts))
+        return self.parts + (0,) * (k - len(self))
 
     def fits_box(self, k: int, n: int) -> bool:
         """True iff the diagram fits in the k x (n-k) box."""
         k, n = as_int(k), as_int(n)
-        return self.length() <= k and (not self.parts or self.parts[0] <= n - k)
+        return len(self) <= k and (not self or self[0] <= n - k)
 
     def box_complement(self, k: int, n: int) -> "Partition":
         """The complementary diagram inside the k x (n-k) box."""
         if not self.fits_box(k, n):
             raise InvalidInputError(f"{self.parts} does not fit the {k}x{n - k} box")
-        padded = self.padded(k)
-        return Partition(tuple(n - k - padded[k - 1 - i] for i in range(k)))
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(("Partition", self.parts))
-
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __bool__(self):
-        return bool(self.parts)
+        return Partition(n - k - p for p in reversed(self.padded(k)))
 
     def __repr__(self):
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
 
-class SchubertSymbol:
-    """Strictly increasing positive indices i1 < i2 < ... < ik."""
+class SchubertSymbol(tuple):
+    """Strictly increasing positive indices i1 < i2 < ... < ik.  A tuple of
+    its indices: it equals, hashes and orders like that tuple."""
 
-    __slots__ = ("indices",)
+    __slots__ = ()
 
-    def __init__(self, indices):
+    def __new__(cls, indices):
         indices = tuple(map(as_int, indices))
         if any(i < 1 for i in indices):
             raise InvalidInputError(f"indices must be >= 1: {indices}")
         if any(a >= b for a, b in zip(indices, indices[1:])):
             raise InvalidInputError(f"indices not strictly increasing: {indices}")
-        self.indices = indices
+        return super().__new__(cls, indices)
+
+    @property
+    def indices(self) -> tuple:
+        """The indices as a plain tuple."""
+        return tuple(self)
 
     @property
     def k(self) -> int:
-        return len(self.indices)
+        return len(self)
 
     def weight(self) -> int:
-        k = len(self.indices)
-        return sum(self.indices) - k * (k + 1) // 2
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __getitem__(self, i):
-        return self.indices[i]
-
-    def __eq__(self, other):
-        return isinstance(other, SchubertSymbol) and self.indices == other.indices
-
-    def __hash__(self):
-        return hash(("SchubertSymbol", self.indices))
-
-    def __lt__(self, other):
-        return self.indices < other.indices
+        k = len(self)
+        return sum(self) - k * (k + 1) // 2
 
     def __repr__(self):
-        return f"SchubertSymbol({list(self.indices)})"
+        return f"SchubertSymbol({list(self)})"
 
 
 class FreeElement:
@@ -299,21 +287,15 @@ class KVector(FreeElement):
     __slots__ = ("degree",)
 
     def __init__(self, degree: int, terms=None):
-        degree = as_int(degree)
-        if degree < 0:
-            raise InvalidInputError("degree must be nonnegative")
-        self.degree = degree
+        self.degree = degree = as_nonnegative(degree, "degree")
         pairs = []
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for sym, c in items:
-                if not isinstance(sym, SchubertSymbol):
-                    sym = SchubertSymbol(sym)
+                sym = as_symbol(sym).indices
                 if len(sym) != degree:
-                    raise InvalidInputError(
-                        f"symbol {sym.indices} has length {len(sym)}, expected {degree}"
-                    )
-                pairs.extend(((sym.indices, e), x) for e, x in QInt._coerce(c).terms.items())
+                    raise InvalidInputError(f"symbol {sym} has length {len(sym)}, expected {degree}")
+                pairs.extend(((sym, e), x) for e, x in QInt._coerce(c).terms.items())
         self.terms = accumulate(pairs)
 
     @classmethod
@@ -334,7 +316,7 @@ class KVector(FreeElement):
 
     @classmethod
     def basis(cls, indices, coeff=1) -> "KVector":
-        sym = indices if isinstance(indices, SchubertSymbol) else SchubertSymbol(indices)
+        sym = as_symbol(indices)
         return cls(len(sym), {sym: coeff})
 
     def items(self):
@@ -345,8 +327,8 @@ class KVector(FreeElement):
         return [(SchubertSymbol(indices), QInt._of(qc)) for indices, qc in grouped.items()]
 
     def coefficient(self, indices) -> QInt:
-        sym = indices if isinstance(indices, SchubertSymbol) else SchubertSymbol(indices)
-        return QInt._of({d: c for (i, d), c in self.terms.items() if i == sym.indices})
+        sym = as_symbol(indices)
+        return QInt._of({d: c for (i, d), c in self.terms.items() if i == sym})
 
     def scale(self, c) -> "KVector":
         c = QInt._coerce(c)
@@ -368,15 +350,13 @@ def partition_to_symbol(lam: Partition, k: int) -> SchubertSymbol:
     lam, k = as_partition(lam), as_int(k)
     if lam.length() > k >= 0:  # padded rejects a negative k
         raise InvalidInputError(f"partition length {lam.length()} exceeds k={k}")
-    padded = lam.padded(k)
-    return SchubertSymbol(tuple(padded[k - j] + j for j in range(1, k + 1)))
+    return SchubertSymbol(r + j for j, r in enumerate(reversed(lam.padded(k)), 1))
 
 
 def symbol_to_partition(sym: SchubertSymbol) -> Partition:
     """Inverse of partition_to_symbol at the same k."""
-    if not isinstance(sym, SchubertSymbol):
-        sym = SchubertSymbol(sym)
-    return Partition(tuple(sym.indices[j] - j - 1 for j in range(len(sym) - 1, -1, -1)))
+    sym = as_symbol(sym)
+    return Partition(sym[j] - j - 1 for j in reversed(range(len(sym))))
 
 
 def sort_with_sign(indices):
@@ -414,6 +394,7 @@ def normalize(raw, degree=None) -> KVector:
         if not raw:
             raise InvalidInputError("degree is required to normalize an empty sum")
         degree = len(raw[0][0])
+    degree = as_nonnegative(degree, "degree")
     pairs = []
     for indices, coeff in raw:
         indices = tuple(map(as_int, indices))
@@ -446,10 +427,7 @@ def weight_components(v: KVector) -> dict:
 
 def fundamental(k: int) -> KVector:
     """The fundamental k-vector e^1 ^ e^2 ^ ... ^ e^k."""
-    k = as_int(k)
-    if k < 0:
-        raise InvalidInputError(f"k must be nonnegative, got k={k}")
-    return KVector.basis(range(1, k + 1))
+    return KVector.basis(range(1, as_nonnegative(k, "k") + 1))
 
 
 def q_factors(d: int) -> list:

@@ -37,7 +37,7 @@ def giambelli_det(lam: Partition, k: int) -> DPolynomial:
     k, lam = as_int(k), as_partition(lam)
     if lam.length() > k >= 0:  # padded rejects a negative k
         raise InvalidInputError(f"partition length exceeds k={k}")
-    det = _laplace(tuple(reversed(lam.padded(k))), max(lam.parts, default=0) + k - 1)
+    det = _laplace(tuple(reversed(lam.padded(k))), max(lam, default=0) + k - 1)
     return DPolynomial._of(det)
 
 

@@ -116,23 +116,20 @@ def box_partitions(k: int, n: int, max_weight=None) -> list:
 
 
 @lru_cache(maxsize=None)
-def _symbol(parts: tuple, k: int) -> tuple:
-    """I(lam) for the partition lam with these parts."""
-    return partition_to_symbol(Partition(parts), k).indices
+def _symbol(lam: Partition, k: int) -> tuple:
+    """I(lam) as a plain index tuple."""
+    return partition_to_symbol(lam, k).indices
+
+
+# the class of a product's index tuple
+_class = lru_cache(maxsize=None)(symbol_to_partition)
 
 
 @lru_cache(maxsize=None)
-def _class(indices: tuple) -> tuple:
-    """(parts, lam) for the class of this symbol; the parts sort the product."""
-    lam = symbol_to_partition(indices)
-    return lam.parts, lam
-
-
-@lru_cache(maxsize=None)
-def _box_monomials(parts: tuple, k: int, width: int) -> dict:
+def _box_monomials(lam: Partition, k: int, width: int) -> dict:
     """The {parts: coefficient} monomials of the Giambelli determinant of
-    this partition whose parts are all <= width = n-k: sigma_h is 0 above."""
-    return _laplace(tuple(reversed(Partition(parts).padded(k))), width)
+    lam whose parts are all <= width = n-k: sigma_h is 0 above."""
+    return _laplace(tuple(reversed(as_partition(lam).padded(k))), width)
 
 
 def multiply(lam, mu, ctx: GrassmannContext) -> dict:
@@ -155,22 +152,21 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     for p in (lam, mu):
         if not p.fits_box(k, n):
             raise InvalidInputError(f"{tuple(p)} outside the {k}x{n - k} box")
-    if len(lam.parts) <= 1 < len(mu.parts):  # lam's one monomial, D_{lam_1}, is no larger
+    if len(lam) <= 1 < len(mu):  # lam's one monomial, D_{lam_1}, is no larger
         lam, mu = mu, lam
-    monos, other = _box_monomials(mu.parts, k, n - k), lam
+    monos, other = _box_monomials(mu, k, n - k), lam
     if len(monos) > 1:  # lam's count is >= 1 (sigma_lam != 0), so only then can it be smaller
-        lam_monos = _box_monomials(lam.parts, k, n - k)
+        lam_monos = _box_monomials(lam, k, n - k)
         if len(lam_monos) < len(monos):
             monos, other = lam_monos, mu
-    start = {(_symbol(other.parts, k), 0): 1}
+    start = {(_symbol(other, k), 0): 1}
     pairs, quantum = [], ctx.mode == QUANTUM
     for mono, c in monos.items():
         w = start
         for h in mono:
             w = apply_rows(w, partial(_row, n, quantum, h))
         pairs.extend((key, c * x) for key, x in w.items())
-    ordered = sorted((_class(j), d, c) for (j, d), c in accumulate(pairs).items())
-    return {(nu, d): c for (_, nu), d, c in ordered}
+    return dict(sorted(((_class(j), d), c) for (j, d), c in accumulate(pairs).items()))
 
 
 def unit_expansion(lam) -> dict:
@@ -200,7 +196,7 @@ def expansion_json_terms(expansion: dict) -> list:
     ascending (nu, q-degree) order."""
     return [
         {"nu": list(nu), "d": d, "coeff": c}
-        for (nu, d), c in sorted(expansion.items(), key=lambda t: (t[0][0].parts, t[0][1]))
+        for (nu, d), c in sorted(expansion.items())
     ]
 
 
@@ -213,9 +209,7 @@ class StructureTable(namedtuple("StructureTable", "context entries")):
     def to_json_dict(self) -> dict:
         entries = [
             {"lambda": list(lam), "mu": list(mu), "terms": expansion_json_terms(product)}
-            for (lam, mu), product in sorted(
-                self.entries.items(), key=lambda t: (t[0][0].parts, t[0][1].parts)
-            )
+            for (lam, mu), product in sorted(self.entries.items())
         ]
         return {
             "context": {

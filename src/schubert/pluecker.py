@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .exterior_core import InvalidInputError, SchubertSymbol
+from .exterior_core import InvalidInputError, SchubertSymbol, as_int
 
 
 class RankDeficientError(ValueError):
@@ -81,6 +81,10 @@ def rank(matrix) -> int:
 
 def minor(matrix, columns) -> int:
     """The k x k minor on the given 1-based column indices."""
+    n = len(matrix[0]) if matrix else 0
+    columns = tuple(map(as_int, columns))
+    if not all(1 <= c <= n for c in columns):
+        raise InvalidInputError(f"columns {columns} not all within 1..{n}")
     return determinant([[row[c - 1] for c in columns] for row in matrix])
 
 
@@ -107,11 +111,10 @@ def schubert_symbol(matrix) -> SchubertSymbol:
 
 def bruhat_smaller(sym: SchubertSymbol, n: int) -> list:
     """All symbols componentwise <= sym (within 1..n), excluding sym itself."""
-    top = sym.indices
     level = [()]
-    for bound in top:  # extend every prefix in order, so the result is lexicographic
+    for bound in sym:  # extend every prefix in order, so the result is lexicographic
         level = [t + (i,) for t in level for i in range((t[-1] if t else 0) + 1, bound + 1)]
-    return [SchubertSymbol(t) for t in level if t != top]
+    return [SchubertSymbol(t) for t in level if t != sym]
 
 
 def minimality_certificate(matrix, sym=None) -> list:
@@ -120,4 +123,4 @@ def minimality_certificate(matrix, sym=None) -> list:
     if sym is None:
         sym = schubert_symbol(matrix)
     n = len(matrix[0])
-    return [(s, minor(matrix, s.indices)) for s in bruhat_smaller(sym, n)]
+    return [(s, minor(matrix, s)) for s in bruhat_smaller(sym, n)]

@@ -48,7 +48,7 @@ from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, permutations, product
 from operator import add, or_
 
-from .exterior_core import FreeElement, InvalidInputError, Partition, as_int, as_partition
+from .exterior_core import FreeElement, InvalidInputError, Partition, as_int, as_nonnegative, as_partition
 
 SHIFT = 16
 LIMIT = 1 << (SHIFT - 1)
@@ -80,9 +80,7 @@ class MultiPolynomial(FreeElement):
     __slots__ = ("num_vars",)
 
     def __init__(self, num_vars: int, terms=None):
-        self.num_vars = as_int(num_vars)
-        if self.num_vars < 0:
-            raise InvalidInputError(f"num_vars must be nonnegative, got {self.num_vars}")
+        self.num_vars = as_nonnegative(num_vars, "num_vars")
         d = {}
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
@@ -157,21 +155,19 @@ def schur_expand(lam: Partition, k: int) -> MultiPolynomial:
 
     a semistandard tableau read as the chain of strips filled by 1, .., k.
     Zero when the partition is longer than k."""
-    k, parts = as_int(k), as_partition(lam).parts
-    if k < 0:
-        raise InvalidInputError(f"k must be nonnegative, got k={k}")
-    if len(parts) > k:
+    k, lam = as_nonnegative(k, "k"), as_partition(lam)
+    if len(lam) > k:
         return MultiPolynomial.zero(k)
     if k == 0:
         return MultiPolynomial.one(0)
-    if parts and parts[0] >= LIMIT:
-        raise InvalidInputError(f"part {parts[0]} is an exponent of {LIMIT} or more")
+    if lam and lam[0] >= LIMIT:
+        raise InvalidInputError(f"part {lam[0]} is an exponent of {LIMIT} or more")
     # lam/mu is a horizontal strip iff lam_{i+1} <= mu_i <= lam_i; mu_k = 0
     # keeps mu within k - 1 rows.
-    ranges = [range(low, high + 1) for high, low in zip(parts, parts[1:] + (0,))]
-    if len(parts) == k:
+    ranges = [range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,))]
+    if len(lam) == k:
         ranges[-1] = range(1)
-    size = sum(parts)
+    size = sum(lam)
     d = {}
     get = d.get
     for mu in product(*ranges):
@@ -227,17 +223,14 @@ def lr_expansion(lam: Partition, mu: Partition, k: int) -> tuple:
     """Schur expansion of s_lam * s_mu over k variables, as sorted pairs,
     by the Littlewood-Richardson rule: the lighter factor is the content
     of the tableaux and the other is the shape they fill out from."""
-    k = as_int(k)
-    if k < 0:
-        raise InvalidInputError(f"k must be nonnegative, got k={k}")
-    lam, mu = as_partition(lam), as_partition(mu)
+    k, lam, mu = as_nonnegative(k, "k"), as_partition(lam), as_partition(mu)
     if lam.length() > k or mu.length() > k:
         return ()
     if lam.weight() < mu.weight():
         lam, mu = mu, lam
     # a state is (shape padded to k rows, per-row count of the last letter)
     states = {(lam.padded(k), None): 1}
-    for m in mu.parts:
+    for m in mu:
         step = {}
         get = step.get
         for (shape, last), c in states.items():

@@ -1,3 +1,6 @@
+import json
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -87,6 +90,69 @@ class TestSchubertSymbol:
         assert SchubertSymbol((1, 2)).weight() == 0
         assert SchubertSymbol((2, 4)).weight() == 3
         assert SchubertSymbol((2, 4, 6)).weight() == 6
+
+
+class TestTupleContract:
+    """Partition and SchubertSymbol are the tuples of their parts and
+    indices, checked when built."""
+
+    def test_tuple_methods_inherited(self):
+        for cls in (Partition, SchubertSymbol):
+            assert issubclass(cls, tuple)
+            assert cls.__slots__ == ()
+            own = {"__iter__", "__len__", "__getitem__", "__eq__", "__hash__", "__lt__", "__bool__"}
+            assert not own & set(vars(cls)), cls
+
+    def test_equal_and_hash_like_the_plain_tuple(self):
+        p, s = Partition((2, 1)), SchubertSymbol((1, 3))
+        assert p == (2, 1) and hash(p) == hash((2, 1))
+        assert s == (1, 3) and hash(s) == hash((1, 3))
+        assert Partition((3,)) == SchubertSymbol((3,))
+        assert {(2, 1): "x"}[p] == "x"
+        assert Partition((2, 1, 0)) == Partition((2, 1))
+        assert sorted([Partition((2,)), Partition((1, 1)), Partition(())]) == [(), (1, 1), (2,)]
+
+    def test_is_a_tuple(self):
+        assert isinstance(Partition((2, 1)), tuple)
+        assert isinstance(SchubertSymbol((1, 3)), tuple)
+        assert type(Partition((2,)) + Partition((1,))) is tuple
+        assert json.dumps([Partition((2, 1)), SchubertSymbol((1, 3))]) == "[[2, 1], [1, 3]]"
+
+    def test_immutable(self):
+        p, s = Partition((2, 1)), SchubertSymbol((1, 3))
+        with pytest.raises(AttributeError):
+            p.parts = (3,)
+        with pytest.raises(AttributeError):
+            s.indices = (1, 2)
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        assert p.parts == (2, 1) and s.indices == (1, 3)
+
+    def test_views_are_plain_tuples(self):
+        assert type(Partition((2, 1)).parts) is tuple
+        assert type(SchubertSymbol((1, 3)).indices) is tuple
+        for v in (KVector.basis((1, 3)), KVector.basis(SchubertSymbol((1, 3))),
+                  KVector(2, {SchubertSymbol((1, 3)): 1})):
+            assert [type(indices) for indices, _ in v.terms] == [tuple]
+        assert repr(KVector.basis(SchubertSymbol((1, 3)))) == "KVector(2, 'e[1,3]')"
+
+    def test_repr(self):
+        assert repr(Partition((2, 1))) == "Partition([2, 1])"
+        assert repr(Partition(())) == "Partition([])"
+        assert repr(SchubertSymbol((1, 3))) == "SchubertSymbol([1, 3])"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for x in (Partition((3, 1)), Partition(()), SchubertSymbol((2, 5))):
+            y = pickle.loads(pickle.dumps(x, protocol))
+            assert type(y) is type(x) and y == x and repr(y) == repr(x)
+
+    def test_lr_expansion_tuple_and_partition_agree(self):
+        # typed caches keep the two argument types apart; the answers agree
+        got = lr_expansion((2, 1), (1,), 3)
+        assert got == lr_expansion(Partition((2, 1)), Partition((1,)), 3)
+        assert got == ((Partition((2, 1, 1)), 1), (Partition((2, 2)), 1), (Partition((3, 1)), 1))
+        assert all(type(nu) is Partition for nu, _ in got)
 
 
 class TestConversions:
@@ -294,6 +360,9 @@ class TestIntegerInputs:
         lambda: KVector(1, {(1,): 0.5}),
         lambda: QInt() + 0.5,
         lambda: normalize([((1.9, 2), 1)]),
+        lambda: normalize([], 2.0),
+        lambda: normalize([], -3),
+        lambda: parse_kvector("e[1,2]", 2.0),
         lambda: GrassmannContext(2, 4.5),
         lambda: GrassmannContext(2.0, 4, "quantum"),
         lambda: pieri_d(1.0, KVector.basis((1, 3))),
@@ -336,7 +405,8 @@ class TestIntegerInputs:
         lambda: verify_presentation("2", 4),
         lambda: verify_presentation(2, "4"),
     ], ids=["partition", "partition-str", "symbol", "qint-coeff", "qint-exponent",
-            "kvector-degree", "kvector-coeff", "qint-add", "normalize", "context-n",
+            "kvector-degree", "kvector-coeff", "qint-add", "normalize", "normalize-degree-float",
+            "normalize-degree-negative", "parse-degree-float", "context-n",
             "context-k", "pieri-h", "leibniz-h", "iterated-m", "quantum-pieri-h",
             "giambelli-k", "reduce-generator-k", "reduce-generator-h", "lr-expansion-k",
             "lr-coefficient-k", "y-polynomials-n", "y-polynomials-k", "rim-hook-n",

@@ -142,6 +142,12 @@ class TestMinors:
     def test_minor_single(self):
         assert minor([[1, 2], [3, 4]], (1, 2)) == -2
 
+    @pytest.mark.parametrize("columns", [(0, 1), (1, 4), (-1, 2), (1, 1.0)])
+    def test_minor_columns_out_of_range(self, columns):
+        # column 0 would read the last column through row[-1]; 4 is past n = 3
+        with pytest.raises(InvalidInputError):
+            minor([[1, 0, 2], [0, 1, 3]], columns)
+
 
 class TestCertificate:
     def test_bruhat_smaller(self):
