@@ -23,7 +23,6 @@ from .exterior_core import (
     render_kvector,
     symbol_to_partition,
     wedge,
-    weight_components,
 )
 from .giambelli_ring import (
     PresentationReport,
@@ -46,7 +45,6 @@ from .grassmann_contexts import (
 from .schur_oracle import (
     MultiPolynomial,
     lr_coefficient,
-    schur_decompose,
     schur_expand,
     verify_jacobi_trudi,
 )
@@ -82,14 +80,12 @@ __all__ = [
     "render_dpolynomial",
     "render_kvector",
     "render_presentation",
-    "schur_decompose",
     "schur_expand",
     "structure_table",
     "symbol_to_partition",
     "verify_jacobi_trudi",
     "verify_presentation",
     "wedge",
-    "weight_components",
     "y_polynomials",
 ]
 

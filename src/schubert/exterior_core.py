@@ -415,16 +415,6 @@ def wedge(a: KVector, b: KVector) -> KVector:
     )))
 
 
-def weight_components(v: KVector) -> dict:
-    """Split v into homogeneous pieces keyed by symbol weight (q is neutral)."""
-    out = {}
-    base = v.degree * (v.degree + 1) // 2
-    for (indices, d), c in v.terms.items():
-        piece = out.setdefault(sum(indices) - base, KVector(v.degree))
-        piece.terms[(indices, d)] = c
-    return out
-
-
 def fundamental(k: int) -> KVector:
     """The fundamental k-vector e^1 ^ e^2 ^ ... ^ e^k."""
     return KVector.basis(range(1, as_nonnegative(k, "k") + 1))

@@ -13,23 +13,33 @@ class RankDeficientError(ValueError):
     """The matrix rows do not span a k-dimensional subspace."""
 
 
+def _width(matrix) -> int:
+    """The column count of a matrix with at least one row and rows of equal
+    length; InvalidInputError for any other."""
+    if not matrix:
+        raise InvalidInputError("empty matrix")
+    n = len(matrix[0])
+    if any(len(row) != n for row in matrix):
+        raise InvalidInputError("rows have unequal lengths")
+    return n
+
+
 def read_matrix(path) -> list:
     """Read an integer matrix: one row per line, entries whitespace-separated."""
     rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([int(tok) for tok in line.split()])
-            except ValueError:
-                raise InvalidInputError(f"non-integer entry in line: {line!r}")
-    if not rows:
-        raise InvalidInputError("empty matrix file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise InvalidInputError("rows have unequal lengths")
+    try:
+        with open(path) as f:
+            for line in f:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rows.append([int(tok) for tok in line.split()])
+                except ValueError:
+                    raise InvalidInputError(f"non-integer entry in line: {line!r}")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"matrix file is not text: {exc}") from None
+    _width(rows)
     return rows
 
 
@@ -43,8 +53,7 @@ def _eliminate(matrix) -> tuple:
     exact; for a square matrix of full rank the signed last pivot is the
     determinant."""
     a = [list(row) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    rows, cols = len(a), _width(a)
     pivots = []
     sign = prev = 1
     for c in range(cols):
@@ -70,6 +79,8 @@ def determinant(matrix) -> int:
     when the matrix is singular."""
     if any(len(row) != len(matrix) for row in matrix):
         raise InvalidInputError("determinant needs a square matrix")
+    if not matrix:
+        return 1  # the empty product
     pivots, last = _eliminate(matrix)
     return last if len(pivots) == len(matrix) else 0
 
@@ -81,7 +92,7 @@ def rank(matrix) -> int:
 
 def minor(matrix, columns) -> int:
     """The k x k minor on the given 1-based column indices."""
-    n = len(matrix[0]) if matrix else 0
+    n = _width(matrix)
     columns = tuple(map(as_int, columns))
     if not all(1 <= c <= n for c in columns):
         raise InvalidInputError(f"columns {columns} not all within 1..{n}")
@@ -90,8 +101,7 @@ def minor(matrix, columns) -> int:
 
 def all_minors(matrix) -> list:
     """(symbol, minor) for every k-subset of columns, in lexicographic order."""
-    k = len(matrix)
-    n = len(matrix[0])
+    k, n = len(matrix), _width(matrix)
     return [
         (SchubertSymbol(cols), minor(matrix, cols))
         for cols in combinations(range(1, n + 1), k)
@@ -122,5 +132,5 @@ def minimality_certificate(matrix, sym=None) -> list:
     the detected symbol is the Bruhat-minimal one with nonzero minor."""
     if sym is None:
         sym = schubert_symbol(matrix)
-    n = len(matrix[0])
+    n = _width(matrix)
     return [(s, minor(matrix, s)) for s in bruhat_smaller(sym, n)]

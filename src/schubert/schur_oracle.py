@@ -1,7 +1,6 @@
 """Independent cross-checks for classical and quantum products: Schur
-polynomials in k variables by the branching rule, decomposition back into
-the Schur basis, Littlewood-Richardson coefficients, and quantum products
-by the rim-hook rule over them.
+polynomials in k variables by the branching rule, Littlewood-Richardson
+coefficients, and quantum products by the rim-hook rule over them.
 
 lr_expansion counts Littlewood-Richardson tableaux (Fulton, Young Tableaux,
 LMS Student Texts 35, 1997, Section 5; Macdonald, Symmetric Functions and
@@ -12,16 +11,18 @@ count.  The lattice test for letter j+1 needs only the per-row counts of
 letter j, so equal (shape, counts) states are merged with their
 multiplicities after each letter.  Anders Buch's lrcalc
 (https://sites.math.rutgers.edu/~asbuch/lrcalc/) is the standard
-implementation of the rule.  No polynomial is multiplied: the route through
-schur_expand, MultiPolynomial products and schur_decompose stays public and
-serves as the tests' reference.
+implementation of the rule.  No polynomial is multiplied.  The route it
+replaced, a product of two schur_expand polynomials peeled back into the
+Schur basis, is not part of the library: the tests keep it
+(tests/polynomial_reference.py) as the reference lr_expansion is checked
+against.
 
 A monomial x_1^e_1 ... x_k^e_k is stored as one packed int, the base-2^SHIFT
 number with digits e_1 (most significant) .. e_k.  Multiplying two monomials
 is then one int add, and int order is lex order on exponent vectors.  The top
 bit of every digit is a guard: exponents stay below LIMIT = 2^(SHIFT-1), so
-adding two of them never carries into the next digit, and a product with an
-exponent that reaches the guard bit raises instead of wrapping.
+adding two of them never carries into the next digit.  The constructor,
+schur_expand and verify_jacobi_trudi reject an exponent of LIMIT or more.
 
 verify_jacobi_trudi puts h_i(x_1..x_k) in place of each D_i of a Giambelli
 determinant (Macdonald, Symmetric Functions and Hall Polynomials, I.(3.4))
@@ -44,9 +45,9 @@ giambelli_det, the determinant under test."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache, reduce
-from itertools import combinations_with_replacement, permutations, product
-from operator import add, or_
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
+from operator import add
 
 from .exterior_core import FreeElement, InvalidInputError, Partition, as_int, as_nonnegative, as_partition
 
@@ -74,8 +75,8 @@ def _guards(k: int) -> int:
 class MultiPolynomial(FreeElement):
     """Integer polynomial in x_1..x_k.  The constructor takes exponent
     tuples; ``terms`` maps each packed exponent int to a nonzero coefficient.
-    Only the linear structure comes from FreeElement: the product and every
-    computation below keep their own loops."""
+    Only the linear structure comes from FreeElement, and there is no
+    product: every computation below keeps its own loops on packed terms."""
 
     __slots__ = ("num_vars",)
 
@@ -111,33 +112,6 @@ class MultiPolynomial(FreeElement):
     @classmethod
     def one(cls, num_vars: int) -> "MultiPolynomial":
         return cls(num_vars, {(0,) * num_vars: 1})
-
-    def leading_exponent(self) -> tuple:
-        return _unpack(max(self.terms), self.num_vars)
-
-    def is_symmetric(self) -> bool:
-        for key, c in self.terms.items():
-            for perm in set(permutations(_unpack(key, self.num_vars))):
-                if self.terms.get(_pack(perm), 0) != c:
-                    return False
-        return True
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self._times(other)
-        right = self._coerce(other).terms.items()
-        d = {}
-        get = d.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                e = e1 + e2
-                d[e] = get(e, 0) + c1 * c2
-        d = {e: c for e, c in d.items() if c}
-        if reduce(or_, d, 0) & _guards(self.num_vars):
-            raise InvalidInputError(f"product has an exponent of {LIMIT} or more")
-        return MultiPolynomial._of(self.num_vars, d)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         k = self.num_vars
@@ -192,29 +166,6 @@ def complete_homogeneous(i: int, k: int) -> MultiPolynomial:
         exp = tuple(exp)
         d[exp] = d.get(exp, 0) + 1
     return MultiPolynomial(k, d)
-
-
-def schur_decompose(p: MultiPolynomial) -> dict:
-    """Expand a symmetric polynomial in the Schur basis by repeatedly
-    subtracting the Schur polynomial of the lexicographically largest
-    exponent vector.  Raises if the input is not symmetric."""
-    k = p.num_vars
-    out = {}
-    rem = dict(p.terms)
-    while rem:
-        top = max(rem)
-        lead = _unpack(top, k)
-        if any(a < b for a, b in zip(lead, lead[1:])):
-            raise InvalidInputError("polynomial is not symmetric")
-        lam = Partition(lead)
-        c = out[lam] = rem[top]
-        for e, v in schur_expand(lam, k).terms.items():
-            left = rem.get(e, 0) - c * v
-            if left:
-                rem[e] = left
-            else:
-                del rem[e]
-    return out
 
 
 # typed: a float k such as 2.0 hashes like 2, and must reach as_int, not 2's entry
@@ -322,7 +273,7 @@ def verify_jacobi_trudi(lam, k: int) -> bool:
     det = giambelli_det(lam, k)
     size = lam.weight()
     # every exponent of the substitution is at most |lam|, so this one
-    # bound stands in for MultiPolynomial's per-product guard
+    # bound keeps every digit below its guard bit
     if size >= LIMIT:
         raise InvalidInputError(f"weight {size} is an exponent of {LIMIT} or more")
     if any(sum(parts) != size for parts in det.terms):

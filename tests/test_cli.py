@@ -367,6 +367,13 @@ class TestPluecker:
         code, _, _ = run(capsys, "pluecker", str(tmp_path / "nope.txt"))
         assert code == EXIT_PARSE
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_bytes(b"\xff\xfe1\x00 \x000\x00\n\x00")
+        code, out, err = run(capsys, "pluecker", str(f))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("error:")
+
 
 class TestParsing:
     def test_parse_partition(self):

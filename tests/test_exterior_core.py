@@ -34,8 +34,9 @@ from schubert.exterior_core import (
     symbol_to_partition,
     sort_with_sign,
     wedge,
-    weight_components,
 )
+
+from polynomial_reference import weight_components
 
 partitions = st.lists(st.integers(1, 8), max_size=8).map(
     lambda xs: Partition(sorted(xs, reverse=True))
@@ -455,14 +456,15 @@ class TestOperatorContracts:
 
 # Per free module: an element, an element of another degree or variable
 # count (None where the module has no such shape), and times(c, a), the
-# module's public way to multiply a by the int c.
+# module's public way to multiply a by the int c (FreeElement's _times for
+# MultiPolynomial, which has no product).
 MODULES = {
     "qint": (QInt({0: 2, 3: -1}), None, lambda c, a: c * a),
     "kvector": (KVector(2, {(1, 3): QInt({0: 2, 1: -1}), (2, 4): 5}),
                 KVector(3, {(1, 2, 3): 1}), lambda c, a: a.scale(c)),
     "dpolynomial": (DPolynomial({(2, 1): 3, (): -1}), None, lambda c, a: c * a),
     "multipolynomial": (MultiPolynomial(2, {(1, 0): 2, (0, 3): -1}),
-                        MultiPolynomial(3, {(1, 0, 0): 1}), lambda c, a: c * a),
+                        MultiPolynomial(3, {(1, 0, 0): 1}), lambda c, a: a._times(c)),
 }
 
 
@@ -486,3 +488,27 @@ def test_module_laws(name):
         assert a != other_shape and a.zero(2) != other_shape.zero(3)
         with pytest.raises(InvalidInputError):
             a + other_shape
+
+
+PUBLIC_NAMES = [
+    "DPolynomial", "GrassmannContext", "InvalidInputError", "KVector", "MultiPolynomial",
+    "Partition", "PresentationReport", "QInt", "SchubertSymbol", "StructureTable",
+    "apply_operator", "box_partitions", "fundamental", "giambelli_det", "inverse_components",
+    "iterated_d1", "leibniz_d", "lr_coefficient", "multiply", "normalize", "parse_kvector",
+    "partition_to_symbol", "pieri_d", "poincare_pair", "quantum_pieri", "reduce_generator",
+    "reduce_kvector", "render_dpolynomial", "render_kvector", "render_presentation",
+    "schur_expand", "structure_table", "symbol_to_partition", "verify_jacobi_trudi",
+    "verify_presentation", "wedge", "y_polynomials",
+]
+
+
+def test_public_surface():
+    # a change to the package's API has to change this list too
+    import schubert
+
+    assert sorted(schubert.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(schubert, name) is not None, name
+    # the tests' polynomial reference route is not part of the library
+    for name in ("schur_decompose", "weight_components"):
+        assert not hasattr(schubert, name), name

@@ -21,6 +21,7 @@ from schubert.pluecker import (
 
 class TestDeterminant:
     def test_small(self):
+        assert determinant([]) == 1
         assert determinant([[2]]) == 2
         assert determinant([[1, 2], [3, 4]]) == -2
         assert determinant([[0, 1], [1, 0]]) == -1
@@ -149,6 +150,32 @@ class TestMinors:
             minor([[1, 0, 2], [0, 1, 3]], columns)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: all_minors([]),
+        lambda: all_minors([[1, 2], [3]]),
+        lambda: rank([]),
+        lambda: rank([[1, 2], [3]]),
+        lambda: rank([[1], [2, 3]]),
+        lambda: schubert_symbol([]),
+        lambda: schubert_symbol([[1, 2], [3]]),
+        lambda: minor([[1, 2], [3]], (1, 2)),
+        lambda: minimality_certificate([]),
+        lambda: minimality_certificate([[1, 2], [3]]),
+        lambda: minimality_certificate([[0, 1, 0], [0]], SchubertSymbol((2, 3))),
+    ],
+    ids=[
+        "all_minors-empty", "all_minors-ragged", "rank-empty", "rank-ragged", "rank-ragged-longer",
+        "schubert_symbol-empty", "schubert_symbol-ragged", "minor-ragged", "certificate-empty",
+        "certificate-ragged", "certificate-ragged-given-symbol",
+    ],
+)
+def test_empty_or_ragged_matrix_rejected(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
 class TestCertificate:
     def test_bruhat_smaller(self):
         smaller = bruhat_smaller(SchubertSymbol((2, 4)), 4)
@@ -201,5 +228,12 @@ class TestReadMatrix:
     def test_empty(self, tmp_path):
         f = tmp_path / "m.txt"
         f.write_text("\n")
+        with pytest.raises(InvalidInputError):
+            read_matrix(f)
+
+    def test_undecodable(self, tmp_path):
+        # a UTF-16 file: its byte order mark does not decode as UTF-8
+        f = tmp_path / "m.txt"
+        f.write_bytes(b"\xff\xfe1\x00 \x000\x00\n\x00")
         with pytest.raises(InvalidInputError):
             read_matrix(f)
