@@ -144,7 +144,9 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     box is applied, mu's on a tie.  A partition with at most one part has
     exactly one, so when only lam is that short the factors swap first and
     the longer one's determinant is never built.  Terms are flat
-    {(J, q-degree): int}, and the quantum rows carry q themselves."""
+    {(J, q-degree): int}, and the quantum rows carry q themselves.  A
+    classical product is {} at once when some lam_i + mu_{k+1-i} > n-k:
+    mu does not fit in lam's complement (duality, Fulton, Young Tableaux, 9.4)."""
     if ctx.mode == INFINITE:
         raise InvalidInputError("multiply needs a classical or quantum context")
     lam, mu = as_partition(lam), as_partition(mu)
@@ -152,6 +154,8 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     for p in (lam, mu):
         if not p.fits_box(k, n):
             raise InvalidInputError(f"{tuple(p)} outside the {k}x{n - k} box")
+    if ctx.mode == CLASSICAL and any(a + b > n - k for a, b in zip(lam[k - len(mu):], mu[::-1])):
+        return {}  # the duality test, lam_i against mu_{k+1-i}; a zero part never fails it
     if len(lam) <= 1 < len(mu):  # lam's one monomial, D_{lam_1}, is no larger
         lam, mu = mu, lam
     monos, other = _box_monomials(mu, k, n - k), lam

@@ -19,7 +19,7 @@ from schubert.cli import (
     run_checks,
 )
 from schubert.exterior_core import KVector, Partition, QInt, parse_kvector
-from schubert.grassmann_contexts import CLASSICAL, multiply
+from schubert.grassmann_contexts import CLASSICAL, box_partitions, multiply
 from schubert.schur_oracle import lr_expansion, rim_hook_product
 
 
@@ -27,6 +27,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out.strip(), captured.err.strip()
+
+
+def parse_signed_terms(text):
+    """Read 'x - 2*y*z + ...' back as (coefficient, factor strings) pairs,
+    the layout render_signed_terms writes; '0' has none."""
+    if text == "0":
+        return []
+    words = text.split(" ")
+    signs = [-1 if words[0].startswith("-") else 1]
+    signs += [{"+": 1, "-": -1}[op] for op in words[1::2]]
+    out = []
+    for sign, term in zip(signs, [words[0].removeprefix("-"), *words[2::2]]):
+        factors = term.split("*")
+        c = int(factors.pop(0)) if factors[0].isdigit() else 1
+        out.append((sign * c, factors))
+    return out
 
 
 class TestPieri:
@@ -70,7 +86,7 @@ class TestPieri:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_text_parses_to_the_json_vector(self, capsys, data):
-        # ROADMAP item 5: the text and --json forms of one request agree
+        # the text and --json forms of one request agree
         k = data.draw(st.integers(1, 3))
         symbol = data.draw(st.lists(st.integers(1, 8), min_size=k, max_size=k, unique=True))
         h = data.draw(st.integers(0, 5))
@@ -120,6 +136,33 @@ class TestMult:
         code, _, _ = run(capsys, "mult", "1", "1")
         assert code == EXIT_PARSE
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_text_parses_to_the_json_expansion(self, capsys, data):
+        # the text and --json forms of one request agree
+        k = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(k, 7))
+        parts = box_partitions(k, n)
+        lam, mu = data.draw(st.sampled_from(parts)), data.draw(st.sampled_from(parts))
+        argv = ["mult", ",".join(map(str, lam)), ",".join(map(str, mu))]
+        argv += ["--k", str(k), "--n", str(n)]
+        if data.draw(st.booleans()):
+            argv.append("--quantum")
+        code, text, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        listed = {(tuple(t["nu"]), t["d"]): t["coeff"] for t in json.loads(out)["terms"]}
+        parsed = {}
+        for c, factors in parse_signed_terms(text):
+            *qs, sigma = factors
+            d = int(qs[0].removeprefix("q").removeprefix("^") or 1) if qs else 0
+            nu = tuple(int(p) for p in sigma.removeprefix("s[").removesuffix("]").split(",") if p)
+            assert (nu, d) not in parsed
+            parsed[(nu, d)] = c
+        assert parsed == listed
+
 
 class TestGiambelli:
     def test_hook(self, capsys):
@@ -138,6 +181,29 @@ class TestGiambelli:
         code, _, err = run(capsys, "giambelli", "", "--k", "-1")
         assert code == EXIT_PARSE
         assert "k must be nonnegative" in err
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_text_parses_to_the_json_determinant(self, capsys, data):
+        # the text and --json forms of one request agree
+        k = data.draw(st.integers(0, 4))
+        lam = sorted(data.draw(st.lists(st.integers(1, 5), max_size=k)), reverse=True)
+        argv = ["giambelli", ",".join(map(str, lam)), "--k", str(k)]
+        code, text, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        listed = {tuple(sorted(t["parts"])): t["coeff"] for t in json.loads(out)["terms"]}
+        parsed = {}
+        for c, factors in parse_signed_terms(text):
+            parts = []
+            for f in factors:
+                part, _, e = f.removeprefix("D").partition("^")
+                parts += [int(part)] * int(e or 1)
+            assert tuple(sorted(parts)) not in parsed
+            parsed[tuple(sorted(parts))] = c
+        assert parsed == listed
 
 
 class TestPresent:

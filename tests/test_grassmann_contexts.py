@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schubert import derivations
 from schubert.derivations import pieri_d
@@ -31,7 +32,7 @@ from schubert.grassmann_contexts import (
     structure_table,
     unit_expansion,
 )
-from schubert.schur_oracle import rim_hook_product
+from schubert.schur_oracle import lr_expansion, rim_hook_product
 
 P = Partition
 
@@ -45,6 +46,21 @@ def apply_then_reduce(lam, mu, ctx):
 
 def expand(pairs):
     return {(P(nu), d): c for (nu, d), c in pairs.items()}
+
+
+def fits_complement(lam, mu, k, n):
+    """mu inside lam's complement in the k x (n-k) box, row by row."""
+    return all(m <= c for m, c in zip(mu.padded(k), lam.box_complement(k, n).padded(k)))
+
+
+def conjugate(lam):
+    """The transposed partition lam'."""
+    return P(sum(1 for part in lam if part > j) for j in range(max(lam, default=0)))
+
+
+def transposed(product):
+    """A product on G(k,n) read on G(n-k,n) through lam -> lam', q -> q."""
+    return {(conjugate(nu), d): c for (nu, d), c in product.items()}
 
 
 class TestContext:
@@ -212,6 +228,9 @@ class TestMultiply:
         ctx = GrassmannContext(2, 4)
         with pytest.raises(InvalidInputError):
             multiply(P((3,)), P((1,)), ctx)
+        # checked before the duality test, which (5,) * (3, 3) would fail too
+        with pytest.raises(InvalidInputError):
+            multiply(P((5,)), P((3, 3)), GrassmannContext(2, 5))
 
     def test_degree_balance(self):
         for (k, n) in ((2, 4), (2, 5), (3, 6)):
@@ -314,6 +333,76 @@ class TestMultiply:
                     assert product == expand({((a + b,), 0): 1})
                 else:
                     assert product == {}
+
+
+class TestDuality:
+    # sigma_lam * sigma_mu = 0 classically unless mu fits in lam's box
+    # complement (Fulton, Young Tableaux, 9.4); multiply answers such pairs
+    # before it builds any determinant or row
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_classical_products_match_the_tableau_oracle(self, n):
+        # every ordered pair of every classical G(k,n), k = 1 and k = n too
+        for k in range(1, n + 1):
+            ctx = GrassmannContext(k, n)
+            parts = box_partitions(k, n)
+            for lam in parts:
+                for mu in parts:
+                    product = multiply(lam, mu, ctx)
+                    want = {(nu, 0): c for nu, c in lr_expansion(lam, mu, k) if nu.fits_box(k, n)}
+                    assert product == want, (k, n, lam, mu)
+                    assert (product == {}) == (not fits_complement(lam, mu, k, n)), (k, n, lam, mu)
+
+    def test_vanishing_pairs_build_no_determinant(self):
+        ctx = GrassmannContext(3, 7)
+        _box_monomials.cache_clear()
+        assert multiply(P((4, 2)), P((3, 3, 1)), ctx) == {}
+        assert multiply(P((3, 3, 1)), P((4, 2)), ctx) == {}
+        assert _box_monomials.cache_info().misses == 0
+
+    @pytest.mark.parametrize("k,n,lam,mu,want", [
+        (2, 4, (2, 2), (2, 2), {((), 2): 1}),
+        (2, 4, (2, 1), (2, 1), {((1, 1), 1): 1, ((2,), 1): 1}),
+        (2, 4, (2, 2), (1,), {((1,), 1): 1}),
+        (1, 4, (3,), (3,), {((2,), 1): 1}),
+        (2, 5, (3, 3), (3, 3), {((1, 1), 2): 1}),
+        (3, 6, (3, 3, 3), (3, 3, 3), {((), 3): 1}),
+    ])
+    def test_quantum_goldens_of_classically_vanishing_pairs(self, k, n, lam, mu, want):
+        assert multiply(P(lam), P(mu), GrassmannContext(k, n)) == {}
+        assert multiply(P(lam), P(mu), GrassmannContext(k, n, "quantum")) == expand(want)
+
+    @pytest.mark.parametrize("k,n", [(1, 4), (2, 4), (2, 5), (3, 6)])
+    def test_quantum_products_never_vanish(self, k, n):
+        ctx = GrassmannContext(k, n, "quantum")
+        parts = box_partitions(k, n)
+        for lam in parts:
+            for mu in parts:
+                product = multiply(lam, mu, ctx)
+                assert product, (lam, mu)
+                if not fits_complement(lam, mu, k, n):
+                    assert all(d > 0 for _, d in product), (lam, mu)
+
+
+class TestTransposition:
+    # G(k,n) and G(n-k,n) are isomorphic, sigma_lam <-> sigma_lam', q <-> q
+    @pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 6), (3, 7)])
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_every_pair(self, k, n, mode):
+        ctx, dual = GrassmannContext(k, n, mode), GrassmannContext(n - k, n, mode)
+        parts = box_partitions(k, n)
+        for lam in parts:
+            for mu in parts:
+                got = multiply(conjugate(lam), conjugate(mu), dual)
+                assert got == transposed(multiply(lam, mu, ctx)), (lam, mu)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_pairs_of_g3_10(self, data):
+        parts = box_partitions(3, 10)
+        lam, mu = data.draw(st.sampled_from(parts)), data.draw(st.sampled_from(parts))
+        mode = data.draw(st.sampled_from(["classical", "quantum"]))
+        got = multiply(conjugate(lam), conjugate(mu), GrassmannContext(7, 10, mode))
+        assert got == transposed(multiply(lam, mu, GrassmannContext(3, 10, mode)))
 
 
 class TestBoxMonomials:
