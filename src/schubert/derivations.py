@@ -264,15 +264,16 @@ def _horner(monos, v: KVector, leaves: dict) -> dict:
     return accumulate(pairs)
 
 
-def _series_inverse(max_degree: int, top: int) -> list:
+def _series_inverse(coeffs: list, max_degree: int) -> list:
     """Coefficients 0..max_degree of the formal inverse of
-    1 + D_1 t + ... + D_top t^top: E_m = -(D_1 E_{m-1} + ... + D_j E_{m-j})
-    with j = min(m, top)."""
+    1 + c_1 t + ... + c_j t^j for coeffs = [c_1, ..., c_j], in Z[D]:
+    E_m = -(c_1 E_{m-1} + ... + c_i E_{m-i}) with i = min(m, j).  Given
+    D_1..D_m it gives E_t; given E_1..E_k, D_t = E_t^{-1} on the k-th exterior power."""
     es = [DPolynomial.identity()]
     for m in range(1, max_degree + 1):
         acc = DPolynomial.zero()
-        for i in range(1, min(m, top) + 1):
-            acc = acc + DPolynomial.generator(i) * es[m - i]
+        for i, c in enumerate(coeffs[:m], 1):
+            acc = acc + c * es[m - i]
         es.append(-acc)
     return es
 
@@ -286,7 +287,7 @@ def inverse_components(max_degree: int) -> list:
     max_degree = as_int(max_degree)
     if max_degree < 0:
         raise InvalidInputError(f"max_degree must be nonnegative, got {max_degree}")
-    return _series_inverse(max_degree, max_degree)
+    return _series_inverse([DPolynomial.generator(i) for i in range(1, max_degree + 1)], max_degree)
 
 
 def iterated_d1(m: int, v: KVector) -> KVector:

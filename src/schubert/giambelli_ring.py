@@ -1,10 +1,10 @@
 """Giambelli determinant operators, generator reduction, the Y-series,
-and verification of the classical and quantum ring presentations."""
+and verification of the classical and quantum ring presentations.  On the
+k-th exterior power D_h is a coefficient of (1 + E_1 t + ... + E_k t^k)^{-1}."""
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .derivations import (
     DPolynomial,
@@ -26,8 +26,6 @@ from .exterior_core import (
 )
 
 
-# typed: a float k such as 2.0 hashes like 2, and must reach as_int, not 2's entry
-@lru_cache(maxsize=None, typed=True)
 def giambelli_det(lam: Partition, k: int) -> DPolynomial:
     """The k x k determinant with entry (row i, col j) = D_{r_j + j - i},
     where r_j is lam reversed (zero padded), D_0 = 1 and D_{<0} = 0.
@@ -70,17 +68,14 @@ def _minor(rows: tuple, r: tuple, width: int, memo: dict) -> dict:
     return cached
 
 
-def low_generator(h: int, k: int) -> DPolynomial:
-    """D_h as a polynomial in D_1..D_k (the identity monomial for h = 0)."""
-    if h < 0:
-        return DPolynomial.zero()
-    return DPolynomial.generator(h) if h <= k else reduce_generator(h, k)
+def _low_generators(k: int, top: int) -> list:
+    """D_0, ..., D_top in D_1..D_k, the coefficients of D_t = E_t^{-1} on the
+    k-th exterior power (D_h for h <= k is the generator itself)."""
+    return _series_inverse(inverse_components(k)[1:], top)
 
 
-# typed, as giambelli_det's: a float h or k must reach as_int, not the int's entry
-@lru_cache(maxsize=None, typed=True)
 def reduce_generator(h: int, k: int) -> DPolynomial:
-    """Express D_h (h > k) in D_1..D_k via the series-inverse recursion
+    """Express D_h (h > k) in D_1..D_k as a coefficient of D_t = E_t^{-1}:
     D_h = -(E_1 D_{h-1} + ... + E_k D_{h-k}) on the k-th exterior power.
 
     The result is homogeneous of degree h with all parts <= k and acts on
@@ -90,20 +85,20 @@ def reduce_generator(h: int, k: int) -> DPolynomial:
         raise InvalidInputError("k must be positive")
     if h <= k:
         raise InvalidInputError(f"h={h} must exceed k={k}")
-    es = inverse_components(k)
-    acc = DPolynomial.zero()
-    for j in range(1, k + 1):
-        acc = acc + es[j] * low_generator(h - j, k)
-    return -acc
+    return _low_generators(k, h)[h]
 
 
 def expand_in_low_generators(p: DPolynomial, k: int) -> DPolynomial:
-    """Rewrite every factor D_h with h > k through reduce_generator."""
+    """Rewrite every factor D_h with h > k in D_1..D_k, as reduce_generator."""
+    k = as_int(k)
+    if k < 1:
+        raise InvalidInputError("k must be positive")
+    gens = _low_generators(k, p.max_part())
     out = DPolynomial.zero()
     for mono, c in p.terms.items():
         prod = DPolynomial.identity()
         for part in mono:
-            prod = prod * low_generator(part, k)
+            prod = prod * gens[part]
         out = out + prod * c
     return out
 
@@ -114,7 +109,8 @@ def y_polynomials(n: int, k: int) -> list:
     n, k = as_int(n), as_int(k)
     if not 1 <= k < n:
         raise InvalidInputError("need 1 <= k < n")
-    return [((-1) ** i) * c for i, c in enumerate(_series_inverse(n, n - k))]
+    gens = [DPolynomial.generator(i) for i in range(1, n - k + 1)]
+    return [((-1) ** i) * c for i, c in enumerate(_series_inverse(gens, n))]
 
 
 def _relations(k: int, n: int, mode: str) -> list:
@@ -146,9 +142,8 @@ def verify_presentation(k: int, n: int, mode: str = "classical") -> Presentation
     ring by acting on the fundamental k-vector and reducing in the context.
 
     Also checks the series identity E_m = (-1)^(m-1) D_m + Y_m for
-    m = n-k+1 .. n, after rewriting every generator above D_k through
-    reduce_generator (faithful because monomials in D_1..D_k act freely on
-    the fundamental class)."""
+    m = n-k+1 .. n in Z[D]; a failure's witness is the difference acting on
+    the fundamental class, where monomials in D_1..D_k act freely."""
     from .grassmann_contexts import GrassmannContext, reduce_kvector
 
     k, n = as_int(k), as_int(n)
@@ -158,9 +153,10 @@ def verify_presentation(k: int, n: int, mode: str = "classical") -> Presentation
         raise InvalidInputError("need 1 <= k <= n")
     ctx = GrassmannContext(k, n, mode)
     fund = fundamental(k)
+    gens = _low_generators(k, n)
     checked = []
     for h, c in _relations(k, n, mode):
-        w = reduce_kvector(apply_operator(low_generator(h, k), fund), ctx)
+        w = reduce_kvector(apply_operator(gens[h], fund), ctx)
         diff = w - fund.scale(QInt.q_power(1, c))
         rhs = f"{render_signed_terms([(c, ['q'])])} * e[1..{k}]" if c else "0"
         checked.append((f"D{h} * e[1..{k}] = {rhs}", diff.is_zero(), diff))
@@ -179,7 +175,7 @@ def verify_presentation(k: int, n: int, mode: str = "classical") -> Presentation
             })
             rhs = (-1) * DPolynomial.generator(m) + ((-1) ** m) * ys[m]
             diff = lhs - rhs
-            witness = apply_operator(expand_in_low_generators(diff, k), fund)
+            witness = apply_operator(diff, fund)
             name = f"E{m} = -D{m} + (-1)^{m}*Y{m}"
             if m - 1 > n - k:
                 imposed = f"D{m - 1}" if m - 1 == n - k + 1 else f"D{n - k + 1}..D{m - 1}"
@@ -200,8 +196,9 @@ def render_presentation(report: PresentationReport) -> str:
                      for h, c in _relations(k, n, mode))
     lines.append(f"D-form: {base}[{gens}] / ({rels})")
     lines.append("reduced relations:")
+    low = _low_generators(k, n)
     for h, c in _relations(k, n, mode):
-        lines.append(f"  {render_dpolynomial(low_generator(h, k))} = "
+        lines.append(f"  {render_dpolynomial(low[h])} = "
                      f"{render_signed_terms([(c, ['q'])])}")
     if k < n:
         ygens = ", ".join(f"D{i}" for i in range(1, n - k + 1))

@@ -273,6 +273,72 @@ class TestTable:
         assert "max weight" in err
 
 
+# Which defects each computing subcommand can be given; giambelli takes no
+# --n (its determinant does not depend on one) and no h.
+DEFECTS = {
+    "pieri": ["order", "token", "negative-h", "k-above-n", "no-n"],
+    "mult": ["order", "token", "k-above-n", "no-n"],
+    "giambelli": ["order", "token"],
+    "present": ["token", "k-above-n", "no-n"],
+    "table": ["token", "k-above-n", "no-n"],
+}
+NOT_INTEGERS = ["x", "1.5", "2a", "1e3", "+", "0x1", "\u00bd"]
+
+
+@st.composite
+def malformed_requests(draw):
+    """argv for one request that is well formed but for one drawn defect."""
+    command = draw(st.sampled_from(sorted(DEFECTS)))
+    defect = draw(st.sampled_from(DEFECTS[command]))
+    lo = 2 if defect == "order" else 1
+    n = draw(st.integers(lo, 6))
+    k = draw(st.integers(n + 1, n + 3) if defect == "k-above-n" else st.integers(lo, n))
+    if command == "pieri":
+        symbol = sorted(draw(st.lists(st.integers(1, 10), min_size=k, max_size=k, unique=True)))
+        if defect == "order":
+            symbol[-1] = draw(st.integers(1, symbol[-2]))  # repeated or falling
+        h = draw(st.integers(-20, -1) if defect == "negative-h" else st.integers(0, 4))
+        argv = [command, str(h), ",".join(map(str, symbol))]
+    elif command in ("mult", "giambelli"):
+        in_box = st.lists(st.integers(1, max(n - k, 1)), max_size=k if n > k else 0)
+        lams = [sorted(draw(in_box), reverse=True) for _ in range(2 if command == "mult" else 1)]
+        if defect == "order":
+            a = draw(st.integers(1, 3))
+            lams[0] = [a, a + draw(st.integers(1, 3))]  # rising
+        argv = [command] + [",".join(map(str, lam)) for lam in lams]
+    else:
+        argv = [command]
+    argv += ["--k", str(k)]
+    if command != "giambelli" and defect != "no-n":
+        argv += ["--n", str(n)]
+    if command == "table":
+        argv += ["--max-weight", str(draw(st.integers(0, 4)))]
+    if command == "pieri" and defect == "no-n":
+        argv.append("--quantum")  # without --n, pieri works in the infinite context
+    elif command != "giambelli" and draw(st.booleans()):
+        argv.append("--quantum")
+    if draw(st.booleans()):
+        argv.append("--json")
+    if defect == "token":
+        # one integer slot: a part, a positional h or a flag's value
+        slots = [i for i, a in enumerate(argv) if i and not a.startswith("--")]
+        i = draw(st.sampled_from(slots))
+        pieces = argv[i].split(",")
+        pieces[draw(st.integers(0, len(pieces) - 1))] = draw(st.sampled_from(NOT_INTEGERS))
+        argv[i] = ",".join(pieces)
+    return argv
+
+
+@given(malformed_requests())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_request_fails_fast(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_PARSE, ""), argv
+    assert err.startswith(("error:", "usage:")), (argv, err)
+    assert "Traceback" not in err
+
+
 def test_closed_stdout_pipe():
     # the table is far larger than a pipe buffer, so writing it must hit
     # the closed read end

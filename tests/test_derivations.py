@@ -421,8 +421,7 @@ class TestApplyOperator:
     def test_leaves_no_reference_cycle(self):
         # a recursion written as a closure that calls itself would keep
         # the call's rows alive in a cycle until the cyclic collector runs;
-        # the cold giambelli_det is included on purpose
-        giambelli_det.cache_clear()
+        # giambelli_det's Laplace recursion is included on purpose
         gc.collect()
         gc.disable()
         try:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from schubert.derivations import DPolynomial, inverse_components, iterated_d1, leibniz_d, pieri_d
 from schubert.giambelli_ring import (
+    expand_in_low_generators,
     giambelli_det,
     reduce_generator,
     verify_presentation,
@@ -405,6 +406,8 @@ class TestIntegerInputs:
         lambda: box_partitions(-1, 2),
         lambda: verify_presentation("2", 4),
         lambda: verify_presentation(2, "4"),
+        lambda: expand_in_low_generators(giambelli_det(Partition((1,)), 2), 2.0),
+        lambda: expand_in_low_generators(giambelli_det(Partition((1,)), 2), 0),
     ], ids=["partition", "partition-str", "symbol", "qint-coeff", "qint-exponent",
             "kvector-degree", "kvector-coeff", "qint-add", "normalize", "normalize-degree-float",
             "normalize-degree-negative", "parse-degree-float", "context-n",
@@ -419,7 +422,8 @@ class TestIntegerInputs:
             "inverse-components-negative-3", "padded-k", "fits-box-k", "partition-to-symbol-k",
             "generator-zero-float", "generator-negative-float", "box-partitions-k-above-n",
             "box-partitions-negative-k",
-            "verify-presentation-k-str", "verify-presentation-n-str"])
+            "verify-presentation-k-str", "verify-presentation-n-str",
+            "expand-in-low-generators-k-float", "expand-in-low-generators-k-zero"])
     def test_rejected(self, build):
         with pytest.raises(InvalidInputError):
             build()

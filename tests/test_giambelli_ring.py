@@ -17,9 +17,9 @@ from schubert.exterior_core import (
 from schubert.giambelli_ring import (
     PresentationReport,
     _laplace,
+    _low_generators,
     expand_in_low_generators,
     giambelli_det,
-    low_generator,
     reduce_generator,
     render_presentation,
     verify_presentation,
@@ -124,10 +124,32 @@ class TestReduceGenerator:
                 for v in _spanning_set(k, 8):
                     assert apply_operator(p, v) == pieri_d(h, v)
 
-    def test_low_generator_passthrough(self):
-        assert low_generator(0, 2) == DPolynomial.identity()
-        assert low_generator(-1, 2).is_zero()
-        assert low_generator(2, 2) == d(2)
+    def test_low_generators_up_to_14(self):
+        for k in range(1, 7):
+            gens = _low_generators(k, 14)
+            assert len(gens) == 15 and gens[0] == DPolynomial.identity()
+            spanning = _spanning_set(k, 6)
+            for h in range(1, 15):
+                assert gens[h] == (d(h) if h <= k else reduce_generator(h, k))
+                for v in spanning:
+                    assert apply_operator(gens[h], v) == pieri_d(h, v)
+
+
+class TestFreshResults:
+    """Results are built per call: a caller that mutates one cannot change
+    the next call's answer."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: reduce_generator(3, 2),
+        lambda: giambelli_det(Partition((2, 1)), 2),
+        lambda: expand_in_low_generators(d(3), 2),
+        lambda: y_polynomials(4, 2)[3],
+    ], ids=["reduce-generator", "giambelli-det", "expand", "y-polynomials"])
+    def test_mutating_a_result_leaves_the_next_call_alone(self, call):
+        expected = dict(call().terms)
+        call().terms.clear()
+        call().terms[(9,)] = 1
+        assert call().terms == expected
 
 
 def _spanning_set(k, max_weight):

@@ -487,10 +487,7 @@ class TestJacobiTrudi:
             verify_jacobi_trudi(P((LIMIT,)), 1)
 
     def test_leaves_no_reference_cycle(self):
-        # the cold giambelli_det is included on purpose
-        from schubert.giambelli_ring import giambelli_det
-
-        giambelli_det.cache_clear()
+        # giambelli_det's Laplace recursion is included on purpose
         gc.collect()
         gc.disable()
         try:
