@@ -259,11 +259,15 @@ def cmd_pluecker(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--k", type=int, default=None)
-    common.add_argument("--n", type=int, default=None)
+    # each subcommand takes only the flags it reads: giambelli --k and
+    # --json, check and pluecker --n too, and the rest --quantum as well
+    k_flags = argparse.ArgumentParser(add_help=False)
+    k_flags.add_argument("--k", type=int, default=None)
+    k_flags.add_argument("--json", action="store_true")
+    n_flags = argparse.ArgumentParser(add_help=False, parents=[k_flags])
+    n_flags.add_argument("--n", type=int, default=None)
+    common = argparse.ArgumentParser(add_help=False, parents=[n_flags])
     common.add_argument("--quantum", action="store_true")
-    common.add_argument("--json", action="store_true")
 
     parser = argparse.ArgumentParser(
         prog="schubert",
@@ -281,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mu")
     p.set_defaults(func=cmd_mult)
 
-    p = sub.add_parser("giambelli", parents=[common], help="determinantal operator of a partition")
+    p = sub.add_parser("giambelli", parents=[k_flags], help="determinantal operator of a partition")
     p.add_argument("lam")
     p.set_defaults(func=cmd_giambelli)
 
@@ -292,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=int, default=None)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("check", parents=[common], help="run the oracle cross-validation suite")
+    p = sub.add_parser("check", parents=[n_flags], help="run the oracle cross-validation suite")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("pluecker", parents=[common], help="minors and Schubert symbol of a matrix")
+    p = sub.add_parser("pluecker", parents=[n_flags], help="minors and Schubert symbol of a matrix")
     p.add_argument("matrix_file")
     p.set_defaults(func=cmd_pluecker)
 

@@ -21,22 +21,21 @@ A monomial x_1^e_1 ... x_k^e_k is stored as one packed int, the base-2^SHIFT
 number with digits e_1 (most significant) .. e_k.  Multiplying two monomials
 is then one int add, and int order is lex order on exponent vectors.  The top
 bit of every digit is a guard: exponents stay below LIMIT = 2^(SHIFT-1), so
-adding two of them never carries into the next digit.  The constructor,
-schur_expand and verify_jacobi_trudi reject an exponent of LIMIT or more.
+adding two of them never carries into the next digit.  The constructor
+and schur_expand reject an exponent of LIMIT or more.
 
 verify_jacobi_trudi puts h_i(x_1..x_k) in place of each D_i of a Giambelli
 determinant (Macdonald, Symmetric Functions and Hall Polynomials, I.(3.4))
-and compares the result with schur_expand.  The substitution is a Horner
-scheme over the monomials' largest parts, like apply_operator's.  Both
-sides are symmetric: the substitution is a Z-combination of products of
-h_i whatever the determinant holds, and schur_expand is by the branching
-rule.  Each S_k-orbit of exponent vectors holds exactly one weakly
-decreasing ("dominant") vector, so two symmetric polynomials are equal iff
-their coefficients agree there (the m_kappa basis, Macdonald I.2).  So the
-outermost product of the Horner scheme is computed only at the dominant
-vectors of weight |lam|, and the inner levels stay whole.  A determinant
-monomial whose parts do not sum to |lam| only adds exponents that no
-target reads, so a weight guard rejects such a determinant first.
+and works in the Schur basis of the symmetric polynomials in k variables,
+where s_lam is the single term {lam: 1}.  The substitution is a Horner
+scheme over the monomials' largest parts, like apply_operator's, and each
+product by h_h is Pieri's rule (Macdonald I.(5.16)): s_mu * h_h is the sum
+of the s_nu with nu/mu a horizontal strip of h boxes on at most k rows,
+the strips lr_expansion places as the first letter of a tableau.  The
+s_nu of at most k rows are a basis of the symmetric polynomials in k
+variables (Macdonald I.3), so the comparison is as exact as one over all
+monomials; a determinant monomial of the wrong weight adds shapes of that
+weight, which s_lam has none of.
 
 Deliberately shares no code with the derivation machinery, so the two paths
 cannot fail the same way: the only call into it is verify_jacobi_trudi's
@@ -44,9 +43,8 @@ giambelli_det, the determinant under test."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 from operator import add
 
 from .exterior_core import FreeElement, InvalidInputError, Partition, as_int, as_nonnegative, as_partition
@@ -65,11 +63,6 @@ def _pack(exp: tuple) -> int:
 
 def _unpack(key: int, k: int) -> tuple:
     return tuple((key >> (SHIFT * (k - 1 - i))) & _DIGIT for i in range(k))
-
-
-def _guards(k: int) -> int:
-    """The guard bit of each of the k digits."""
-    return LIMIT * (((1 << (SHIFT * k)) - 1) // _DIGIT)
 
 
 class MultiPolynomial(FreeElement):
@@ -119,8 +112,6 @@ class MultiPolynomial(FreeElement):
         return f"MultiPolynomial({k}, {terms})"
 
 
-# typed, as lr_expansion's: a float k must reach as_int, not the int's entry
-@lru_cache(maxsize=None, typed=True)
 def schur_expand(lam: Partition, k: int) -> MultiPolynomial:
     """The monomial expansion of s_lam(x_1..x_k) by the branching rule
 
@@ -128,14 +119,22 @@ def schur_expand(lam: Partition, k: int) -> MultiPolynomial:
                           s_mu(x_1..x_{k-1}) * x_k^(|lam| - |mu|),
 
     a semistandard tableau read as the chain of strips filled by 1, .., k.
-    Zero when the partition is longer than k."""
+    Zero when the partition is longer than k.  Every call returns a new
+    MultiPolynomial over a copy of the memoised terms."""
     k, lam = as_nonnegative(k, "k"), as_partition(lam)
     if len(lam) > k:
         return MultiPolynomial.zero(k)
-    if k == 0:
-        return MultiPolynomial.one(0)
     if lam and lam[0] >= LIMIT:
         raise InvalidInputError(f"part {lam[0]} is an exponent of {LIMIT} or more")
+    return MultiPolynomial._of(k, dict(_schur_terms(lam, k)))
+
+
+@lru_cache(maxsize=None)
+def _schur_terms(lam: Partition, k: int) -> dict:
+    """schur_expand's packed terms for a checked lam of at most k parts.
+    Shared by every caller: read only."""
+    if k == 0:
+        return {0: 1}
     # lam/mu is a horizontal strip iff lam_{i+1} <= mu_i <= lam_i; mu_k = 0
     # keeps mu within k - 1 rows.
     ranges = [range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,))]
@@ -146,26 +145,10 @@ def schur_expand(lam: Partition, k: int) -> MultiPolynomial:
     get = d.get
     for mu in product(*ranges):
         last = size - sum(mu)
-        for e, c in schur_expand(Partition(mu), k - 1).terms.items():
+        for e, c in _schur_terms(Partition(mu), k - 1).items():
             e = (e << SHIFT) | last
             d[e] = get(e, 0) + c
-    return MultiPolynomial._of(k, d)
-
-
-@lru_cache(maxsize=None, typed=True)
-def complete_homogeneous(i: int, k: int) -> MultiPolynomial:
-    """h_i(x_1..x_k): the sum of all degree-i monomials."""
-    i, k = as_int(i), as_int(k)
-    if i < 0:
-        return MultiPolynomial.zero(k)
-    d = {}
-    for combo in combinations_with_replacement(range(k), i):
-        exp = [0] * k
-        for v in combo:
-            exp[v] += 1
-        exp = tuple(exp)
-        d[exp] = d.get(exp, 0) + 1
-    return MultiPolynomial(k, d)
+    return d
 
 
 # typed: a float k such as 2.0 hashes like 2, and must reach as_int, not 2's entry
@@ -216,7 +199,8 @@ def _lr_strips(shape: tuple, last, m: int) -> list:
         ]
         if last is not None:
             allowed += last[r]
-    return [(tuple(map(add, shape, counts)), counts) for counts, _ in level]
+    # with no rows at all (k = 0) nothing is placed: keep only full strips
+    return [(tuple(map(add, shape, counts)), counts) for counts, used in level if used == m]
 
 
 def lr_coefficient(lam, mu, nu, k: int) -> int:
@@ -263,38 +247,12 @@ def rim_hook_product(lam, mu, k: int, n: int) -> dict:
 
 def verify_jacobi_trudi(lam, k: int) -> bool:
     """True iff substituting h_i for the i-th generator in the Giambelli
-    determinant of lam reproduces schur_expand(lam, k).  Both sides are
-    symmetric, so they are compared only at the dominant exponent vectors
-    of weight |lam|, after a guard that every monomial of the determinant
-    has weight |lam|; see the module docstring."""
+    determinant of lam gives s_lam in k variables, computed in the Schur
+    basis: the result must be the single term {lam: 1}."""
     from .giambelli_ring import giambelli_det
 
     lam = as_partition(lam)
-    det = giambelli_det(lam, k)
-    size = lam.weight()
-    # every exponent of the substitution is at most |lam|, so this one
-    # bound keeps every digit below its guard bit
-    if size >= LIMIT:
-        raise InvalidInputError(f"weight {size} is an exponent of {LIMIT} or more")
-    if any(sum(parts) != size for parts in det.terms):
-        return False
-    targets = _dominant(size, k)
-    want = schur_expand(lam, k).terms
-    return _substitute_at(det.terms.items(), k, targets) == [want.get(t, 0) for t in targets]
-
-
-def _dominant(size: int, k: int) -> list:
-    """The packed weakly decreasing exponent vectors of weight size in k
-    variables: the partitions of size into at most k parts, zero padded.
-    Built part by part, each at least the mean of what is left."""
-    level = [((), size)]
-    for rest in range(k, 0, -1):
-        level = [
-            (exp + (e,), left - e)
-            for exp, left in level
-            for e in range(-(-left // rest), min((left,) + exp[-1:]) + 1)
-        ]
-    return [_pack(exp) for exp, left in level if not left]
+    return _schur_horner(giambelli_det(lam, k).terms.items(), k) == {lam.padded(k): 1}
 
 
 def _by_largest_part(monos) -> tuple:
@@ -310,45 +268,21 @@ def _by_largest_part(monos) -> tuple:
     return constant, groups
 
 
-def _substitute(monos, k: int) -> dict:
-    """Packed terms of the sum of c * h_parts(x_1..x_k) over these
-    (descending parts, c) pairs, as a Horner scheme: the monomials whose
-    largest part is h share one product by h_h of the sum of their other
-    parts; every coefficient of h_h is 1, so each term adds c1 as it is.
-    Zeros are dropped once per call.  Module-level: a closure that
-    called itself would leave a reference cycle per call."""
+def _schur_horner(monos, k: int) -> dict:
+    """The sum of c * h_parts(x_1..x_k) over these (descending parts, c)
+    pairs in the Schur basis, as {shape padded to k rows: c}.  A Horner
+    scheme: the monomials whose largest part is h share one product by h_h
+    of the sum of their other parts, and s_shape * h_h is the sum of the
+    shapes one horizontal strip of h boxes larger, on at most k rows
+    (Pieri's rule, Macdonald I.(5.16)), which _lr_strips lists as the
+    first letter of a tableau.  Zeros are dropped once per call.
+    Module-level: a closure that called itself would leave a reference
+    cycle per call."""
     constant, groups = _by_largest_part(monos)
-    out = {0: constant} if constant else {}
+    out = {(0,) * k: constant} if constant else {}
     get = out.get
     for h, inner in groups.items():
-        right = complete_homogeneous(h, k).terms
-        for e1, c1 in _substitute(inner, k).items():
-            for e2 in right:
-                e = e1 + e2
-                out[e] = get(e, 0) + c1
-    return {e: c for e, c in out.items() if c}
-
-
-def _substitute_at(monos, k: int, targets: list) -> list:
-    """The coefficients of _substitute(monos, k) at these packed targets,
-    in order.  Only the outermost product by h_h is restricted: the
-    coefficient at kappa is the sum of inner[kappa - e] over the exponents
-    e <= kappa of h_h, whose coefficients are all 1.  e <= kappa is read
-    off the guard bits: kappa + G - e keeps every guard bit set exactly
-    when no digit of the subtraction borrows.  Sorting h_h's exponents by
-    their last digit first skips every e whose last digit exceeds kappa's."""
-    constant, groups = _by_largest_part(monos)
-    out = [constant if t == 0 else 0 for t in targets]
-    guards = _guards(k)
-    for h, inner in groups.items():
-        get = _substitute(inner, k).get
-        es = sorted(complete_homogeneous(h, k).terms, key=_DIGIT.__and__)
-        right = [guards - e for e in es]
-        for i, t in enumerate(targets):
-            total = 0
-            for g in right[: bisect_right(es, t & _DIGIT, key=_DIGIT.__and__)]:
-                d = t + g
-                if d & guards == guards:
-                    total += get(d - guards, 0)
-            out[i] += total
-    return out
+        for shape, c in _schur_horner(inner, k).items():
+            for grown, _ in _lr_strips(shape, None, h):
+                out[grown] = get(grown, 0) + c
+    return {shape: c for shape, c in out.items() if c}

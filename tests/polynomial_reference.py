@@ -4,17 +4,39 @@ lr_expansion counts tableaux.  Before it did, it multiplied two Schur
 polynomials and peeled the product back into the Schur basis; that route
 stays here as its reference: the MultiPolynomial product with its
 exponent guard, the symmetry test, the leading exponent and
-schur_decompose.  weight_components splits a KVector by symbol weight.
+schur_decompose.  complete_homogeneous gives the h_i that the tests
+multiply out to check verify_jacobi_trudi's Schur-basis substitution.
+weight_components splits a KVector by symbol weight.
 
 The library runs none of this, and it keeps its own loops on the packed
 terms, so it shares no arithmetic with exterior_core.FreeElement."""
 
-from functools import reduce
-from itertools import permutations
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement, permutations
 from operator import or_
 
 from schubert.exterior_core import InvalidInputError, KVector, Partition
-from schubert.schur_oracle import LIMIT, MultiPolynomial, _guards, _pack, _unpack, schur_expand
+from schubert.schur_oracle import _DIGIT, LIMIT, MultiPolynomial, SHIFT, _pack, _unpack, schur_expand
+
+
+def _guards(k: int) -> int:
+    """The guard bit of each of the k digits."""
+    return LIMIT * (((1 << (SHIFT * k)) - 1) // _DIGIT)
+
+
+@lru_cache(maxsize=None)
+def complete_homogeneous(i: int, k: int) -> MultiPolynomial:
+    """h_i(x_1..x_k): the sum of all degree-i monomials."""
+    if i < 0:
+        return MultiPolynomial.zero(k)
+    d = {}
+    for combo in combinations_with_replacement(range(k), i):
+        exp = [0] * k
+        for v in combo:
+            exp[v] += 1
+        exp = tuple(exp)
+        d[exp] = d.get(exp, 0) + 1
+    return MultiPolynomial(k, d)
 
 
 def multiply(a: MultiPolynomial, b: MultiPolynomial) -> MultiPolynomial:

@@ -273,16 +273,21 @@ class TestTable:
         assert "max weight" in err
 
 
-# Which defects each computing subcommand can be given; giambelli takes no
-# --n (its determinant does not depend on one) and no h.
+# Which defects each subcommand can be given; giambelli takes no --n (its
+# determinant does not depend on one) and no h.  "unread-flag" passes a flag
+# the subcommand does not read: --n or --quantum to giambelli, --quantum to
+# check and pluecker.
 DEFECTS = {
     "pieri": ["order", "token", "negative-h", "k-above-n", "no-n"],
     "mult": ["order", "token", "k-above-n", "no-n"],
-    "giambelli": ["order", "token"],
+    "giambelli": ["order", "token", "unread-flag"],
     "present": ["token", "k-above-n", "no-n"],
     "table": ["token", "k-above-n", "no-n"],
+    "check": ["unread-flag"],
+    "pluecker": ["unread-flag"],
 }
 NOT_INTEGERS = ["x", "1.5", "2a", "1e3", "+", "0x1", "\u00bd"]
+MATRIX = "<matrix file>"  # the test puts a readable rank-2 matrix here
 
 
 @st.composite
@@ -306,15 +311,20 @@ def malformed_requests(draw):
             a = draw(st.integers(1, 3))
             lams[0] = [a, a + draw(st.integers(1, 3))]  # rising
         argv = [command] + [",".join(map(str, lam)) for lam in lams]
+    elif command == "pluecker":
+        argv = [command, MATRIX]
     else:
         argv = [command]
-    argv += ["--k", str(k)]
-    if command != "giambelli" and defect != "no-n":
+    if command != "pluecker":
+        argv += ["--k", str(k)]
+    if command not in ("giambelli", "pluecker") and defect != "no-n":
         argv += ["--n", str(n)]
     if command == "table":
         argv += ["--max-weight", str(draw(st.integers(0, 4)))]
     if command == "pieri" and defect == "no-n":
         argv.append("--quantum")  # without --n, pieri works in the infinite context
+    elif defect == "unread-flag":
+        argv += draw(st.sampled_from([["--n", str(n)], ["--quantum"]])) if command == "giambelli" else ["--quantum"]
     elif command != "giambelli" and draw(st.booleans()):
         argv.append("--quantum")
     if draw(st.booleans()):
@@ -332,7 +342,10 @@ def malformed_requests(draw):
 @given(malformed_requests())
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_malformed_request_fails_fast(capsys, argv):
+def test_malformed_request_fails_fast(capsys, tmp_path, argv):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("1 0 0\n0 0 1\n")
+    argv = [str(matrix) if a == MATRIX else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_PARSE, ""), argv
     assert err.startswith(("error:", "usage:")), (argv, err)
@@ -381,13 +394,15 @@ EDGE_CONTEXTS = [(k, n) for n in range(1, 6) for k in sorted({1, n})]
 @pytest.mark.parametrize("command", ["mult", "pieri", "present", "table", "check"])
 def test_edge_contexts(capsys, command, k, n, mode):
     width = n - k
+    # check runs the quantum checks in either mode and takes no --quantum
+    quantum = mode == "quantum" and command != "check"
     argv = {
         "mult": ["mult", str(width) if width else "", "1" if width else ""],
         "pieri": ["pieri", "1", ",".join(str(i) for i in range(1, k + 1))],
         "present": ["present"],
         "table": ["table"],
         "check": ["check"],
-    }[command] + ["--k", str(k), "--n", str(n)] + (["--quantum"] if mode == "quantum" else [])
+    }[command] + ["--k", str(k), "--n", str(n)] + (["--quantum"] if quantum else [])
     code, out, err = run(capsys, *argv)
     assert (code, err) == (EXIT_OK, "") and out
     code, out, err = run(capsys, *argv, "--json")
@@ -402,6 +417,8 @@ def test_edge_contexts(capsys, command, k, n, mode):
         assert len(payload["entries"]) == (n if k == 1 else 1) ** 2
     elif command == "check":
         assert payload["ok"] is True
+        if mode == "quantum":
+            assert run(capsys, *argv, "--quantum")[:2] == (EXIT_PARSE, "")
     else:
         assert all(set(term) == {"nu", "d", "coeff"} for term in payload["terms"])
 
@@ -517,6 +534,21 @@ class TestParsing:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("argv", [
+        ["giambelli", "1", "--k", "3", "--n", "2"],
+        ["giambelli", "1", "--k", "2", "--quantum"],
+        ["check", "--k", "2", "--n", "4", "--quantum"],
+        ["pluecker", "m.txt", "--quantum"],
+    ], ids=["giambelli-n", "giambelli-quantum", "check-quantum", "pluecker-quantum"])
+    def test_unread_flag_refused(self, capsys, tmp_path, argv):
+        # each subcommand takes only the flags it reads
+        (tmp_path / "m.txt").write_text("1 0 0\n0 0 1\n")
+        argv = [str(tmp_path / a) if a == "m.txt" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        unread = [a for a in argv if a.startswith("--")][-1]
+        assert "unrecognized arguments: " + unread in err
 
     def test_oracle_exit_code_exists(self):
         assert EXIT_ORACLE == 1

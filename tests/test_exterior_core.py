@@ -15,7 +15,6 @@ from schubert.giambelli_ring import (
 from schubert.grassmann_contexts import GrassmannContext, box_partitions, quantum_pieri
 from schubert.schur_oracle import (
     MultiPolynomial,
-    complete_homogeneous,
     lr_coefficient,
     lr_expansion,
     rim_hook_product,
@@ -390,8 +389,6 @@ class TestIntegerInputs:
         lambda: (schur_expand(Partition((1,)), 2), schur_expand(Partition((1,)), 2.0)),
         lambda: schur_expand(Partition(()), -1),
         lambda: MultiPolynomial(-1),
-        lambda: complete_homogeneous(2, 2.0),
-        lambda: (complete_homogeneous(2, 2), complete_homogeneous(2, 2.0)),
         lambda: fundamental(2.0),
         lambda: fundamental(-1),
         lambda: inverse_components(2.0),
@@ -416,8 +413,7 @@ class TestIntegerInputs:
             "lr-coefficient-k", "y-polynomials-n", "y-polynomials-k", "rim-hook-n",
             "rim-hook-k", "box-partitions-n", "box-partitions-k", "box-partitions-cap",
             "schur-expand-k", "schur-expand-k-warm", "schur-expand-negative-k",
-            "multipolynomial-negative-vars", "complete-homogeneous-k",
-            "complete-homogeneous-k-warm", "fundamental-k", "fundamental-negative-k",
+            "multipolynomial-negative-vars", "fundamental-k", "fundamental-negative-k",
             "inverse-components", "inverse-components-negative-1",
             "inverse-components-negative-3", "padded-k", "fits-box-k", "partition-to-symbol-k",
             "generator-zero-float", "generator-negative-float", "box-partitions-k-above-n",

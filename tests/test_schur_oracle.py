@@ -10,20 +10,22 @@ from schubert.exterior_core import InvalidInputError, Partition
 from schubert.schur_oracle import (
     LIMIT,
     MultiPolynomial,
-    complete_homogeneous,
     lr_coefficient,
     lr_expansion,
     rim_hook_product,
     schur_expand,
-    _dominant,
-    _pack,
-    _substitute,
-    _substitute_at,
-    _unpack,
+    _schur_horner,
+    _schur_terms,
     verify_jacobi_trudi,
 )
 
-from polynomial_reference import is_symmetric, leading_exponent, multiply, schur_decompose
+from polynomial_reference import (
+    complete_homogeneous,
+    is_symmetric,
+    leading_exponent,
+    multiply,
+    schur_decompose,
+)
 
 P = Partition
 
@@ -214,6 +216,14 @@ class TestSchurExpand:
     def test_single_box(self):
         assert schur_expand(P((1,)), 2) == MultiPolynomial(2, {(1, 0): 1, (0, 1): 1})
 
+    def test_each_call_returns_a_fresh_polynomial(self):
+        # the memo is private: emptying one result changes no later one,
+        # nor the s_{2,1} in three variables built over s_1 in two
+        schur_expand(P((1,)), 2).terms.clear()
+        assert schur_expand(P((1,)), 2) == MultiPolynomial(2, {(1, 0): 1, (0, 1): 1})
+        assert schur_expand(P((1,)), 2) is not schur_expand(P((1,)), 2)
+        assert sum(schur_expand(P((2, 1)), 3).terms.values()) == 8
+
     def test_hook(self):
         assert schur_expand(P((2, 1)), 2) == MultiPolynomial(
             2, {(2, 1): 1, (1, 2): 1}
@@ -239,7 +249,7 @@ class TestSchurExpand:
 
     @pytest.mark.parametrize("k", range(5))
     def test_symmetric_on_the_4x4_box(self, k):
-        # verify_jacobi_trudi reads schur_expand only at dominant exponents
+        # schur_decompose reads a symmetric polynomial at its leading exponents
         for lam in _box(k, 4):
             assert is_symmetric(schur_expand(lam, k)), lam
 
@@ -397,7 +407,7 @@ class TestRimHookProduct:
 
         tree = ast.parse(open(oracle.__file__).read())
         modules = {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
-        assert modules == {"__future__", "bisect", "functools", "itertools", "operator", "exterior_core"}
+        assert modules == {"__future__", "functools", "itertools", "operator", "exterior_core"}
 
     def test_computes_without_the_shared_module_arithmetic(self, monkeypatch):
         # MultiPolynomial takes its sum from FreeElement, which runs
@@ -409,7 +419,7 @@ class TestRimHookProduct:
             raise AssertionError("the oracle used the engine's accumulate")
 
         monkeypatch.setattr(core, "accumulate", shared)
-        for cached in (schur_expand, complete_homogeneous, lr_expansion):
+        for cached in (_schur_terms, lr_expansion):
             cached.cache_clear()
         with pytest.raises(AssertionError):
             MultiPolynomial.one(1) + MultiPolynomial.one(1)
@@ -458,15 +468,12 @@ class TestJacobiTrudi:
         assert verify_jacobi_trudi(P(lam), k)
 
     def test_monomial_of_the_wrong_weight_fails(self, monkeypatch):
-        # h_1 adds only weight-1 exponents, none of them a weight-3 target,
-        # so the dominant comparison alone cannot see D_1: the weight guard must
+        # D_1 adds s_1, a shape of weight 1 that s_{2,1} does not have
         import schubert.giambelli_ring as ring
 
         lam, k = P((2, 1)), 2
         det = ring.giambelli_det(lam, k).terms
         extra = {**det, (1,): 1}
-        targets = _dominant(3, k)
-        assert _substitute_at(extra.items(), k, targets) == _substitute_at(det.items(), k, targets)
         monkeypatch.setattr(ring, "giambelli_det", lambda *_: DPolynomial._of(extra))
         assert not verify_jacobi_trudi(lam, k)
 
@@ -482,9 +489,14 @@ class TestJacobiTrudi:
         with pytest.raises(InvalidInputError):
             verify_jacobi_trudi(P(lam), k)
 
-    def test_weight_at_the_exponent_limit_rejected(self):
-        with pytest.raises(InvalidInputError):
-            verify_jacobi_trudi(P((LIMIT,)), 1)
+    def test_weight_at_the_exponent_limit_verifies(self):
+        # the Schur-basis check packs no exponent, so LIMIT bounds nothing
+        assert verify_jacobi_trudi(P((LIMIT,)), 1)
+        assert verify_jacobi_trudi(P((LIMIT, 1)), 2)
+
+    def test_exhaustive_5x5_box_at_k_5(self):
+        for lam in _box(5, 5):
+            assert verify_jacobi_trudi(lam, 5), lam
 
     def test_leaves_no_reference_cycle(self):
         # giambelli_det's Laplace recursion is included on purpose
@@ -498,25 +510,49 @@ class TestJacobiTrudi:
 
 
 def _one_at_a_time(monos, k):
-    """The substitution before the Horner scheme: each monomial's product
-    of h's from 1, added into a running total."""
+    """The substitution multiplied out: each monomial's product of the
+    reference's h_i from 1, added into a running MultiPolynomial."""
     total = MultiPolynomial.zero(k)
     for parts, c in monos:
         prod = MultiPolynomial.one(k)
         for part in parts:
             prod = multiply(prod, complete_homogeneous(part, k))
         total = total + prod._times(c)
-    return total.terms
+    return total
+
+
+def _in_schur_basis(monos, k):
+    """_schur_horner's expansion keyed by Partition, as schur_decompose's."""
+    return {P(shape): c for shape, c in _schur_horner(monos, k).items()}
 
 
 class TestSubstitute:
+    """_schur_horner, the Schur-basis substitution verify_jacobi_trudi
+    runs, against the polynomials multiplied out and decomposed."""
+
     def test_matches_one_monomial_at_a_time_on_determinants(self):
         from schubert.giambelli_ring import giambelli_det
 
         for k in range(5):
             for lam in _box(k, 4):
                 monos = list(giambelli_det(lam, k).terms.items())
-                assert _substitute(monos, k) == _one_at_a_time(monos, k), (lam, k)
+                got = _in_schur_basis(monos, k)
+                assert got == schur_decompose(_one_at_a_time(monos, k)) == {lam: 1}, (lam, k)
+
+    def test_matches_one_monomial_at_a_time_on_perturbed_determinants(self):
+        # the determinants of the 4x4 box, k <= 4, each with its first
+        # three monomials moved by +1 and by -1
+        from schubert.giambelli_ring import giambelli_det
+
+        for k in range(5):
+            for lam in _box(k, 4):
+                det = giambelli_det(lam, k).terms
+                for mono in sorted(det)[:3]:
+                    for step in (1, -1):
+                        monos = list({**det, mono: det[mono] + step}.items())
+                        got = _in_schur_basis(monos, k)
+                        assert got == schur_decompose(_one_at_a_time(monos, k)), (lam, k, mono, step)
+                        assert got != {lam: 1}
 
     @pytest.mark.parametrize(
         "monos",
@@ -528,57 +564,21 @@ class TestSubstitute:
             [((3, 1), 2), ((3, 2), -1), ((3,), 4), ((3, 3, 1), 1)],  # a shared largest part
             [((2, 1), 1), ((2, 1), -1)],  # a repeated monomial that cancels
             [((2, 1), 1), ((1, 1, 1), -2), ((3,), 1), ((), 0)],
+            [((1, 1, 1), 1)],  # s_111 of h_1^3 needs a third row
         ],
     )
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_matches_one_monomial_at_a_time_by_hand(self, monos, k):
-        assert _substitute(monos, k) == _one_at_a_time(monos, k)
+        assert _in_schur_basis(monos, k) == schur_decompose(_one_at_a_time(monos, k))
 
     def test_sum_that_cancels_to_zero(self):
         # in one variable every h_mu of degree 3 is x^3
-        assert _substitute([((2, 1), 1), ((3,), -1)], 1) == {}
+        assert _schur_horner([((2, 1), 1), ((3,), -1)], 1) == {}
         # e_3 = h_1^3 - 2 h_2 h_1 + h_3 vanishes in fewer than three variables
         e3 = [((1, 1, 1), 1), ((2, 1), -2), ((3,), 1)]
         for k in (0, 1, 2):
-            assert _substitute(e3, k) == {}
-        assert _substitute(e3, 3) == MultiPolynomial(3, {(1, 1, 1): 1}).terms
-
-
-def _is_dominant(key, k):
-    exp = _unpack(key, k)
-    return all(a >= b for a, b in zip(exp, exp[1:]))
-
-
-class TestDominantStep:
-    @pytest.mark.parametrize("k", range(5))
-    def test_targets_are_the_padded_partitions(self, k):
-        for size in range(9):
-            want = [_pack(e) for e in product(range(size + 1), repeat=k) if sum(e) == size]
-            assert sorted(_dominant(size, k)) == sorted(e for e in want if _is_dominant(e, k))
-
-    def test_matches_the_full_substitution_at_dominant_keys(self):
-        # the determinants of the 4x4 box, k <= 4, and each with its first
-        # three monomials moved by +1 and by -1
-        from schubert.giambelli_ring import giambelli_det
-
-        for k in range(5):
-            for lam in _box(k, 4):
-                det = giambelli_det(lam, k).terms
-                targets = _dominant(lam.weight(), k)
-                variants = [det]
-                for mono in sorted(det)[:3]:
-                    for step in (1, -1):
-                        variants.append({**det, mono: det[mono] + step})
-                for terms in variants:
-                    full = _substitute(terms.items(), k)
-                    got = dict(zip(targets, _substitute_at(terms.items(), k, targets)))
-                    want = {e: c for e, c in full.items() if _is_dominant(e, k)}
-                    assert {t: c for t, c in got.items() if c} == want, (lam, k, terms)
-
-    def test_constant_term_and_empty_groups(self):
-        assert _substitute_at([((), 3)], 2, _dominant(0, 2)) == [3]
-        assert _substitute_at([((), 3), ((1,), 2)], 2, _dominant(1, 2)) == [2]
-        assert _substitute_at([], 3, _dominant(2, 3)) == [0, 0]
+            assert _schur_horner(e3, k) == {}
+        assert _schur_horner(e3, 3) == {(1, 1, 1): 1}
 
 
 def _box(k, width):
