@@ -42,19 +42,13 @@ from .grassmann_contexts import (
     reduce_kvector,
     structure_table,
 )
-from .schur_oracle import (
-    MultiPolynomial,
-    lr_coefficient,
-    schur_expand,
-    verify_jacobi_trudi,
-)
+from .schur_oracle import lr_coefficient, verify_jacobi_trudi
 
 __all__ = [
     "DPolynomial",
     "GrassmannContext",
     "InvalidInputError",
     "KVector",
-    "MultiPolynomial",
     "Partition",
     "PresentationReport",
     "QInt",
@@ -80,7 +74,6 @@ __all__ = [
     "render_dpolynomial",
     "render_kvector",
     "render_presentation",
-    "schur_expand",
     "structure_table",
     "symbol_to_partition",
     "verify_jacobi_trudi",

@@ -258,6 +258,17 @@ def cmd_pluecker(args) -> int:
     return EXIT_OK if cert_ok else EXIT_ORACLE
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses an argument it does not read under
+    its own usage line, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the flags it reads: giambelli --k and
     # --json, check and pluecker --n too, and the rest --quantum as well
@@ -273,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="schubert",
         description="Exact Schubert calculus on Grassmannians via exterior-algebra derivations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p = sub.add_parser("pieri", parents=[common], help="apply the h-th derivation to a basis k-vector")
     p.add_argument("h", type=int)

@@ -5,9 +5,9 @@ exterior power has wedge-basis elements e^{i1} ^ ... ^ e^{ik} indexed by strictl
 increasing symbols.  Coefficients are integer polynomials in a single
 variable q (plain Python ints, so arithmetic is exact at any size).
 
-QInt, KVector, the operator polynomials of Z[D] and the oracle's polynomials
-in x_1..x_k are all FreeElements: {basis key: nonzero int} dicts whose
-module operations are defined once, in FreeElement.
+QInt, KVector and the operator polynomials of Z[D] are the three
+FreeElements: {basis key: nonzero int} dicts whose module operations are
+defined once, in FreeElement.
 
 A Schubert class is named by a Partition lam or by its SchubertSymbol
 I(lam).  Both are tuples, checked when they are built: each equals, hashes
@@ -147,7 +147,7 @@ class FreeElement:
     """A finite Z-linear combination: ``terms`` maps each basis key to a
     nonzero int.  The free-module structure lives here once.  A subclass
     picks its keys, its product and its rendering; one that carries more
-    than its terms (a degree, a variable count) overrides _new and _coerce."""
+    than its terms (KVector's degree) overrides _new and _coerce."""
 
     __slots__ = ("terms",)
 

@@ -1,6 +1,6 @@
-"""Independent cross-checks for classical and quantum products: Schur
-polynomials in k variables by the branching rule, Littlewood-Richardson
-coefficients, and quantum products by the rim-hook rule over them.
+"""Independent cross-checks for classical and quantum products, computed on
+shapes only: Littlewood-Richardson coefficients, quantum products by the
+rim-hook rule over them, and the Jacobi-Trudi check in the Schur basis.
 
 lr_expansion counts Littlewood-Richardson tableaux (Fulton, Young Tableaux,
 LMS Student Texts 35, 1997, Section 5; Macdonald, Symmetric Functions and
@@ -11,18 +11,11 @@ count.  The lattice test for letter j+1 needs only the per-row counts of
 letter j, so equal (shape, counts) states are merged with their
 multiplicities after each letter.  Anders Buch's lrcalc
 (https://sites.math.rutgers.edu/~asbuch/lrcalc/) is the standard
-implementation of the rule.  No polynomial is multiplied.  The route it
-replaced, a product of two schur_expand polynomials peeled back into the
-Schur basis, is not part of the library: the tests keep it
-(tests/polynomial_reference.py) as the reference lr_expansion is checked
-against.
-
-A monomial x_1^e_1 ... x_k^e_k is stored as one packed int, the base-2^SHIFT
-number with digits e_1 (most significant) .. e_k.  Multiplying two monomials
-is then one int add, and int order is lex order on exponent vectors.  The top
-bit of every digit is a guard: exponents stay below LIMIT = 2^(SHIFT-1), so
-adding two of them never carries into the next digit.  The constructor
-and schur_expand reject an exponent of LIMIT or more.
+implementation of the rule.  No polynomial is multiplied.  The tests check
+lr_expansion against the monomial route it replaced
+(tests/polynomial_reference.py): two Schur polynomials multiplied out and
+peeled back into the Schur basis, each s_lam counted off its semistandard
+tableaux, filled row by row and cell by cell.
 
 verify_jacobi_trudi puts h_i(x_1..x_k) in place of each D_i of a Giambelli
 determinant (Macdonald, Symmetric Functions and Hall Polynomials, I.(3.4))
@@ -44,111 +37,9 @@ giambelli_det, the determinant under test."""
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from operator import add
 
-from .exterior_core import FreeElement, InvalidInputError, Partition, as_int, as_nonnegative, as_partition
-
-SHIFT = 16
-LIMIT = 1 << (SHIFT - 1)
-_DIGIT = (1 << SHIFT) - 1
-
-
-def _pack(exp: tuple) -> int:
-    key = 0
-    for e in exp:
-        key = (key << SHIFT) | e
-    return key
-
-
-def _unpack(key: int, k: int) -> tuple:
-    return tuple((key >> (SHIFT * (k - 1 - i))) & _DIGIT for i in range(k))
-
-
-class MultiPolynomial(FreeElement):
-    """Integer polynomial in x_1..x_k.  The constructor takes exponent
-    tuples; ``terms`` maps each packed exponent int to a nonzero coefficient.
-    Only the linear structure comes from FreeElement, and there is no
-    product: every computation below keeps its own loops on packed terms."""
-
-    __slots__ = ("num_vars",)
-
-    def __init__(self, num_vars: int, terms=None):
-        self.num_vars = as_nonnegative(num_vars, "num_vars")
-        d = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for exp, c in items:
-                exp = tuple(map(as_int, exp))
-                if len(exp) != self.num_vars or any(not 0 <= e < LIMIT for e in exp):
-                    raise InvalidInputError(f"bad exponent vector {exp}")
-                key = _pack(exp)
-                d[key] = d.get(key, 0) + as_int(c)
-        self.terms = {e: c for e, c in d.items() if c}
-
-    @classmethod
-    def _of(cls, num_vars: int, terms: dict) -> "MultiPolynomial":
-        """Wrap packed terms that are already nonzero."""
-        out = cls.__new__(cls)
-        out.num_vars = num_vars
-        out.terms = terms
-        return out
-
-    def _new(self, terms: dict) -> "MultiPolynomial":
-        return MultiPolynomial._of(self.num_vars, terms)
-
-    def _coerce(self, other):
-        if not isinstance(other, MultiPolynomial) or other.num_vars != self.num_vars:
-            raise InvalidInputError("variable-count mismatch")
-        return other
-
-    @classmethod
-    def one(cls, num_vars: int) -> "MultiPolynomial":
-        return cls(num_vars, {(0,) * num_vars: 1})
-
-    def __repr__(self):
-        k = self.num_vars
-        terms = {_unpack(e, k): c for e, c in sorted(self.terms.items())}
-        return f"MultiPolynomial({k}, {terms})"
-
-
-def schur_expand(lam: Partition, k: int) -> MultiPolynomial:
-    """The monomial expansion of s_lam(x_1..x_k) by the branching rule
-
-        s_lam(x_1..x_k) = sum over horizontal strips lam/mu of
-                          s_mu(x_1..x_{k-1}) * x_k^(|lam| - |mu|),
-
-    a semistandard tableau read as the chain of strips filled by 1, .., k.
-    Zero when the partition is longer than k.  Every call returns a new
-    MultiPolynomial over a copy of the memoised terms."""
-    k, lam = as_nonnegative(k, "k"), as_partition(lam)
-    if len(lam) > k:
-        return MultiPolynomial.zero(k)
-    if lam and lam[0] >= LIMIT:
-        raise InvalidInputError(f"part {lam[0]} is an exponent of {LIMIT} or more")
-    return MultiPolynomial._of(k, dict(_schur_terms(lam, k)))
-
-
-@lru_cache(maxsize=None)
-def _schur_terms(lam: Partition, k: int) -> dict:
-    """schur_expand's packed terms for a checked lam of at most k parts.
-    Shared by every caller: read only."""
-    if k == 0:
-        return {0: 1}
-    # lam/mu is a horizontal strip iff lam_{i+1} <= mu_i <= lam_i; mu_k = 0
-    # keeps mu within k - 1 rows.
-    ranges = [range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,))]
-    if len(lam) == k:
-        ranges[-1] = range(1)
-    size = sum(lam)
-    d = {}
-    get = d.get
-    for mu in product(*ranges):
-        last = size - sum(mu)
-        for e, c in _schur_terms(Partition(mu), k - 1).items():
-            e = (e << SHIFT) | last
-            d[e] = get(e, 0) + c
-    return d
+from .exterior_core import InvalidInputError, Partition, as_int, as_nonnegative, as_partition
 
 
 # typed: a float k such as 2.0 hashes like 2, and must reach as_int, not 2's entry

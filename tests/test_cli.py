@@ -276,23 +276,26 @@ class TestTable:
 # Which defects each subcommand can be given; giambelli takes no --n (its
 # determinant does not depend on one) and no h.  "unread-flag" passes a flag
 # the subcommand does not read: --n or --quantum to giambelli, --quantum to
-# check and pluecker.
+# check and pluecker.  pluecker reads its k and n off the matrix file, so
+# its defects are in the file or in a --k or --n that disagrees with it.
 DEFECTS = {
     "pieri": ["order", "token", "negative-h", "k-above-n", "no-n"],
     "mult": ["order", "token", "k-above-n", "no-n"],
     "giambelli": ["order", "token", "unread-flag"],
     "present": ["token", "k-above-n", "no-n"],
     "table": ["token", "k-above-n", "no-n"],
-    "check": ["unread-flag"],
-    "pluecker": ["unread-flag"],
+    "check": ["token", "k-above-n", "no-n", "unread-flag"],
+    "pluecker": ["unread-flag", "k-n-mismatch", "missing-file", "empty-file", "ragged", "non-integer"],
 }
 NOT_INTEGERS = ["x", "1.5", "2a", "1e3", "+", "0x1", "\u00bd"]
-MATRIX = "<matrix file>"  # the test puts a readable rank-2 matrix here
+MATRIX = "<matrix file>"  # the test writes the drawn matrix text here
+GOOD_MATRIX = "1 0 0\n0 0 1\n"  # rank 2, so k = 2 and n = 3
 
 
 @st.composite
 def malformed_requests(draw):
-    """argv for one request that is well formed but for one drawn defect."""
+    """(argv, the text of its matrix file or None for no file) for one
+    request that is well formed but for one drawn defect."""
     command = draw(st.sampled_from(sorted(DEFECTS)))
     defect = draw(st.sampled_from(DEFECTS[command]))
     lo = 2 if defect == "order" else 1
@@ -313,6 +316,9 @@ def malformed_requests(draw):
         argv = [command] + [",".join(map(str, lam)) for lam in lams]
     elif command == "pluecker":
         argv = [command, MATRIX]
+        if defect == "k-n-mismatch":
+            flag, size = draw(st.sampled_from([("--k", 2), ("--n", 3)]))
+            argv += [flag, str(draw(st.integers(1, 8).filter(lambda x: x != size)))]
     else:
         argv = [command]
     if command != "pluecker":
@@ -325,7 +331,7 @@ def malformed_requests(draw):
         argv.append("--quantum")  # without --n, pieri works in the infinite context
     elif defect == "unread-flag":
         argv += draw(st.sampled_from([["--n", str(n)], ["--quantum"]])) if command == "giambelli" else ["--quantum"]
-    elif command != "giambelli" and draw(st.booleans()):
+    elif command not in ("giambelli", "check", "pluecker") and draw(st.booleans()):
         argv.append("--quantum")
     if draw(st.booleans()):
         argv.append("--json")
@@ -336,15 +342,25 @@ def malformed_requests(draw):
         pieces = argv[i].split(",")
         pieces[draw(st.integers(0, len(pieces) - 1))] = draw(st.sampled_from(NOT_INTEGERS))
         argv[i] = ",".join(pieces)
-    return argv
+    matrix = {
+        "missing-file": None,
+        "empty-file": "",
+        "ragged": "1 0 0\n0 1\n",
+        "non-integer": f"1 0 {draw(st.sampled_from(NOT_INTEGERS))}\n0 0 1\n",
+    }.get(defect, GOOD_MATRIX)
+    return argv, matrix
 
 
 @given(malformed_requests())
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_malformed_request_fails_fast(capsys, tmp_path, argv):
+def test_malformed_request_fails_fast(capsys, tmp_path, case):
+    argv, text = case
     matrix = tmp_path / "m.txt"
-    matrix.write_text("1 0 0\n0 0 1\n")
+    if text is None:
+        matrix.unlink(missing_ok=True)
+    else:
+        matrix.write_text(text)
     argv = [str(matrix) if a == MATRIX else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_PARSE, ""), argv
@@ -542,13 +558,15 @@ class TestParsing:
         ["pluecker", "m.txt", "--quantum"],
     ], ids=["giambelli-n", "giambelli-quantum", "check-quantum", "pluecker-quantum"])
     def test_unread_flag_refused(self, capsys, tmp_path, argv):
-        # each subcommand takes only the flags it reads
-        (tmp_path / "m.txt").write_text("1 0 0\n0 0 1\n")
+        # each subcommand takes only the flags it reads, and refuses the
+        # rest under its own usage line
+        (tmp_path / "m.txt").write_text(GOOD_MATRIX)
         argv = [str(tmp_path / a) if a == "m.txt" else a for a in argv]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"usage: schubert {argv[0]} "), err
         unread = [a for a in argv if a.startswith("--")][-1]
-        assert "unrecognized arguments: " + unread in err
+        assert f"schubert {argv[0]}: error: unrecognized arguments: {unread}" in err
 
     def test_oracle_exit_code_exists(self):
         assert EXIT_ORACLE == 1
