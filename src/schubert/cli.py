@@ -106,8 +106,6 @@ def cmd_pieri(args) -> int:
     k = args.k if args.k is not None else len(indices)
     if k != len(indices):
         raise InvalidInputError(f"symbol length {len(indices)} does not match --k {k}")
-    if args.h < 0:
-        raise InvalidInputError("h must be nonnegative")
     v = KVector.basis(indices)
     ctx = _context(args, k)
     result = reduce_kvector(pieri_d(args.h, v), ctx)

@@ -1,5 +1,6 @@
 """The shift derivation family D_h on the exterior algebra, its inverse
-series E_t, and the commutative operator ring Z[D].
+series E_t, the commutative operator ring Z[D], and _laplace, the
+Laplace expansion that writes a Giambelli determinant as DPolynomial terms.
 
 Two independent evaluation paths are provided for D_h on a k-vector:
 leibniz_d enumerates all compositions of h (most of which cancel) and
@@ -44,7 +45,7 @@ class DPolynomial(FreeElement):
     of the subscripts of its D factors, to a nonzero integer coefficient.
     The constructor takes Partitions or part tuples and validates them as
     partitions, and ``items()`` gives Partitions; the engine works on
-    ``terms`` directly, keyed as giambelli_ring._laplace builds them.
+    ``terms`` directly, keyed as _laplace builds them.
 
     The empty tuple is the identity operator."""
 
@@ -100,6 +101,35 @@ class DPolynomial(FreeElement):
         return f"DPolynomial({render_dpolynomial(self)!r})"
 
 
+def _laplace(r: tuple, width: int) -> dict:
+    """The DPolynomial terms with all parts <= width of the determinant
+    with entry (row i, col j) = D_{r[j-1] + j - i}.  Entries above width
+    are skipped as it builds: a monomial has a part above width exactly
+    when one of its entries does."""
+    return _minor(tuple(range(1, len(r) + 1)), r, width, {(): {(): 1}})
+
+
+def _minor(rows: tuple, r: tuple, width: int, memo: dict) -> dict:
+    """_laplace's minor on these rows (1-indexed) and the first len(rows)
+    columns: Laplace expansion along the last column, memoised on the
+    remaining rows.  Module-level, so it leaves no reference cycle."""
+    cached = memo.get(rows)
+    if cached is None:
+        col = len(rows)
+        pairs = []
+        for pos, i in enumerate(rows):
+            s = r[col - 1] + col - i
+            if not 0 <= s <= width:
+                continue
+            sign = -1 if (col - 1 - pos) % 2 else 1
+            for mono, c in _minor(rows[:pos] + rows[pos + 1 :], r, width, memo).items():
+                if s:
+                    mono = tuple(sorted(mono + (s,), reverse=True))
+                pairs.append((mono, sign * c))
+        cached = memo[rows] = accumulate(pairs)
+    return cached
+
+
 def render_dpolynomial(p: DPolynomial) -> str:
     """Text form like 'D1*D2 - D3'; monomials sorted lexicographically."""
     terms = []
@@ -142,8 +172,6 @@ def leibniz_d(h: int, v: KVector) -> KVector:
         raise InvalidInputError("h must be nonnegative")
     if h == 0:
         return v
-    if v.degree == 0:
-        return KVector.zero(0)
     return KVector._of(v.degree, accumulate(signed_sorted(
         ((shifted, d), c)
         for (indices, d), c in v.terms.items()
@@ -222,8 +250,6 @@ def pieri_d(h: int, v: KVector) -> KVector:
         raise InvalidInputError("h must be nonnegative")
     if h == 0:
         return v
-    if v.degree == 0:
-        return KVector.zero(0)
     return KVector._of(v.degree, apply_rows(v.terms, partial(_row, None, False, h)))
 
 

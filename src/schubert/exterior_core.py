@@ -258,18 +258,7 @@ class QInt(FreeElement):
         return super().__hash__()
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            if e == 0:
-                bits.append(str(c))
-            elif e == 1:
-                bits.append(f"{c}*q")
-            else:
-                bits.append(f"{c}*q^{e}")
-        return " + ".join(bits)
+        return render_signed_terms((c, q_factors(e)) for e, c in sorted(self.terms.items()))
 
 
 class KVector(FreeElement):
@@ -347,10 +336,7 @@ class KVector(FreeElement):
 
 def partition_to_symbol(lam: Partition, k: int) -> SchubertSymbol:
     """The symbol I with i_j = r_j + j, where r_j runs over lam reversed."""
-    lam, k = as_partition(lam), as_int(k)
-    if lam.length() > k >= 0:  # padded rejects a negative k
-        raise InvalidInputError(f"partition length {lam.length()} exceeds k={k}")
-    return SchubertSymbol(r + j for j, r in enumerate(reversed(lam.padded(k)), 1))
+    return SchubertSymbol(r + j for j, r in enumerate(reversed(as_partition(lam).padded(k)), 1))
 
 
 def symbol_to_partition(sym: SchubertSymbol) -> Partition:

@@ -1,6 +1,7 @@
 """Giambelli determinant operators, generator reduction, the Y-series,
 and verification of the classical and quantum ring presentations.  On the
-k-th exterior power D_h is a coefficient of (1 + E_1 t + ... + E_k t^k)^{-1}."""
+k-th exterior power D_h is a coefficient of (1 + E_1 t + ... + E_k t^k)^{-1}.
+The quotient the presentations are checked in comes from grassmann_contexts."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from collections import namedtuple
 
 from .derivations import (
     DPolynomial,
+    _laplace,
     _series_inverse,
     apply_operator,
     inverse_components,
@@ -15,15 +17,14 @@ from .derivations import (
 )
 from .exterior_core import (
     InvalidInputError,
-    KVector,
     Partition,
     QInt,
-    accumulate,
     as_int,
     as_partition,
     fundamental,
     render_signed_terms,
 )
+from .grassmann_contexts import CLASSICAL, QUANTUM, GrassmannContext, reduce_kvector
 
 
 def giambelli_det(lam: Partition, k: int) -> DPolynomial:
@@ -33,39 +34,8 @@ def giambelli_det(lam: Partition, k: int) -> DPolynomial:
     Homogeneous of degree |lam|.  _laplace with the largest entry,
     lam_1 + k - 1, as the width keeps every monomial."""
     k, lam = as_int(k), as_partition(lam)
-    if lam.length() > k >= 0:  # padded rejects a negative k
-        raise InvalidInputError(f"partition length exceeds k={k}")
     det = _laplace(tuple(reversed(lam.padded(k))), max(lam, default=0) + k - 1)
     return DPolynomial._of(det)
-
-
-def _laplace(r: tuple, width: int) -> dict:
-    """The {descending-part tuple: int} monomials with all parts <= width
-    of the determinant with entry (row i, col j) = D_{r[j-1] + j - i}.
-    Entries above width are skipped as it builds: a monomial has a part
-    above width exactly when one of its entries does."""
-    return _minor(tuple(range(1, len(r) + 1)), r, width, {(): {(): 1}})
-
-
-def _minor(rows: tuple, r: tuple, width: int, memo: dict) -> dict:
-    """_laplace's minor on these rows (1-indexed) and the first len(rows)
-    columns: Laplace expansion along the last column, memoised on the
-    remaining rows.  Module-level, so it leaves no reference cycle."""
-    cached = memo.get(rows)
-    if cached is None:
-        col = len(rows)
-        pairs = []
-        for pos, i in enumerate(rows):
-            s = r[col - 1] + col - i
-            if not 0 <= s <= width:
-                continue
-            sign = -1 if (col - 1 - pos) % 2 else 1
-            for mono, c in _minor(rows[:pos] + rows[pos + 1 :], r, width, memo).items():
-                if s:
-                    mono = tuple(sorted(mono + (s,), reverse=True))
-                pairs.append((mono, sign * c))
-        cached = memo[rows] = accumulate(pairs)
-    return cached
 
 
 def _low_generators(k: int, top: int) -> list:
@@ -118,7 +88,7 @@ def _relations(k: int, n: int, mode: str) -> list:
     as pairs (h, c) meaning D_h = c * q: D_{n-k+1}, ..., D_n vanish, except
     that the quantum ring has D_n = (-1)^(k-1) q."""
     rels = [(h, 0) for h in range(n - k + 1, n + 1)]
-    if mode == "quantum":
+    if mode == QUANTUM:
         rels[-1] = (n, (-1) ** (k - 1))
     return rels
 
@@ -137,21 +107,17 @@ class PresentationReport(namedtuple("PresentationReport", "k n mode checked_rela
         return [(name, w) for name, holds, w in self.checked_relations if not holds]
 
 
-def verify_presentation(k: int, n: int, mode: str = "classical") -> PresentationReport:
+def verify_presentation(k: int, n: int, mode: str = CLASSICAL) -> PresentationReport:
     """Check the defining relations of the classical or quantum intersection
     ring by acting on the fundamental k-vector and reducing in the context.
 
     Also checks the series identity E_m = (-1)^(m-1) D_m + Y_m for
     m = n-k+1 .. n in Z[D]; a failure's witness is the difference acting on
     the fundamental class, where monomials in D_1..D_k act freely."""
-    from .grassmann_contexts import GrassmannContext, reduce_kvector
-
-    k, n = as_int(k), as_int(n)
-    if mode not in ("classical", "quantum"):
+    if mode not in (CLASSICAL, QUANTUM):
         raise InvalidInputError(f"unknown mode {mode!r}")
-    if not 1 <= k <= n:
-        raise InvalidInputError("need 1 <= k <= n")
     ctx = GrassmannContext(k, n, mode)
+    k, n = ctx.k, ctx.n
     fund = fundamental(k)
     gens = _low_generators(k, n)
     checked = []
@@ -191,7 +157,7 @@ def render_presentation(report: PresentationReport) -> str:
     k, n, mode = report.k, report.n, report.mode
     lines = [f"G({k},{n}) {mode} presentation"]
     gens = ", ".join(f"D{i}" for i in range(1, k + 1))
-    base = "Z[q]" if mode == "quantum" else "Z"
+    base = "Z[q]" if mode == QUANTUM else "Z"
     rels = ", ".join(render_signed_terms([(1, [f"D{h}"]), (-c, ["q"])])
                      for h, c in _relations(k, n, mode))
     lines.append(f"D-form: {base}[{gens}] / ({rels})")

@@ -10,7 +10,7 @@ from functools import lru_cache, partial
 
 # pieri_d is not called here but stays bound: perfbench/selftest.py checks
 # that a tracer rebinding pieri_d finds it in this namespace.
-from .derivations import _row, apply_rows, pieri_d  # noqa: F401
+from .derivations import _laplace, _row, apply_rows, pieri_d  # noqa: F401
 from .exterior_core import (
     InvalidInputError,
     KVector,
@@ -22,7 +22,6 @@ from .exterior_core import (
     signed_sorted,
     symbol_to_partition,
 )
-from .giambelli_ring import _laplace
 
 INFINITE = "infinite"
 CLASSICAL = "classical"

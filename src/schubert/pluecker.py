@@ -121,6 +121,8 @@ def schubert_symbol(matrix) -> SchubertSymbol:
 
 def bruhat_smaller(sym: SchubertSymbol, n: int) -> list:
     """All symbols componentwise <= sym (within 1..n), excluding sym itself."""
+    if sym and sym[-1] > n:
+        raise InvalidInputError(f"symbol {tuple(sym)} has an index above n={n}")
     level = [()]
     for bound in sym:  # extend every prefix in order, so the result is lexicographic
         level = [t + (i,) for t in level for i in range((t[-1] if t else 0) + 1, bound + 1)]
@@ -133,4 +135,6 @@ def minimality_certificate(matrix, sym=None) -> list:
     if sym is None:
         sym = schubert_symbol(matrix)
     n = _width(matrix)
+    if len(sym) != len(matrix):
+        raise InvalidInputError(f"symbol {tuple(sym)} has {len(sym)} indices, not k={len(matrix)}")
     return [(s, minor(matrix, s)) for s in bruhat_smaller(sym, n)]

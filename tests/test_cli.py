@@ -82,6 +82,10 @@ class TestPieri:
         assert code == EXIT_PARSE
         assert "error" in err
 
+    def test_negative_h(self, capsys):
+        code, out, err = run(capsys, "pieri", "-1", "1,2")
+        assert (code, out, err) == (EXIT_PARSE, "", "error: h must be nonnegative")
+
     @given(st.data())
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -181,6 +185,10 @@ class TestGiambelli:
         code, _, err = run(capsys, "giambelli", "", "--k", "-1")
         assert code == EXIT_PARSE
         assert "k must be nonnegative" in err
+
+    def test_longer_than_k(self, capsys):
+        code, out, err = run(capsys, "giambelli", "1,1,1", "--k", "2")
+        assert (code, out, err) == (EXIT_PARSE, "", "error: partition (1, 1, 1) longer than k=2")
 
     @given(st.data())
     @settings(max_examples=60, deadline=None,

@@ -236,6 +236,7 @@ class TestMixedCoefficients:
         assert apply_operator(DPolynomial.generator(2), KVector.zero(3)) == KVector.zero(3)
         scalar = KVector(0, {(): QInt({0: 3, 2: -1})})
         assert pieri_d(1, scalar) == KVector.zero(0)
+        assert leibniz_d(1, scalar) == KVector.zero(0)
         assert apply_operator(DPolynomial.identity() * 2, scalar) == scalar.scale(2)
         d1 = DPolynomial.generator(1)
         assert apply_operator(DPolynomial.identity() + d1, scalar) == scalar

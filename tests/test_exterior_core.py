@@ -192,6 +192,16 @@ class TestQInt:
         with pytest.raises(InvalidInputError):
             QInt({-1: 1})
 
+    @pytest.mark.parametrize("coeffs,text", [
+        ({}, "0"),
+        ({0: 3}, "3"),
+        ({0: -3, 2: -1}, "-3 - q^2"),
+        ({1: 1}, "q"),
+        ({0: 1, 1: -2, 2: 1}, "1 - 2*q + q^2"),
+    ], ids=["zero", "constant", "negative", "unit-q", "mixed"])
+    def test_repr_is_the_shared_signed_layout(self, coeffs, text):
+        assert repr(QInt(coeffs)) == text
+
 
 class TestNormalize:
     def test_single_transposition(self):

@@ -36,6 +36,31 @@ def d(h):
     return DPolynomial.generator(h)
 
 
+def test_engine_imports_at_module_level_one_way():
+    # every package import sits at module level, so the import graph is
+    # read off the top of each file; the one exception is the oracle's
+    # giambelli_det, which keeps the oracle free of engine code on import.
+    # grassmann_contexts, which giambelli_ring imports, does not import it back.
+    import ast
+    import pathlib
+
+    import schubert
+
+    nested, top = [], {}
+    for path in sorted(pathlib.Path(schubert.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top[path.stem] = {node.module for node in tree.body
+                          if isinstance(node, ast.ImportFrom) and node.level}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [(path.stem, fn.name, node.module, [a.name for a in node.names])
+                           for node in ast.walk(fn)
+                           if isinstance(node, ast.ImportFrom) and node.level]
+    assert nested == [("schur_oracle", "verify_jacobi_trudi", "giambelli_ring", ["giambelli_det"])]
+    assert "giambelli_ring" not in top["grassmann_contexts"]
+    assert "grassmann_contexts" in top["giambelli_ring"]
+
+
 class TestGiambelliDet:
     def test_one_by_one(self):
         assert giambelli_det(Partition((5,)), 1) == d(5)

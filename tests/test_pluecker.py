@@ -201,6 +201,15 @@ class TestCertificate:
         finally:
             gc.enable()
 
+    def test_bruhat_smaller_rejects_an_index_above_n(self):
+        with pytest.raises(InvalidInputError):
+            bruhat_smaller(SchubertSymbol((2, 4)), 3)
+
+    def test_certificate_rejects_a_symbol_of_the_wrong_length(self):
+        # a one-index symbol has no smaller symbols, so it would pass vacuously
+        with pytest.raises(InvalidInputError):
+            minimality_certificate([[1, 0, 0], [0, 1, 0]], SchubertSymbol((1,)))
+
     def test_certificate_all_zero(self):
         m = [[0, 1, 0, 0], [0, 0, 0, 1]]
         cert = minimality_certificate(m)
