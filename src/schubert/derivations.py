@@ -101,12 +101,12 @@ class DPolynomial(FreeElement):
         return f"DPolynomial({render_dpolynomial(self)!r})"
 
 
-def _laplace(r: tuple, width: int) -> dict:
-    """The DPolynomial terms with all parts <= width of the determinant
-    with entry (row i, col j) = D_{r[j-1] + j - i}.  Entries above width
-    are skipped as it builds: a monomial has a part above width exactly
-    when one of its entries does."""
-    return _minor(tuple(range(1, len(r) + 1)), r, width, {(): {(): 1}})
+def _laplace(lam: Partition, k: int, width: int) -> dict:
+    """The DPolynomial terms with all parts <= width of lam's Giambelli
+    determinant, entry (row i, col j) = D_{r_j + j - i}, r = lam reversed
+    and zero padded to k.  Entries above width are skipped as it builds: a
+    monomial has a part above width exactly when one of its entries does."""
+    return _minor(tuple(range(1, k + 1)), tuple(reversed(lam.padded(k))), width, {(): {(): 1}})
 
 
 def _minor(rows: tuple, r: tuple, width: int, memo: dict) -> dict:

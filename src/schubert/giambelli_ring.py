@@ -34,8 +34,7 @@ def giambelli_det(lam: Partition, k: int) -> DPolynomial:
     Homogeneous of degree |lam|.  _laplace with the largest entry,
     lam_1 + k - 1, as the width keeps every monomial."""
     k, lam = as_int(k), as_partition(lam)
-    det = _laplace(tuple(reversed(lam.padded(k))), max(lam, default=0) + k - 1)
-    return DPolynomial._of(det)
+    return DPolynomial._of(_laplace(lam, k, max(lam, default=0) + k - 1))
 
 
 def _low_generators(k: int, top: int) -> list:
@@ -93,9 +92,11 @@ def _relations(k: int, n: int, mode: str) -> list:
     return rels
 
 
-class PresentationReport(namedtuple("PresentationReport", "k n mode checked_relations")):
+class PresentationReport(namedtuple("PresentationReport", "k n mode checked_relations generators ys")):
     """Outcome of checking a ring presentation on the fundamental class;
-    checked_relations holds (name, holds, witness KVector) triples."""
+    checked_relations holds (name, holds, witness KVector) triples,
+    generators D_0, ..., D_n in D_1..D_k and ys Y_0, ..., Y_n (empty when
+    k = n), the series the checks were made with."""
 
     __slots__ = ()
 
@@ -119,7 +120,11 @@ def verify_presentation(k: int, n: int, mode: str = CLASSICAL) -> PresentationRe
     ctx = GrassmannContext(k, n, mode)
     k, n = ctx.k, ctx.n
     fund = fundamental(k)
-    gens = _low_generators(k, n)
+    es = inverse_components(n)
+    gens = _series_inverse(es[1 : k + 1], n)  # D_t = E_t^{-1}, as _low_generators
+    # the Y's are a series of their own, not E filtered, so that the E/Y
+    # identity below compares two independent computations
+    ys = y_polynomials(n, k) if k < n else []
     checked = []
     for h, c in _relations(k, n, mode):
         w = reduce_kvector(apply_operator(gens[h], fund), ctx)
@@ -128,8 +133,6 @@ def verify_presentation(k: int, n: int, mode: str = CLASSICAL) -> PresentationRe
         checked.append((f"D{h} * e[1..{k}] = {rhs}", diff.is_zero(), diff))
 
     if k < n:
-        ys = y_polynomials(n, k)
-        es = inverse_components(n)
         for j in range(1, k + 1):
             m = n - k + j
             # The series identity E_m = -D_m + (-1)^m Y_m holds modulo the
@@ -148,7 +151,7 @@ def verify_presentation(k: int, n: int, mode: str = CLASSICAL) -> PresentationRe
                 name += f" mod ({imposed})"
             checked.append((name, diff.is_zero(), witness))
 
-    return PresentationReport(k, n, mode, checked)
+    return PresentationReport(k, n, mode, checked, gens, ys)
 
 
 def render_presentation(report: PresentationReport) -> str:
@@ -162,18 +165,16 @@ def render_presentation(report: PresentationReport) -> str:
                      for h, c in _relations(k, n, mode))
     lines.append(f"D-form: {base}[{gens}] / ({rels})")
     lines.append("reduced relations:")
-    low = _low_generators(k, n)
     for h, c in _relations(k, n, mode):
-        lines.append(f"  {render_dpolynomial(low[h])} = "
+        lines.append(f"  {render_dpolynomial(report.generators[h])} = "
                      f"{render_signed_terms([(c, ['q'])])}")
     if k < n:
         ygens = ", ".join(f"D{i}" for i in range(1, n - k + 1))
         yrels = ", ".join(render_signed_terms([(1, [f"Y{h}(D)"]), (-c, ["q"])])
                           for h, c in _relations(n - k, n, mode))
         lines.append(f"Y-form: {base}[{ygens}] / ({yrels})")
-        ys = y_polynomials(n, k)
         for i in range(k + 1, n + 1):
-            lines.append(f"  Y{i} = {render_dpolynomial(ys[i])}")
+            lines.append(f"  Y{i} = {render_dpolynomial(report.ys[i])}")
     lines.append("checks:")
     for name, holds, _ in report.checked_relations:
         lines.append(f"  {name}: {'OK' if holds else 'FAIL'}")

@@ -49,12 +49,12 @@ class GrassmannContext(namedtuple("GrassmannContext", "k n mode")):
 def reduce_kvector(v: KVector, ctx: GrassmannContext) -> KVector:
     """Project a k-vector into the context's quotient.
 
-    Classical: delete every term with an index above n.  Quantum: while a
-    term's largest index j exceeds n, replace j by j - n, multiply the
-    coefficient by (-1)^(k-1) * q, and re-normalize; terms that acquire a
-    repeated index die.  (The (-1)^(k-1) is the renaming that makes q the
-    geometric deformation parameter, so Gromov-Witten coefficients come out
-    nonnegative.)"""
+    Classical: delete every term with an index above n.  Quantum: wrap
+    every index in one step, i -> i - n*w with w = floor((i-1)/n), and
+    multiply the coefficient by ((-1)^(k-1) * q)^W, W the sum of the w's;
+    re-normalize, so a term whose wrapped indices repeat dies.  (The
+    (-1)^(k-1) is the renaming that makes q the geometric deformation
+    parameter, so Gromov-Witten coefficients come out nonnegative.)"""
     if v.degree != ctx.k:
         raise InvalidInputError(f"degree {v.degree} does not match context k={ctx.k}")
     if ctx.mode == INFINITE:
@@ -65,12 +65,8 @@ def reduce_kvector(v: KVector, ctx: GrassmannContext) -> KVector:
     wrap = (-1) ** (k - 1)
     pairs = []
     for (indices, d), c in v.terms.items():
-        indices = list(indices)
-        while max(indices) > n and len(set(indices)) == k:
-            top = max(indices)
-            indices[indices.index(top)] = top - n
-            d, c = d + 1, c * wrap
-        pairs.append(((indices, d), c))
+        w = sum((i - 1) // n for i in indices)
+        pairs.append((([(i - 1) % n + 1 for i in indices], d + w), c * wrap ** w))
     return KVector._of(k, accumulate(signed_sorted(pairs)))
 
 
@@ -128,7 +124,7 @@ _class = lru_cache(maxsize=None)(symbol_to_partition)
 def _box_monomials(lam: Partition, k: int, width: int) -> dict:
     """The {parts: coefficient} monomials of the Giambelli determinant of
     lam whose parts are all <= width = n-k: sigma_h is 0 above."""
-    return _laplace(tuple(reversed(as_partition(lam).padded(k))), width)
+    return _laplace(as_partition(lam), k, width)
 
 
 def multiply(lam, mu, ctx: GrassmannContext) -> dict:

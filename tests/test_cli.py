@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -244,6 +245,19 @@ class TestPresent:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert all(rel["holds"] for rel in payload["relations"])
+
+    def test_every_small_presentation_unchanged(self, capsys):
+        # sha256 over the exit code and stdout of present, text and --json,
+        # for 1 <= k <= n <= 10 in both modes, recorded before the report
+        # carried the series it was checked with
+        digest = hashlib.sha256()
+        for n in range(1, 11):
+            for k in range(1, n + 1):
+                for mode in ([], ["--quantum"]):
+                    for fmt in ([], ["--json"]):
+                        code = main(["present", "--k", str(k), "--n", str(n), *mode, *fmt])
+                        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == "533bda934d92fec1150ea4df8c9c47be5fe91f3fe383bd209de6108c120f7139"
 
 
 class TestTable:

@@ -6,7 +6,8 @@ from math import gcd
 
 import pytest
 
-from schubert.derivations import DPolynomial, apply_operator, pieri_d
+from schubert import derivations, giambelli_ring
+from schubert.derivations import DPolynomial, _series_inverse, apply_operator, pieri_d
 from schubert.exterior_core import (
     InvalidInputError,
     KVector,
@@ -112,7 +113,7 @@ class TestGiambelliDet:
             for lam in box_partitions(k, k + 5):
                 terms = giambelli_det(lam, k).terms
                 width = max(lam.parts, default=0) + k - 1
-                assert terms == _laplace(tuple(reversed(lam.padded(k))), width), (lam, k)
+                assert terms == _laplace(lam, k, width), (lam, k)
                 assert all(type(mono) is tuple for mono in terms), (lam, k)
 
     def test_k7_acts_as_basis_vector(self):
@@ -347,9 +348,34 @@ class TestPresentations:
     def test_failing_report(self):
         witness = KVector.basis((1, 3))
         report = PresentationReport(2, 4, "classical", [("holds", True, KVector.zero(2)),
-                                                        ("fails", False, witness)])
+                                                        ("fails", False, witness)], [], [])
         assert not report.ok
         assert report.failures() == [("fails", witness)]
+
+    @pytest.mark.parametrize("k,n", [(1, 4), (2, 5), (3, 7), (4, 4)])
+    def test_report_carries_the_series(self, k, n):
+        for mode in ("classical", "quantum"):
+            report = verify_presentation(k, n, mode)
+            assert report.generators == _low_generators(k, n)
+            assert report.ys == (y_polynomials(n, k) if k < n else [])
+
+    @pytest.mark.parametrize("k,n,mode", [(1, 4, "quantum"), (2, 5, "classical"),
+                                          (3, 7, "quantum"), (4, 8, "classical")])
+    def test_one_series_pass_per_presentation(self, monkeypatch, k, n, mode):
+        # E up to degree n, its prefix inverted into the D-form generators,
+        # and the Y-series: three inversions, none of them while rendering
+        calls = []
+
+        def counted(coeffs, max_degree):
+            calls.append(max_degree)
+            return _series_inverse(coeffs, max_degree)
+
+        monkeypatch.setattr(derivations, "_series_inverse", counted)
+        monkeypatch.setattr(giambelli_ring, "_series_inverse", counted)
+        report = verify_presentation(k, n, mode)
+        assert len(calls) == 3
+        render_presentation(report)
+        assert len(calls) == 3
 
     def test_render(self):
         text = render_presentation(verify_presentation(1, 4, "quantum"))

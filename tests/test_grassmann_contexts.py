@@ -15,6 +15,7 @@ from schubert.exterior_core import (
     Partition,
     QInt,
     fundamental,
+    normalize,
     partition_to_symbol,
     symbol_to_partition,
 )
@@ -131,6 +132,44 @@ class TestReduce:
     def test_degree_mismatch(self):
         with pytest.raises(InvalidInputError):
             reduce_kvector(KVector.basis((1, 2, 3)), GrassmannContext(2, 4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_wrap_at_a_time(self, data):
+        # the quantum relation taken literally: an index i > n may be
+        # replaced by i - n at the cost of (-1)^(k-1) * q, one index at a
+        # time, without changing the class
+        n = data.draw(st.integers(1, 5), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        top = data.draw(st.integers(n + 1, 3 * n), label="top")
+        rest = data.draw(st.lists(
+            st.integers(1, 3 * n).filter(lambda i: i != top), min_size=k - 1, max_size=k - 1,
+            unique=True,
+        ), label="rest")
+        indices = data.draw(st.permutations([top, *rest]), label="indices")
+        p = data.draw(st.sampled_from([p for p, i in enumerate(indices) if i > n]), label="p")
+        d = data.draw(st.integers(0, 2), label="d")
+        c = data.draw(st.integers(-3, 3).filter(bool), label="c")
+        wrapped = list(indices)
+        wrapped[p] -= n
+        ctx = GrassmannContext(k, n, "quantum")
+        v = normalize([(indices, QInt.q_power(d, c))], k)
+        w = normalize([(wrapped, QInt.q_power(d + 1, c * (-1) ** (k - 1)))], k)
+        assert reduce_kvector(v, ctx) == reduce_kvector(w, ctx)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_indices_congruent_mod_n_die(self, data):
+        n = data.draw(st.integers(2, 5), label="n")
+        k = data.draw(st.integers(2, n), label="k")
+        i = data.draw(st.integers(1, 3 * n), label="i")
+        j = data.draw(st.sampled_from([j for j in range(1, 3 * n + 1) if j != i and j % n == i % n]))
+        rest = data.draw(st.lists(
+            st.integers(1, 3 * n).filter(lambda x: x not in (i, j)), min_size=k - 2, max_size=k - 2,
+            unique=True,
+        ), label="rest")
+        v = normalize([(data.draw(st.permutations([i, j, *rest])), 1)], k)
+        assert reduce_kvector(v, GrassmannContext(k, n, "quantum")).is_zero()
 
 
 class TestQuantumPieri:
