@@ -119,8 +119,6 @@ def cmd_pieri(args) -> int:
 
 
 def cmd_mult(args) -> int:
-    if args.k is None or args.n is None:
-        raise InvalidInputError("mult requires --k and --n")
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     ctx = _context(args, args.k)
@@ -133,8 +131,6 @@ def cmd_mult(args) -> int:
 
 
 def cmd_giambelli(args) -> int:
-    if args.k is None:
-        raise InvalidInputError("giambelli requires --k")
     lam = parse_partition(args.lam)
     det = giambelli_det(lam, args.k)
     if args.json:
@@ -146,8 +142,6 @@ def cmd_giambelli(args) -> int:
 
 
 def cmd_present(args) -> int:
-    if args.k is None or args.n is None:
-        raise InvalidInputError("present requires --k and --n")
     mode = QUANTUM if args.quantum else CLASSICAL
     report = verify_presentation(args.k, args.n, mode)
     if args.json:
@@ -167,8 +161,6 @@ def cmd_present(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.k is None or args.n is None:
-        raise InvalidInputError("table requires --k and --n")
     table = structure_table(_context(args, args.k), args.max_weight)
     print(table.to_json(indent=None if args.json else 2))
     return EXIT_OK
@@ -215,8 +207,6 @@ def run_checks(k: int, n: int) -> list:
 
 
 def cmd_check(args) -> int:
-    if args.k is None or args.n is None:
-        raise InvalidInputError("check requires --k and --n")
     results = run_checks(args.k, args.n)
     if args.json:
         print(json.dumps({"ok": all(ok for _, ok in results),
@@ -287,30 +277,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pieri", parents=[common], help="apply the h-th derivation to a basis k-vector")
     p.add_argument("h", type=int)
     p.add_argument("symbol")
-    p.set_defaults(func=cmd_pieri)
+    p.set_defaults(func=cmd_pieri, needs=())
 
     p = sub.add_parser("mult", parents=[common], help="product of two Schubert classes")
     p.add_argument("lam")
     p.add_argument("mu")
-    p.set_defaults(func=cmd_mult)
+    p.set_defaults(func=cmd_mult, needs=("k", "n"))
 
     p = sub.add_parser("giambelli", parents=[k_flags], help="determinantal operator of a partition")
     p.add_argument("lam")
-    p.set_defaults(func=cmd_giambelli)
+    p.set_defaults(func=cmd_giambelli, needs=("k",))
 
     p = sub.add_parser("present", parents=[common], help="ring presentation with verified relations")
-    p.set_defaults(func=cmd_present)
+    p.set_defaults(func=cmd_present, needs=("k", "n"))
 
     p = sub.add_parser("table", parents=[common], help="full structure-constant table as JSON")
     p.add_argument("--max-weight", type=int, default=None)
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_table, needs=("k", "n"))
 
     p = sub.add_parser("check", parents=[n_flags], help="run the oracle cross-validation suite")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, needs=("k", "n"))
 
     p = sub.add_parser("pluecker", parents=[n_flags], help="minors and Schubert symbol of a matrix")
     p.add_argument("matrix_file")
-    p.set_defaults(func=cmd_pluecker)
+    p.set_defaults(func=cmd_pluecker, needs=())
 
     return parser
 
@@ -322,6 +312,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
+        if any(getattr(args, flag) is None for flag in args.needs):
+            raise InvalidInputError(
+                f"{args.command} requires " + " and ".join(f"--{flag}" for flag in args.needs))
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -224,15 +224,15 @@ class QInt(FreeElement):
 
     @classmethod
     def integer(cls, n: int) -> "QInt":
-        return cls({0: n}) if n else cls()
+        return cls({0: n})
 
     @classmethod
     def q_power(cls, d: int, c: int = 1) -> "QInt":
-        return cls({d: c}) if c else cls()
+        return cls({d: c})
 
     @staticmethod
     def _coerce(other) -> "QInt":
-        return other if isinstance(other, QInt) else QInt.integer(as_int(other))
+        return other if isinstance(other, QInt) else QInt.integer(other)
 
     def items(self):
         return self.terms.items()
@@ -440,19 +440,20 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*)?(?:(q)(?:\^(\d+))?\*)?e\[\s*(\d+(?:\s*,\s*\
 
 
 def parse_kvector(text: str, degree=None) -> KVector:
-    """Parse the exact grammar emitted by render_kvector."""
+    """Parse the exact grammar emitted by render_kvector.  Empty or blank
+    text is not a k-vector: the zero vector is written '0'."""
     s = text.strip()
+    if not s:
+        raise InvalidInputError(f"cannot parse k-vector: {text!r}")
     if s == "0":
         if degree is None:
             raise InvalidInputError("degree is required to parse the zero vector")
         return KVector.zero(degree)
-    tokens = re.split(r"\s*([+-])\s*", s)
-    if tokens and tokens[0] == "":
+    tokens = re.split(r"\s*([+-])\s*", s)  # term, sign, term, ..., term
+    if tokens[0] == "":
         tokens = tokens[1:]  # leading sign
     else:
         tokens = ["+"] + tokens
-    if len(tokens) % 2 != 0:
-        raise InvalidInputError(f"cannot parse k-vector: {text!r}")
     raw = []
     for sign_tok, term in zip(tokens[0::2], tokens[1::2]):
         m = _TERM_RE.match(term.strip())

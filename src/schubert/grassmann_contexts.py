@@ -210,14 +210,7 @@ class StructureTable(namedtuple("StructureTable", "context entries")):
             {"lambda": list(lam), "mu": list(mu), "terms": expansion_json_terms(product)}
             for (lam, mu), product in sorted(self.entries.items())
         ]
-        return {
-            "context": {
-                "k": self.context.k,
-                "n": self.context.n,
-                "mode": self.context.mode,
-            },
-            "entries": entries,
-        }
+        return {"context": self.context._asdict(), "entries": entries}
 
     def to_json(self, indent=None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)

@@ -146,19 +146,6 @@ def verify_jacobi_trudi(lam, k: int) -> bool:
     return _schur_horner(giambelli_det(lam, k).terms.items(), k) == {lam.padded(k): 1}
 
 
-def _by_largest_part(monos) -> tuple:
-    """The constant term of these (descending parts, c) pairs, and the
-    others grouped by largest part as {h: [(other parts, c), ...]}."""
-    constant = 0
-    groups = {}
-    for parts, c in monos:
-        if parts:
-            groups.setdefault(parts[0], []).append((parts[1:], c))
-        else:
-            constant += c
-    return constant, groups
-
-
 def _schur_horner(monos, k: int) -> dict:
     """The sum of c * h_parts(x_1..x_k) over these (descending parts, c)
     pairs in the Schur basis, as {shape padded to k rows: c}.  A Horner
@@ -169,9 +156,14 @@ def _schur_horner(monos, k: int) -> dict:
     first letter of a tableau.  Zeros are dropped once per call.
     Module-level: a closure that called itself would leave a reference
     cycle per call."""
-    constant, groups = _by_largest_part(monos)
-    out = {(0,) * k: constant} if constant else {}
+    out = {(0,) * k: 0}
     get = out.get
+    groups = {}
+    for parts, c in monos:
+        if parts:
+            groups.setdefault(parts[0], []).append((parts[1:], c))
+        else:
+            out[(0,) * k] += c
     for h, inner in groups.items():
         for shape, c in _schur_horner(inner, k).items():
             for grown, _ in _lr_strips(shape, None, h):

@@ -290,6 +290,13 @@ def test_leibniz_raw_terms():
     raw = leibniz_raw_terms(2, (2, 3, 5))
     assert len(raw) == 6
     assert set(raw) == {(4, 3, 5), (3, 4, 5), (3, 3, 6), (2, 5, 5), (2, 4, 6), (2, 3, 7)}
+    # the empty wedge has the one empty composition of 0
+    assert leibniz_raw_terms(0, ()) == [()]
+
+
+def test_leibniz_rejects_negative_h():
+    with pytest.raises(InvalidInputError, match="h must be nonnegative"):
+        leibniz_d(-1, KVector.basis((1, 3)))
 
 
 class TestInverseComponents:

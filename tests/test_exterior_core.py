@@ -72,6 +72,8 @@ class TestPartition:
     def test_box_complement(self):
         assert Partition((2, 1)).box_complement(2, 4) == Partition((1,))
         assert Partition(()).box_complement(2, 4) == Partition((2, 2))
+        with pytest.raises(InvalidInputError, match="does not fit"):
+            Partition((3,)).box_complement(2, 4)
 
 
 class TestSchubertSymbol:
@@ -80,6 +82,10 @@ class TestSchubertSymbol:
             SchubertSymbol((2, 2))
         with pytest.raises(InvalidInputError):
             SchubertSymbol((0, 1))
+
+    def test_k_is_the_length(self):
+        assert SchubertSymbol((2, 5)).k == 2
+        assert SchubertSymbol(()).k == 0
 
     def test_weight(self):
         assert SchubertSymbol((1, 2)).weight() == 0
@@ -225,6 +231,11 @@ class TestNormalize:
         with pytest.raises(InvalidInputError):
             normalize([((0, 1), 1)])
 
+    def test_empty_sum_needs_a_degree(self):
+        with pytest.raises(InvalidInputError, match="degree is required"):
+            normalize([])
+        assert normalize([], 2) == KVector.zero(2)
+
 
 class TestWedge:
     def test_basics(self):
@@ -261,6 +272,9 @@ class TestRenderParse:
 
     def test_parse_zero(self):
         assert parse_kvector("0", 2) == KVector.zero(2)
+        # the zero vectors of different degrees differ, so '0' needs one
+        with pytest.raises(InvalidInputError, match="degree is required"):
+            parse_kvector("0")
 
     @given(
         st.lists(
@@ -295,6 +309,12 @@ class TestRenderParse:
     def test_malformed_symbol_rejected(self, text):
         with pytest.raises(InvalidInputError, match="cannot parse term"):
             parse_kvector(text)
+
+    @pytest.mark.parametrize("text, degree", [("", 2), ("   ", 2), ("", None)])
+    def test_empty_text_rejected(self, text, degree):
+        # the zero vector is written '0'; no text at all is not a k-vector
+        with pytest.raises(InvalidInputError, match="cannot parse k-vector"):
+            parse_kvector(text, degree)
 
 
 class TestKVectorBoundary:
@@ -405,6 +425,11 @@ class TestIntegerInputs:
         lambda: verify_presentation(2, "4"),
         lambda: expand_in_low_generators(giambelli_det(Partition((1,)), 2), 2.0),
         lambda: expand_in_low_generators(giambelli_det(Partition((1,)), 2), 0),
+        # a zero coefficient is checked like any other
+        lambda: QInt.integer(0.0),
+        lambda: QInt.q_power(1.5, 0),
+        lambda: QInt.q_power(-1, 0),
+        lambda: QInt.q_power(2, 0.0),
     ], ids=["partition", "partition-str", "symbol", "qint-coeff", "qint-exponent",
             "kvector-degree", "kvector-coeff", "qint-add", "normalize", "normalize-degree-float",
             "normalize-degree-negative", "parse-degree-float", "context-n",
@@ -418,7 +443,9 @@ class TestIntegerInputs:
             "generator-zero-float", "generator-negative-float", "box-partitions-k-above-n",
             "box-partitions-negative-k",
             "verify-presentation-k-str", "verify-presentation-n-str",
-            "expand-in-low-generators-k-float", "expand-in-low-generators-k-zero"])
+            "expand-in-low-generators-k-float", "expand-in-low-generators-k-zero",
+            "qint-integer-zero-float", "q-power-exponent-float", "q-power-exponent-negative",
+            "q-power-zero-float"])
     def test_rejected(self, build):
         with pytest.raises(InvalidInputError):
             build()

@@ -135,6 +135,8 @@ class TestReduceGenerator:
     def test_preconditions(self):
         with pytest.raises(InvalidInputError):
             reduce_generator(2, 2)
+        with pytest.raises(InvalidInputError, match="k must be positive"):
+            reduce_generator(3, 0)
 
     def test_parts_bounded_and_homogeneous(self):
         for k in (1, 2, 3):
@@ -337,6 +339,10 @@ class TestPresentations:
         for _, holds, witness in report.checked_relations:
             if not holds:
                 assert not witness.is_zero()
+
+    def test_finite_modes_only(self):
+        with pytest.raises(InvalidInputError, match="unknown mode 'infinite'"):
+            verify_presentation(2, 4, "infinite")
 
     def test_report_fields(self):
         report = verify_presentation(2, 4, "classical")

@@ -217,6 +217,8 @@ class TestQuantumPieri:
             quantum_pieri(3, fundamental(2), ctx)
         with pytest.raises(InvalidInputError):
             quantum_pieri(1, fundamental(2), GrassmannContext(2, 4))
+        with pytest.raises(InvalidInputError, match="degree mismatch"):
+            quantum_pieri(1, fundamental(3), ctx)
 
     def test_index_above_n_rejected(self):
         ctx = GrassmannContext(2, 4, "quantum")
@@ -270,6 +272,10 @@ class TestMultiply:
         # checked before the duality test, which (5,) * (3, 3) would fail too
         with pytest.raises(InvalidInputError):
             multiply(P((5,)), P((3, 3)), GrassmannContext(2, 5))
+
+    def test_finite_contexts_only(self):
+        with pytest.raises(InvalidInputError, match="classical or quantum"):
+            multiply(P((1,)), P((1,)), GrassmannContext(2, 2, "infinite"))
 
     def test_degree_balance(self):
         for (k, n) in ((2, 4), (2, 5), (3, 6)):

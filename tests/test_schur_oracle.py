@@ -228,6 +228,12 @@ class TestLRCoefficient:
     def test_grading(self):
         assert lr_coefficient(P((1,)), P((1,)), P((3,)), 3) == 0
 
+    @pytest.mark.parametrize("args", [((1, 1, 1), (1,), (2, 1, 1)), ((1,), (1, 1, 1), (2, 1, 1)),
+                                      ((1,), (1,), (1, 1, 1))], ids=["lam", "mu", "nu"])
+    def test_partition_longer_than_k_rejected(self, args):
+        with pytest.raises(InvalidInputError, match="longer than k=2"):
+            lr_coefficient(*args, 2)
+
     @given(small_partitions, small_partitions)
     @settings(max_examples=30, deadline=None)
     def test_symmetric_and_nonnegative(self, lam, mu):
@@ -354,7 +360,8 @@ class TestRimHookProduct:
         import ast
         import schubert.schur_oracle as oracle
 
-        tree = ast.parse(open(oracle.__file__).read())
+        with open(oracle.__file__) as f:
+            tree = ast.parse(f.read())
         imports = {node.module: node for node in tree.body if isinstance(node, ast.ImportFrom)}
         assert set(imports) == {"__future__", "functools", "operator", "exterior_core"}
         assert sorted(alias.name for alias in imports["exterior_core"].names) == [
