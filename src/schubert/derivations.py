@@ -5,7 +5,8 @@ Laplace expansion that writes a Giambelli determinant as DPolynomial terms.
 Two independent evaluation paths are provided for D_h on a k-vector:
 leibniz_d enumerates all compositions of h (most of which cancel) and
 pieri_d enumerates only the surviving interleaving symbols.  pieri_d is
-the production path; leibniz_d exists as an oracle.
+the production path; leibniz_d exists as an oracle.  Neither treats h = 0
+apart: D_0 = 1 is the one zero composition and the h = 0 row, I -> I.
 
 apply_rows is the one loop that applies Pieri rows.  pieri_d runs it on a
 k-vector's flat (index tuple, q-degree) terms, and the products of
@@ -34,6 +35,7 @@ from .exterior_core import (
     Partition,
     accumulate,
     as_int,
+    as_nonnegative,
     as_partition,
     render_signed_terms,
     signed_sorted,
@@ -166,12 +168,11 @@ def leibniz_raw_terms(h: int, indices) -> list:
 
 
 def leibniz_d(h: int, v: KVector) -> KVector:
-    """D_h by brute-force composition enumeration followed by normalization."""
+    """D_h by brute-force composition enumeration followed by normalization.
+    D_0 is the identity through its one composition, (0, ..., 0)."""
     h = as_int(h)
     if h < 0:
         raise InvalidInputError("h must be nonnegative")
-    if h == 0:
-        return v
     return KVector._of(v.degree, accumulate(signed_sorted(
         ((shifted, d), c)
         for (indices, d), c in v.terms.items()
@@ -244,12 +245,11 @@ def _row(n: int | None, quantum: bool, h: int, key: tuple) -> tuple:
 
 
 def pieri_d(h: int, v: KVector) -> KVector:
-    """D_h by cancellation-free Pieri enumeration (production path)."""
+    """D_h by cancellation-free Pieri enumeration (production path).
+    D_0 is the identity through the h = 0 row, the symbol itself."""
     h = as_int(h)
     if h < 0:
         raise InvalidInputError("h must be nonnegative")
-    if h == 0:
-        return v
     return KVector._of(v.degree, apply_rows(v.terms, partial(_row, None, False, h)))
 
 
@@ -310,17 +310,12 @@ def inverse_components(max_degree: int) -> list:
 
     E_m = -(D_1 E_{m-1} + ... + D_m E_0); each E_m is homogeneous of
     degree m."""
-    max_degree = as_int(max_degree)
-    if max_degree < 0:
-        raise InvalidInputError(f"max_degree must be nonnegative, got {max_degree}")
+    max_degree = as_nonnegative(max_degree, "max_degree")
     return _series_inverse([DPolynomial.generator(i) for i in range(1, max_degree + 1)], max_degree)
 
 
 def iterated_d1(m: int, v: KVector) -> KVector:
     """D_1 applied m times."""
-    m = as_int(m)
-    if m < 0:
-        raise InvalidInputError("m must be nonnegative")
-    for _ in range(m):
+    for _ in range(as_nonnegative(m, "m")):
         v = pieri_d(1, v)
     return v

@@ -251,6 +251,9 @@ class QInt(FreeElement):
     __rmul__ = __mul__
     __radd__ = FreeElement.__add__
 
+    def __rsub__(self, other):
+        return QInt._coerce(other) - self
+
     def __hash__(self):
         # a constant hashes as the int it equals
         if self.terms.keys() <= {0}:
@@ -277,15 +280,8 @@ class KVector(FreeElement):
 
     def __init__(self, degree: int, terms=None):
         self.degree = degree = as_nonnegative(degree, "degree")
-        pairs = []
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for sym, c in items:
-                sym = as_symbol(sym).indices
-                if len(sym) != degree:
-                    raise InvalidInputError(f"symbol {sym} has length {len(sym)}, expected {degree}")
-                pairs.extend(((sym, e), x) for e, x in QInt._coerce(c).terms.items())
-        self.terms = accumulate(pairs)
+        items = terms.items() if hasattr(terms, "items") else terms or ()
+        self.terms = accumulate(_flat_terms(((as_symbol(sym), c) for sym, c in items), degree))
 
     @classmethod
     def _of(cls, degree: int, terms: dict) -> "KVector":
@@ -345,28 +341,26 @@ def symbol_to_partition(sym: SchubertSymbol) -> Partition:
     return Partition(sym[j] - j - 1 for j in reversed(range(len(sym))))
 
 
-def sort_with_sign(indices):
-    """Sort an index tuple ascending; return (sorted tuple, permutation sign).
-
-    Sign is the parity of the number of inversions.  Caller must ensure the
-    entries are distinct.
-    """
-    indices = list(indices)
-    inversions = 0
-    for i in range(len(indices)):
-        for j in range(i + 1, len(indices)):
-            if indices[i] > indices[j]:
-                inversions += 1
-    return tuple(sorted(indices)), (-1) ** inversions
-
-
 def signed_sorted(raw):
     """Canonicalize raw ((index tuple, q-degree), int) pairs: drop those with
-    a repeated index and sort the rest, with the sign of the permutation."""
+    a repeated index and sort the rest, signed by their inversion parity."""
     for (indices, d), c in raw:
         if len(set(indices)) == len(indices):
-            ordered, sign = sort_with_sign(indices)
-            yield (ordered, d), sign * c
+            odd = sum(i > j for p, i in enumerate(indices) for j in indices[p + 1 :]) % 2
+            yield (tuple(sorted(indices)), d), -c if odd else c
+
+
+def _flat_terms(items, degree: int):
+    """(index sequence, coefficient) items as flat ((index tuple, q-degree), int)
+    pairs, one per power of q; each sequence needs length degree, indices >= 1."""
+    for indices, c in items:
+        indices = tuple(map(as_int, indices))
+        if len(indices) != degree:
+            raise InvalidInputError(f"index list {indices} has wrong length, expected {degree}")
+        if any(i < 1 for i in indices):
+            raise InvalidInputError(f"index < 1 in {indices}")
+        for e, x in QInt._coerce(c).terms.items():
+            yield (indices, e), x
 
 
 def normalize(raw, degree=None) -> KVector:
@@ -381,15 +375,7 @@ def normalize(raw, degree=None) -> KVector:
             raise InvalidInputError("degree is required to normalize an empty sum")
         degree = len(raw[0][0])
     degree = as_nonnegative(degree, "degree")
-    pairs = []
-    for indices, coeff in raw:
-        indices = tuple(map(as_int, indices))
-        if len(indices) != degree:
-            raise InvalidInputError(f"index list {indices} has wrong length")
-        if any(i < 1 for i in indices):
-            raise InvalidInputError(f"index < 1 in {indices}")
-        pairs.extend(((indices, e), c) for e, c in QInt._coerce(coeff).terms.items())
-    return KVector._of(degree, accumulate(signed_sorted(pairs)))
+    return KVector._of(degree, accumulate(signed_sorted(_flat_terms(raw, degree))))
 
 
 def wedge(a: KVector, b: KVector) -> KVector:
@@ -440,8 +426,10 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*)?(?:(q)(?:\^(\d+))?\*)?e\[\s*(\d+(?:\s*,\s*\
 
 
 def parse_kvector(text: str, degree=None) -> KVector:
-    """Parse the exact grammar emitted by render_kvector.  Empty or blank
-    text is not a k-vector: the zero vector is written '0'."""
+    """Parse what render_kvector emits, and more: e[2,1] reads as -e[1,2],
+    a symbol with a repeated index as 0, and 'q^0*', 'q^1*', '1*', a leading
+    '+' and leading zeros are accepted.  Empty or blank text is not a
+    k-vector: the zero vector is written '0'."""
     s = text.strip()
     if not s:
         raise InvalidInputError(f"cannot parse k-vector: {text!r}")

@@ -116,8 +116,10 @@ def _symbol(lam: Partition, k: int) -> tuple:
     return partition_to_symbol(lam, k).indices
 
 
-# the class of a product's index tuple
-_class = lru_cache(maxsize=None)(symbol_to_partition)
+@lru_cache(maxsize=None)
+def _class(indices: tuple) -> Partition:
+    """The class of a product's index tuple."""
+    return symbol_to_partition(indices)
 
 
 @lru_cache(maxsize=None)

@@ -143,9 +143,19 @@ class TestGoldenDerivatives:
         assert pieri_d(2, v) == expected
 
     def test_h_zero_is_identity(self):
-        v = KVector.basis((2, 4)) + KVector.basis((1, 7), 3)
-        assert leibniz_d(0, v) == v
-        assert pieri_d(0, v) == v
+        # D_0 comes from the general path, the h = 0 composition and row,
+        # on several q-degrees and on Lambda^0 too, and returns a new vector
+        vectors = [
+            KVector.basis((2, 4)) + KVector.basis((1, 7), 3),
+            KVector(2, {(2, 4): QInt({0: 1, 2: -3}), (1, 7): QInt({1: 5})}),
+            KVector(0, {(): QInt({0: 2, 3: 1})}),
+            KVector.zero(2),
+        ]
+        for v in vectors:
+            for d in (leibniz_d, pieri_d):
+                out = d(0, v)
+                assert out == v and out.degree == v.degree
+                assert out.terms is not v.terms
 
     def test_consecutive_block(self):
         assert pieri_d(3, KVector.basis((5, 6))) == KVector.basis((5, 9))

@@ -1,5 +1,6 @@
 import json
 import pickle
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,8 +26,8 @@ from schubert.exterior_core import (
     parse_kvector,
     partition_to_symbol,
     render_kvector,
+    signed_sorted,
     symbol_to_partition,
-    sort_with_sign,
     wedge,
 )
 
@@ -194,6 +195,12 @@ class TestQInt:
         assert (q + 1) * (q - 1) == QInt.q_power(2) - QInt.integer(1)
         assert not QInt()
 
+    def test_int_on_the_left(self):
+        q = QInt.q_power(1)
+        assert 2 - q == QInt({0: 2, 1: -1}) and isinstance(2 - q, QInt)
+        assert 2 - q == -(q - 2) == 2 + -q
+        assert 0 - q == -q and q - q == 0
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(InvalidInputError):
             QInt({-1: 1})
@@ -259,9 +266,30 @@ def test_weight_components():
     assert pieces[0] == fundamental(2)
 
 
-def test_sort_with_sign():
-    assert sort_with_sign((3, 1, 2)) == ((1, 2, 3), 1)
-    assert sort_with_sign((2, 1)) == ((1, 2), -1)
+def cycle_sign(perm) -> int:
+    """The sign of a permutation of 0..n-1 as (-1)^(n - number of cycles)."""
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return (-1) ** (len(perm) - cycles)
+
+
+class TestSignedSorted:
+    @pytest.mark.parametrize("k", range(7))
+    def test_every_permutation(self, k):
+        values = (2, 3, 5, 7, 11, 13)[:k]
+        for perm in permutations(range(k)):
+            indices = tuple(values[i] for i in perm)
+            assert list(signed_sorted([((indices, 4), 3)])) == [((values, 4), 3 * cycle_sign(perm))]
+
+    def test_repeated_index_dropped(self):
+        raw = [(((2, 1), 0), 5), (((1, 3, 1), 1), 2), (((4, 4), 0), 1), ((list((2, 1, 3)), 2), 1)]
+        assert list(signed_sorted(raw)) == [(((1, 2), 0), -5), (((1, 2, 3), 2), -1)]
 
 
 class TestRenderParse:
@@ -304,6 +332,22 @@ class TestRenderParse:
     def test_degree_zero_mixed_with_longer_symbols_rejected(self, text, degree):
         with pytest.raises(InvalidInputError, match="wrong length"):
             parse_kvector(text, degree)
+
+    def test_unsorted_symbol_read_with_its_sign(self):
+        assert parse_kvector("e[2,1]") == -KVector.basis((1, 2))
+        assert parse_kvector("e[3,1,2] - q*e[2,1,3]", 3) == KVector.basis((1, 2, 3), QInt({0: 1, 1: 1}))
+
+    def test_repeated_index_read_as_zero(self):
+        assert parse_kvector("e[1,1] + e[1,2]") == KVector.basis((1, 2))
+        assert parse_kvector("e[2,2]", 2) == KVector.zero(2)
+
+    def test_one_wrong_length_message(self):
+        messages = []
+        for build in (lambda: KVector(3, {(1, 2): 1}), lambda: normalize([((1, 2), 1)], 3)):
+            with pytest.raises(InvalidInputError, match="wrong length") as info:
+                build()
+            messages.append(str(info.value))
+        assert messages == ["index list (1, 2) has wrong length, expected 3"] * 2
 
     @pytest.mark.parametrize("text", ["e[1,,2]", "e[,]", "e[1,]", "e[,3]", "2*e[1 2]"])
     def test_malformed_symbol_rejected(self, text):

@@ -1,12 +1,16 @@
 import gc
 import hashlib
+import importlib
 import itertools
 import json
+import pkgutil
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schubert
 from schubert import derivations
 from schubert.derivations import pieri_d
 from schubert.exterior_core import (
@@ -590,3 +594,25 @@ def test_box_partitions_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_every_lru_cache_is_found_where_it_says_it_lives():
+    # a cache report walks each module's namespace and keeps the caches
+    # whose __module__ is that module, so each cache must be the attribute
+    # its own __module__ and __name__ name
+    caches = {}
+    for info in pkgutil.iter_modules(schubert.__path__, "schubert."):
+        for value in vars(importlib.import_module(info.name)).values():
+            if callable(getattr(value, "cache_info", None)):
+                caches[id(value)] = value
+    for cache in caches.values():
+        assert getattr(sys.modules[cache.__module__], cache.__name__, None) is cache, cache
+    names = sorted(f"{c.__module__}.{c.__name__}" for c in caches.values())
+    assert names == [
+        "schubert.derivations._row",
+        "schubert.derivations._target",
+        "schubert.grassmann_contexts._box_monomials",
+        "schubert.grassmann_contexts._class",
+        "schubert.grassmann_contexts._symbol",
+        "schubert.schur_oracle.lr_expansion",
+    ]
