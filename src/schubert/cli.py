@@ -4,7 +4,10 @@ and Pluecker coordinates of explicit matrices.
 
 Exit codes: 0 success, 1 oracle disagreement or failed check, 2 parse or
 validation error, 3 mathematical precondition failure, 141 stdout closed
-by its reader (128 + SIGPIPE)."""
+by its reader (128 + SIGPIPE).
+
+Each subcommand returns one reply, (exit code, JSON payload, text
+callable), and main alone prints it and every stderr line."""
 
 from __future__ import annotations
 
@@ -83,14 +86,6 @@ def render_sigma(expansion: dict) -> str:
     )
 
 
-def _kvector_json(v: KVector) -> dict:
-    terms = [
-        {"indices": list(indices), "d": d, "coeff": c}
-        for (indices, d), c in sorted(v.terms.items())
-    ]
-    return {"degree": v.degree, "terms": terms}
-
-
 def _context(args, k: int) -> GrassmannContext:
     if args.quantum:
         if args.n is None:
@@ -101,7 +96,11 @@ def _context(args, k: int) -> GrassmannContext:
     return GrassmannContext(k, k, INFINITE)
 
 
-def cmd_pieri(args) -> int:
+class _Disagreement(Exception):
+    """The reduced derivative and quantum Pieri differ; main reports it."""
+
+
+def cmd_pieri(args):
     indices = parse_symbol(args.symbol)
     k = args.k if args.k is not None else len(indices)
     if k != len(indices):
@@ -110,60 +109,34 @@ def cmd_pieri(args) -> int:
     ctx = _context(args, k)
     result = reduce_kvector(pieri_d(args.h, v), ctx)
     if ctx.mode == QUANTUM and 1 <= args.h <= ctx.n - ctx.k and indices[-1] <= ctx.n:
-        direct = quantum_pieri(args.h, v, ctx)
-        if direct != result:
-            print("oracle disagreement: quantum Pieri vs reduced derivative", file=sys.stderr)
-            return EXIT_ORACLE
-    print(json.dumps(_kvector_json(result)) if args.json else render_kvector(result))
-    return EXIT_OK
+        if quantum_pieri(args.h, v, ctx) != result:
+            raise _Disagreement
+    terms = [{"indices": list(i), "d": d, "coeff": c} for (i, d), c in sorted(result.terms.items())]
+    return EXIT_OK, {"degree": result.degree, "terms": terms}, lambda: render_kvector(result)
 
 
-def cmd_mult(args) -> int:
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    ctx = _context(args, args.k)
-    product = multiply(lam, mu, ctx)
-    if args.json:
-        print(json.dumps({"terms": expansion_json_terms(product)}))
-    else:
-        print(render_sigma(product))
-    return EXIT_OK
+def cmd_mult(args):
+    product = multiply(parse_partition(args.lam), parse_partition(args.mu), _context(args, args.k))
+    return EXIT_OK, {"terms": expansion_json_terms(product)}, lambda: render_sigma(product)
 
 
-def cmd_giambelli(args) -> int:
-    lam = parse_partition(args.lam)
-    det = giambelli_det(lam, args.k)
-    if args.json:
-        terms = [{"parts": list(mono), "coeff": c} for mono, c in det.items()]
-        print(json.dumps({"terms": terms}))
-    else:
-        print(render_dpolynomial(det))
-    return EXIT_OK
+def cmd_giambelli(args):
+    det = giambelli_det(parse_partition(args.lam), args.k)
+    terms = [{"parts": list(mono), "coeff": c} for mono, c in det.items()]
+    return EXIT_OK, {"terms": terms}, lambda: render_dpolynomial(det)
 
 
-def cmd_present(args) -> int:
-    mode = QUANTUM if args.quantum else CLASSICAL
-    report = verify_presentation(args.k, args.n, mode)
-    if args.json:
-        payload = {
-            "k": report.k,
-            "n": report.n,
-            "mode": report.mode,
-            "ok": report.ok,
-            "relations": [
-                {"name": name, "holds": holds} for name, holds, _ in report.checked_relations
-            ],
-        }
-        print(json.dumps(payload))
-    else:
-        print(render_presentation(report))
-    return EXIT_OK if report.ok else EXIT_ORACLE
+def cmd_present(args):
+    report = verify_presentation(*_context(args, args.k))
+    relations = [{"name": name, "holds": holds} for name, holds, _ in report.checked_relations]
+    payload = {"k": report.k, "n": report.n, "mode": report.mode, "ok": report.ok,
+               "relations": relations}
+    return EXIT_OK if report.ok else EXIT_ORACLE, payload, lambda: render_presentation(report)
 
 
-def cmd_table(args) -> int:
-    table = structure_table(_context(args, args.k), args.max_weight)
-    print(table.to_json(indent=None if args.json else 2))
-    return EXIT_OK
+def cmd_table(args):
+    payload = structure_table(_context(args, args.k), args.max_weight).to_json_dict()
+    return EXIT_OK, payload, lambda: json.dumps(payload, indent=2)
 
 
 def run_checks(k: int, n: int) -> list:
@@ -206,18 +179,15 @@ def run_checks(k: int, n: int) -> list:
     return results
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     results = run_checks(args.k, args.n)
-    if args.json:
-        print(json.dumps({"ok": all(ok for _, ok in results),
-                          "checks": [{"name": n_, "ok": ok} for n_, ok in results]}))
-    else:
-        for name, ok in results:
-            print(f"{'OK  ' if ok else 'FAIL'} {name}")
-    return EXIT_OK if all(ok for _, ok in results) else EXIT_ORACLE
+    passed = all(ok for _, ok in results)
+    payload = {"ok": passed, "checks": [{"name": name, "ok": ok} for name, ok in results]}
+    return (EXIT_OK if passed else EXIT_ORACLE, payload,
+            lambda: "\n".join(f"{'OK  ' if ok else 'FAIL'} {name}" for name, ok in results))
 
 
-def cmd_pluecker(args) -> int:
+def cmd_pluecker(args):
     matrix = read_matrix(args.matrix_file)
     k = len(matrix)
     n = len(matrix[0])
@@ -227,23 +197,17 @@ def cmd_pluecker(args) -> int:
         raise InvalidInputError(f"matrix has {n} columns, --n says {args.n}")
     sym = schubert_symbol(matrix)  # raises RankDeficientError on rank < k
     minors = all_minors(matrix)
-    cert = minimality_certificate(matrix, sym)
-    cert_ok = all(m == 0 for _, m in cert)
-    if args.json:
-        payload = {
-            "k": k,
-            "n": n,
-            "minors": [{"indices": list(s), "value": m} for s, m in minors],
-            "symbol": list(sym),
-            "minimality_certificate": cert_ok,
-        }
-        print(json.dumps(payload))
-    else:
-        for s, m in minors:
-            print(f"p[{','.join(map(str, s))}] = {m}")
-        print(f"symbol: ({','.join(map(str, sym))})")
-        print(f"minimality certificate: {'all smaller minors vanish' if cert_ok else 'FAILED'}")
-    return EXIT_OK if cert_ok else EXIT_ORACLE
+    cert_ok = all(m == 0 for _, m in minimality_certificate(matrix, sym))
+    payload = {"k": k, "n": n, "minors": [{"indices": list(s), "value": m} for s, m in minors],
+               "symbol": list(sym), "minimality_certificate": cert_ok}
+
+    def text():
+        lines = [f"p[{','.join(map(str, s))}] = {m}" for s, m in minors]
+        lines.append(f"symbol: ({','.join(map(str, sym))})")
+        lines.append(f"minimality certificate: {'all smaller minors vanish' if cert_ok else 'FAILED'}")
+        return "\n".join(lines)
+
+    return EXIT_OK if cert_ok else EXIT_ORACLE, payload, text
 
 
 class _Subcommand(argparse.ArgumentParser):
@@ -315,9 +279,13 @@ def main(argv=None) -> int:
         if any(getattr(args, flag) is None for flag in args.needs):
             raise InvalidInputError(
                 f"{args.command} requires " + " and ".join(f"--{flag}" for flag in args.needs))
-        code = args.func(args)
+        code, payload, text = args.func(args)
+        print(json.dumps(payload) if args.json else text())
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
+    except _Disagreement:
+        print("oracle disagreement: quantum Pieri vs reduced derivative", file=sys.stderr)
+        return EXIT_ORACLE
     except BrokenPipeError:
         # Python flushes stdout again at exit; send that flush to devnull
         # so that it cannot raise a second time.

@@ -151,7 +151,8 @@ def _compositions(h: int, k: int):
             yield ()
         return
     if k == 1:
-        yield (h,)
+        if h >= 0:
+            yield (h,)
         return
     for first in range(h + 1):
         for rest in _compositions(h - first, k - 1):

@@ -98,9 +98,10 @@ class Partition(tuple):
         return self.parts + (0,) * (k - len(self))
 
     def fits_box(self, k: int, n: int) -> bool:
-        """True iff the diagram fits in the k x (n-k) box."""
+        """True iff the diagram fits in the k x (n-k) box; False for a k
+        outside 0 <= k <= n, where there is no box."""
         k, n = as_int(k), as_int(n)
-        return len(self) <= k and (not self or self[0] <= n - k)
+        return len(self) <= k <= n and (not self or self[0] <= n - k)
 
     def box_complement(self, k: int, n: int) -> "Partition":
         """The complementary diagram inside the k x (n-k) box."""
@@ -211,11 +212,7 @@ class QInt(FreeElement):
 
     def __init__(self, coeffs=None):
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
-        pairs = [(as_int(e), as_int(c)) for e, c in items]
-        for e, _ in pairs:
-            if e < 0:
-                raise InvalidInputError(f"negative q exponent {e}")
-        self.terms = accumulate(pairs)
+        self.terms = accumulate((as_nonnegative(e, "q exponent"), as_int(c)) for e, c in items)
 
     @property
     def coeffs(self) -> dict:

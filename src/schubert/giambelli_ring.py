@@ -40,6 +40,8 @@ def giambelli_det(lam: Partition, k: int) -> DPolynomial:
 def _low_generators(k: int, top: int) -> list:
     """D_0, ..., D_top in D_1..D_k, the coefficients of D_t = E_t^{-1} on the
     k-th exterior power (D_h for h <= k is the generator itself)."""
+    if k < 1:
+        raise InvalidInputError("k must be positive")
     return _series_inverse(inverse_components(k)[1:], top)
 
 
@@ -50,8 +52,6 @@ def reduce_generator(h: int, k: int) -> DPolynomial:
     The result is homogeneous of degree h with all parts <= k and acts on
     any k-vector exactly as pieri_d(h, .)."""
     h, k = as_int(h), as_int(k)
-    if k < 1:
-        raise InvalidInputError("k must be positive")
     if h <= k:
         raise InvalidInputError(f"h={h} must exceed k={k}")
     return _low_generators(k, h)[h]
@@ -59,10 +59,7 @@ def reduce_generator(h: int, k: int) -> DPolynomial:
 
 def expand_in_low_generators(p: DPolynomial, k: int) -> DPolynomial:
     """Rewrite every factor D_h with h > k in D_1..D_k, as reduce_generator."""
-    k = as_int(k)
-    if k < 1:
-        raise InvalidInputError("k must be positive")
-    gens = _low_generators(k, p.max_part())
+    gens = _low_generators(as_int(k), p.max_part())
     out = DPolynomial.zero()
     for mono, c in p.terms.items():
         prod = DPolynomial.identity()

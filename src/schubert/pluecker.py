@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .exterior_core import InvalidInputError, SchubertSymbol, as_int
+from .exterior_core import InvalidInputError, SchubertSymbol, as_int, as_symbol
 
 
 class RankDeficientError(ValueError):
@@ -132,8 +132,7 @@ def bruhat_smaller(sym: SchubertSymbol, n: int) -> list:
 def minimality_certificate(matrix, sym=None) -> list:
     """Pairs (smaller symbol, its minor); every minor is zero exactly when
     the detected symbol is the Bruhat-minimal one with nonzero minor."""
-    if sym is None:
-        sym = schubert_symbol(matrix)
+    sym = schubert_symbol(matrix) if sym is None else as_symbol(sym)
     n = _width(matrix)
     if len(sym) != len(matrix):
         raise InvalidInputError(f"symbol {tuple(sym)} has {len(sym)} indices, not k={len(matrix)}")

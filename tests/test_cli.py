@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import schubert
+import schubert.cli as cli
 from schubert.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_MATH,
     EXIT_OK,
     EXIT_ORACLE,
     EXIT_PARSE,
+    build_parser,
     main,
     parse_partition,
     render_sigma,
@@ -521,6 +524,60 @@ def test_every_request_kind_unchanged(capsys, monkeypatch, tmp_path):
         digest.update(f"{argv}\n{code}\n{captured.out}\n{err}\n".encode())
     assert len(requests) == 761
     assert digest.hexdigest() == "d70752a66bbbd74756ec7ef4b63cd228ba39dafc7c4ed9647a208f2a69cba849"
+
+
+# one request per subcommand; each is run in text and in --json
+REPLY_REQUESTS = [
+    ["pieri", "1", "2,4", "--k", "2", "--n", "4", "--quantum"],
+    ["mult", "1", "2,1", "--k", "2", "--n", "4", "--quantum"],
+    ["giambelli", "2,1", "--k", "2"],
+    ["present", "--k", "2", "--n", "4", "--quantum"],
+    ["table", "--k", "2", "--n", "4", "--quantum", "--max-weight", "2"],
+    ["check", "--k", "2", "--n", "4"],
+    ["pluecker", MATRIX],
+]
+
+
+@pytest.mark.parametrize("argv", REPLY_REQUESTS, ids=[argv[0] for argv in REPLY_REQUESTS])
+def test_reply_is_what_main_prints(capsys, tmp_path, argv):
+    # a subcommand returns (exit code, payload, text); main prints the
+    # payload under --json and the text otherwise, and nothing else
+    (tmp_path / "m.txt").write_text(GOOD_MATRIX)
+    argv = [str(tmp_path / "m.txt") if a == MATRIX else a for a in argv]
+    args = build_parser().parse_args(argv)
+    code, payload, text = args.func(args)
+    assert (main(argv), capsys.readouterr()) == (code, (text() + "\n", ""))
+    assert (main([*argv, "--json"]), capsys.readouterr()) == (code, (json.dumps(payload) + "\n", ""))
+
+
+def test_table_json_never_builds_the_text(capsys, monkeypatch):
+    built = []
+    cmd_table = cli.cmd_table
+
+    def spied(args):
+        code, payload, text = cmd_table(args)
+        return code, payload, lambda: built.append(args.json) or text()
+
+    monkeypatch.setattr("schubert.cli.cmd_table", spied)
+    assert main(["table", "--k", "2", "--n", "4", "--json"]) == EXIT_OK
+    assert built == []
+    assert main(["table", "--k", "2", "--n", "4"]) == EXIT_OK
+    assert built == [False]  # the spy sits where main calls it
+    capsys.readouterr()
+
+
+def test_only_main_reads_the_json_flag_and_prints():
+    with open(cli.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    outside = [
+        node.lineno
+        for top in tree.body if getattr(top, "name", None) != "main"
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "json"
+        and isinstance(node.value, ast.Name) and node.value.id == "args"
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+    ]
+    assert outside == []
 
 
 def test_closed_stdout_pipe():

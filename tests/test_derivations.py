@@ -302,6 +302,10 @@ def test_leibniz_raw_terms():
     assert set(raw) == {(4, 3, 5), (3, 4, 5), (3, 3, 6), (2, 5, 5), (2, 4, 6), (2, 3, 7)}
     # the empty wedge has the one empty composition of 0
     assert leibniz_raw_terms(0, ()) == [()]
+    # D_h = 0 for h < 0 at every k, k = 1 included
+    for k in range(5):
+        for h in (-3, -2, -1):
+            assert leibniz_raw_terms(h, range(1, k + 1)) == [], (h, k)
 
 
 def test_leibniz_rejects_negative_h():

@@ -69,12 +69,15 @@ class TestPartition:
         assert Partition((2, 2)).fits_box(2, 4)
         assert not Partition((3,)).fits_box(2, 4)
         assert not Partition((1, 1, 1)).fits_box(2, 4)
+        # there is no box outside 0 <= k <= n
+        assert not any(Partition().fits_box(k, n) for k, n in [(3, 2), (1, 0), (-1, 2)])
 
     def test_box_complement(self):
         assert Partition((2, 1)).box_complement(2, 4) == Partition((1,))
         assert Partition(()).box_complement(2, 4) == Partition((2, 2))
-        with pytest.raises(InvalidInputError, match="does not fit"):
-            Partition((3,)).box_complement(2, 4)
+        for lam, k, n in [((3,), 2, 4), ((), 3, 2)]:
+            with pytest.raises(InvalidInputError, match="does not fit"):
+                Partition(lam).box_complement(k, n)
 
 
 class TestSchubertSymbol:
@@ -202,7 +205,7 @@ class TestQInt:
         assert 0 - q == -q and q - q == 0
 
     def test_negative_exponent_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="q exponent must be nonnegative, got q exponent=-1"):
             QInt({-1: 1})
 
     @pytest.mark.parametrize("coeffs,text", [

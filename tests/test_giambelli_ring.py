@@ -137,6 +137,10 @@ class TestReduceGenerator:
             reduce_generator(2, 2)
         with pytest.raises(InvalidInputError, match="k must be positive"):
             reduce_generator(3, 0)
+        with pytest.raises(InvalidInputError, match="h=0 must exceed k=0"):
+            reduce_generator(0, 0)
+        with pytest.raises(InvalidInputError, match="k must be positive"):
+            expand_in_low_generators(d(3), 0)
 
     def test_parts_bounded_and_homogeneous(self):
         for k in (1, 2, 3):

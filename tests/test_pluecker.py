@@ -210,6 +210,16 @@ class TestCertificate:
         with pytest.raises(InvalidInputError):
             minimality_certificate([[1, 0, 0], [0, 1, 0]], SchubertSymbol((1,)))
 
+    @pytest.mark.parametrize("sym", [(2, 1), (0, 1), (1, 1)], ids=["falling", "zero-index", "repeated"])
+    def test_certificate_rejects_a_non_symbol(self, sym):
+        # a plain tuple goes through SchubertSymbol, so it cannot pass vacuously
+        with pytest.raises(InvalidInputError):
+            minimality_certificate([[1, 0, 0], [0, 1, 0]], sym)
+
+    def test_certificate_takes_a_plain_tuple(self):
+        m = [[0, 1, 0, 0], [0, 0, 0, 1]]
+        assert minimality_certificate(m, (2, 4)) == minimality_certificate(m)
+
     def test_certificate_all_zero(self):
         m = [[0, 1, 0, 0], [0, 0, 0, 1]]
         cert = minimality_certificate(m)
