@@ -8,20 +8,22 @@ pieri_d enumerates only the surviving interleaving symbols.  pieri_d is
 the production path; leibniz_d exists as an oracle.  Neither treats h = 0
 apart: D_0 = 1 is the one zero composition and the h = 0 row, I -> I.
 
-apply_rows is the one loop that applies Pieri rows.  pieri_d runs it on a
-k-vector's flat (index tuple, q-degree) terms, and the products of
-grassmann_contexts on their C(n,k) rows.  apply_operator evaluates a
-polynomial in the D_h as a Horner scheme on the same flat terms, with
-the same rows: each group of monomials that share a largest part h is
-summed into one vector before D_h's rows are applied to it once, and a
-group whose rest is a constant is a leaf, pieri_d(h, v).  The recursion
-is a plain function, so a call leaves no reference cycle.
+apply_rows is the loop that applies Pieri rows to flat (index tuple,
+q-degree) terms: pieri_d runs it on a k-vector, and
+grassmann_contexts.quantum_pieri on a quantum one.  apply_operator
+evaluates a polynomial in the D_h as a Horner scheme on the same flat
+terms, with the same rows: each group of monomials that share a largest
+part h is summed into one vector before D_h's rows are applied to it
+once, and a group whose rest is a constant is a leaf, pieri_d(h, v).  The
+recursion is a plain function, so a call leaves no reference cycle.
 
-Every context, infinite, classical or quantum, takes its rows from one
-process-wide, unbounded lru_cache, _row(n, quantum, h, key): a symbol's
-row for D_h is enumerated once per process, not once per call.  Its
-targets are interned through a second lru_cache, _target, so rows that
-reach the same (index tuple, q-degree) share one tuple.
+One process-wide, unbounded lru_cache, _row(n, quantum, h, key), owns the
+Pieri rule and the quantum wrap rule in every context, infinite,
+classical or quantum: a symbol's row for D_h is enumerated once per
+process, not once per call.  Its targets are interned through a second
+lru_cache, _target, so rows that reach the same (index tuple, q-degree)
+share one tuple.  The products of grassmann_contexts key a term by one
+int instead, and build their int rows from _row's rows at q-degree 0.
 """
 
 from __future__ import annotations
@@ -205,8 +207,9 @@ def pieri_symbols(indices, h: int) -> list:
 
 
 def apply_rows(terms: dict, row) -> dict:
-    """Sum each key's coefficient into every target of row(key): the one
-    loop that applies Pieri rows.  Targets that total 0 are dropped."""
+    """Sum each key's coefficient into every target of row(key): the loop
+    that applies Pieri rows to tuple-keyed terms.  Targets that total 0
+    are dropped."""
     acc = {}
     get = acc.get
     for key, c in terms.items():

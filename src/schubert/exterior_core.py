@@ -105,6 +105,9 @@ class Partition(tuple):
 
     def box_complement(self, k: int, n: int) -> "Partition":
         """The complementary diagram inside the k x (n-k) box."""
+        k, n = as_int(k), as_int(n)
+        if k > n:
+            raise InvalidInputError(f"{self.parts} does not fit: k={k} exceeds n={n}")
         if not self.fits_box(k, n):
             raise InvalidInputError(f"{self.parts} does not fit the {k}x{n - k} box")
         return Partition(n - k - p for p in reversed(self.padded(k)))

@@ -110,16 +110,29 @@ def box_partitions(k: int, n: int, max_weight=None) -> list:
     return [Partition(p) for p in sorted(out)]
 
 
-@lru_cache(maxsize=None)
-def _symbol(lam: Partition, k: int) -> tuple:
-    """I(lam) as a plain index tuple."""
-    return partition_to_symbol(lam, k).indices
+def _mask(indices) -> int:
+    """The bits of an index tuple: bit i-1 is set for each index i."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def _indices(key: int, n: int) -> tuple:
+    """The index tuple of a product key at rank n: its set bits below n."""
+    return tuple(i + 1 for i in range(n) if key >> i & 1)
 
 
 @lru_cache(maxsize=None)
-def _class(indices: tuple) -> Partition:
-    """The class of a product's index tuple."""
-    return symbol_to_partition(indices)
+def _start(lam: Partition, k: int) -> int:
+    """The key of I(lam) at q-degree 0."""
+    return _mask(partition_to_symbol(lam, k).indices)
+
+
+@lru_cache(maxsize=None)
+def _decode(n: int, key: int) -> tuple:
+    """The (class, q-degree) of a product key at rank n."""
+    return symbol_to_partition(_indices(key, n)), key >> n
 
 
 @lru_cache(maxsize=None)
@@ -127,6 +140,46 @@ def _box_monomials(lam: Partition, k: int, width: int) -> dict:
     """The {parts: coefficient} monomials of the Giambelli determinant of
     lam whose parts are all <= width = n-k: sigma_h is 0 above."""
     return _laplace(as_partition(lam), k, width)
+
+
+# The products' Pieri rows, process-wide and unbounded like derivations._row:
+# for each (n, quantum), a list whose entry h is the dict of D_h's rows.  A
+# term's int key, mask | d << n, maps to the keys of its targets, each with
+# coefficient 1; a row is built the first time a product reaches its key.
+_ROWS = {}
+
+
+def _build_row(rows: dict, n: int, quantum: bool, h: int, key: int) -> tuple:
+    """Store in rows and return the row of D_h at this key.  At q-degree 0
+    it is _row's row, its targets turned into keys; at d > 0 it is the
+    degree-0 row with d << n added to every target, so _row is only asked
+    for d = 0."""
+    shift = key >> n << n
+    if shift:
+        base = rows.get(key - shift)
+        if base is None:
+            base = _build_row(rows, n, quantum, h, key - shift)
+        row = tuple(t + shift for t in base)
+    else:
+        row = tuple(_mask(j) | e << n for j, e in _row(n, quantum, h, (_indices(key, n), 0)))
+    rows[key] = row
+    return row
+
+
+def _apply_sigma(terms: dict, rows: dict, n: int, quantum: bool, h: int) -> dict:
+    """sigma_h on positive int-keyed terms, its rows in rows: one dict get
+    per term, then its coefficient summed into every target.  Rows have
+    coefficient 1, so no sum is 0 and none is dropped."""
+    get_row = rows.get
+    acc = {}
+    get = acc.get
+    for key, c in terms.items():
+        row = get_row(key)
+        if row is None:
+            row = _build_row(rows, n, quantum, h, key)
+        for target in row:
+            acc[target] = get(target, 0) + c
+    return acc
 
 
 def multiply(lam, mu, ctx: GrassmannContext) -> dict:
@@ -140,10 +193,12 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     determinant gives the product: the one with fewer monomials inside the
     box is applied, mu's on a tie.  A partition with at most one part has
     exactly one, so when only lam is that short the factors swap first and
-    the longer one's determinant is never built.  Terms are flat
-    {(J, q-degree): int}, and the quantum rows carry q themselves.  A
-    classical product is {} at once when some lam_i + mu_{k+1-i} > n-k:
-    mu does not fit in lam's complement (duality, Fulton, Young Tableaux, 9.4)."""
+    the longer one's determinant is never built.  A term e_J at q-degree d
+    is keyed by one int, mask | d << n, where bit i-1 of mask is set for
+    each index i of J; the rows come from _ROWS, and each distinct key of
+    the result is decoded to (nu, d) once per process.  A classical product
+    is {} at once when some lam_i + mu_{k+1-i} > n-k: mu does not fit in
+    lam's complement (duality, Fulton, Young Tableaux, 9.4)."""
     if ctx.mode == INFINITE:
         raise InvalidInputError("multiply needs a classical or quantum context")
     lam, mu = as_partition(lam), as_partition(mu)
@@ -160,14 +215,19 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
         lam_monos = _box_monomials(lam, k, n - k)
         if len(lam_monos) < len(monos):
             monos, other = lam_monos, mu
-    start = {(_symbol(other, k), 0): 1}
-    pairs, quantum = [], ctx.mode == QUANTUM
+    start, quantum = {_start(other, k): 1}, ctx.mode == QUANTUM
+    rows = _ROWS.get((n, quantum))
+    if rows is None:
+        rows = _ROWS[n, quantum] = [{} for _ in range(n)]
+    total = {}
+    get = total.get
     for mono, c in monos.items():
         w = start
         for h in mono:
-            w = apply_rows(w, partial(_row, n, quantum, h))
-        pairs.extend((key, c * x) for key, x in w.items())
-    return dict(sorted(((_class(j), d), c) for (j, d), c in accumulate(pairs).items()))
+            w = _apply_sigma(w, rows[h], n, quantum, h)
+        for key, x in w.items():
+            total[key] = get(key, 0) + c * x
+    return dict(sorted((_decode(n, key), c) for key, c in total.items() if c))
 
 
 def unit_expansion(lam) -> dict:

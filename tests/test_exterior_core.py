@@ -79,6 +79,11 @@ class TestPartition:
             with pytest.raises(InvalidInputError, match="does not fit"):
                 Partition(lam).box_complement(k, n)
 
+    def test_box_complement_says_when_k_exceeds_n(self):
+        with pytest.raises(InvalidInputError) as err:
+            Partition().box_complement(3, 2)
+        assert str(err.value) == "() does not fit: k=3 exceeds n=2"
+
 
 class TestSchubertSymbol:
     def test_validation(self):

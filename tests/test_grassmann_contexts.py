@@ -26,8 +26,10 @@ from schubert.exterior_core import (
 from schubert.giambelli_ring import expand_in_low_generators, giambelli_det
 from schubert.derivations import apply_operator
 from schubert.grassmann_contexts import (
+    _ROWS,
     GrassmannContext,
     _box_monomials,
+    _build_row,
     box_partitions,
     multiply,
     multiply_expansion,
@@ -384,6 +386,62 @@ class TestMultiply:
                     assert product == {}
 
 
+class TestIntRows:
+    # the finite contexts key a term e_J at q-degree d by mask | d << n,
+    # bit i-1 of mask set for each index i of J
+
+    @staticmethod
+    def key(indices, d, n):
+        return sum(1 << (i - 1) for i in indices) + (d << n)
+
+    @staticmethod
+    def term(key, n):
+        return tuple(i for i in range(1, n + 1) if key >> (i - 1) & 1), key >> n
+
+    @pytest.mark.parametrize("quantum", [False, True], ids=["classical", "quantum"])
+    def test_each_row_decodes_to_the_tuple_row_in_order(self, quantum):
+        for n in range(3, 10):
+            for k in range(1, min(4, n - 1) + 1):
+                for lam in box_partitions(k, n):
+                    indices = partition_to_symbol(lam, k).indices
+                    for h in range(1, n - k + 1):
+                        rows = {}
+                        for d in (2, 0, 1):  # d = 2 first: it builds its degree-0 row
+                            row = _build_row(rows, n, quantum, h, self.key(indices, d, n))
+                            want = list(derivations._row(n, quantum, h, (indices, d)))
+                            assert [self.term(t, n) for t in row] == want, (k, n, lam, h, d)
+
+    def test_a_cold_product_builds_only_the_rows_it_reaches(self):
+        # sigma_1 * sigma_lam applies D_1 once, to I(lam): one row, no table
+        lam = P((35, 20, 10, 5, 1))
+        _ROWS.clear()
+        multiply(P((1,)), lam, GrassmannContext(5, 40))
+        built = {(n, quantum, h): list(rows) for (n, quantum), by_h in _ROWS.items()
+                 for h, rows in enumerate(by_h) if rows}
+        assert built == {(40, False, 1): [self.key(partition_to_symbol(lam, 5).indices, 0, 40)]}
+
+    def test_products_ask_the_tuple_rows_only_at_q_degree_zero(self):
+        # 126 symbols of G(4,9) times h = 1..5 is 630 degree-0 rows; the
+        # rows at d > 0 are the degree-0 int rows with d << n added
+        _ROWS.clear()
+        derivations._row.cache_clear()
+        structure_table(GrassmannContext(4, 9, "quantum"))
+        assert derivations._row.cache_info().currsize <= 630
+
+    def test_leaves_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            _ROWS.clear()
+            multiply(P((2, 1)), P((3, 2, 1)), GrassmannContext(3, 7, "quantum"))
+            assert gc.collect() == 0
+            structure_table(GrassmannContext(3, 7, "quantum"))
+            structure_table(GrassmannContext(3, 7))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestDuality:
     # sigma_lam * sigma_mu = 0 classically unless mu fits in lam's box
     # complement (Fulton, Young Tableaux, 9.4); multiply answers such pairs
@@ -612,7 +670,7 @@ def test_every_lru_cache_is_found_where_it_says_it_lives():
         "schubert.derivations._row",
         "schubert.derivations._target",
         "schubert.grassmann_contexts._box_monomials",
-        "schubert.grassmann_contexts._class",
-        "schubert.grassmann_contexts._symbol",
+        "schubert.grassmann_contexts._decode",
+        "schubert.grassmann_contexts._start",
         "schubert.schur_oracle.lr_expansion",
     ]
