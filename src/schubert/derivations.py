@@ -8,27 +8,20 @@ pieri_d enumerates only the surviving interleaving symbols.  pieri_d is
 the production path; leibniz_d exists as an oracle.  Neither treats h = 0
 apart: D_0 = 1 is the one zero composition and the h = 0 row, I -> I.
 
-apply_rows is the loop that applies Pieri rows to flat (index tuple,
-q-degree) terms: pieri_d runs it on a k-vector, and
-grassmann_contexts.quantum_pieri on a quantum one.  apply_operator
-evaluates a polynomial in the D_h as a Horner scheme on the same flat
-terms, with the same rows: each group of monomials that share a largest
-part h is summed into one vector before D_h's rows are applied to it
-once, and a group whose rest is a constant is a leaf, pieri_d(h, v).  The
-recursion is a plain function, so a call leaves no reference cycle.
-
-One process-wide, unbounded lru_cache, _row(n, quantum, h, key), owns the
-Pieri rule and the quantum wrap rule in every context, infinite,
-classical or quantum: a symbol's row for D_h is enumerated once per
-process, not once per call.  Its targets are interned through a second
-lru_cache, _target, so rows that reach the same (index tuple, q-degree)
-share one tuple.  The products of grassmann_contexts key a term by one
-int instead, and build their int rows from _row's rows at q-degree 0.
+One function on bit masks, _pieri, owns the Pieri rule (bit i-1 of a mask
+is set for each index i).  Its rows fill _ROWS, the one row store of every
+context, infinite, classical or quantum, and _apply_sigma is the one loop
+that applies them.  KVector terms keep their (index tuple, q-degree) keys;
+pieri_d, apply_operator and grassmann_contexts.quantum_pieri turn them
+into masks only where they meet the rows.  apply_operator evaluates a
+polynomial in the D_h as a Horner scheme on each q-degree's masks, with
+leaves pieri_d(h, v); the recursion is a plain function, so a call leaves
+no reference cycle.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from collections import defaultdict
 
 from .exterior_core import (
     FreeElement,
@@ -183,69 +176,119 @@ def leibniz_d(h: int, v: KVector) -> KVector:
     )))
 
 
-def pieri_symbols(indices, h: int) -> list:
-    """The surviving index tuples J: i_1 <= j_1 < i_2 <= j_2 < ... <= i_k <= j_k
-    with |J| = |I| + h, all canonical and pairwise distinct.  They are built
-    one position at a time: position p < k steps up by at most
-    i_{p+1} - 1 - i_p, and the last position takes what is left of h.
-    Empty when h < 0, as D_h = 0 there."""
-    if h < 0:
-        return []
-    if not indices:
-        return [()] if h == 0 else []
-    partial = [((), h)]
-    for p in range(len(indices) - 1):
-        i = indices[p]
-        gap = indices[p + 1] - 1 - i
-        partial = [
-            (prefix + (i + step,), rem - step)
-            for prefix, rem in partial
-            for step in range(min(gap, rem) + 1)
-        ]
-    last = indices[-1]
-    return [prefix + (last + rem,) for prefix, rem in partial]
+def _mask(indices) -> int:
+    """The bits of an index tuple: bit i-1 is set for each index i."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << (i - 1)
+    return mask
 
 
-def apply_rows(terms: dict, row) -> dict:
-    """Sum each key's coefficient into every target of row(key): the loop
-    that applies Pieri rows to tuple-keyed terms.  Targets that total 0
-    are dropped."""
+def _indices(mask: int) -> tuple:
+    """The index tuple of a mask: i for each set bit i-1, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def _pieri(mask: int, h: int) -> list:
+    """The Pieri rule: the masks of the targets J of D_h at the mask of I,
+    i_1 <= j_1 < i_2 <= j_2 < ... <= i_k <= j_k with |J| = |I| + h, in
+    lexicographic order of J.  The set bits are walked low to high: each
+    steps up by at most the gap below the next set bit, and the last takes
+    what is left of h.  Empty when h < 0, as D_h = 0 there."""
+    if h < 0 or not mask:
+        return [] if h else [mask]
+    partial = [(0, h)]
+    low = mask & -mask
+    rest = mask ^ low
+    while rest:
+        up = rest & -rest
+        gap = up.bit_length() - low.bit_length() - 1
+        partial = [(t | low << s, r - s) for t, r in partial for s in range(min(gap, r) + 1)]
+        low, rest = up, rest ^ up
+    return [t | low << r for t, r in partial]
+
+
+class _Conversions(dict):
+    """A dict that fills a missing key with fn(key) and keeps it."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+# Process-wide and unbounded, like the rows: each conversion at the KVector
+# boundary, and one shared int per row target.
+_MASKS = _Conversions(_mask)
+_TUPLES = _Conversions(_indices)
+_SHARED = {}
+
+# The Pieri rows, built once per process as terms reach them:
+# _ROWS[n, quantum][h] (n None in the infinite context) maps a key to the
+# keys of its targets, each with coefficient 1.  A key is a mask, and at
+# rank n it is mask | d << n, d the q-degree.
+_ROWS = defaultdict(lambda: defaultdict(dict))
+
+
+def _build_row(rows: dict, n: int | None, quantum: bool, h: int, key: int) -> tuple:
+    """Store in rows and return the row of D_h at this key.  Infinite, it
+    is _pieri's row.  At rank n and q-degree 0 it is that row cut at
+    j_k <= n, and in quantum mode the wrapped chains
+    1 <= j_1 < i_1 <= j_2 < ... <= j_k < i_k with |J| = |I| + h - n follow
+    at q-degree 1: the targets below i_k of D_{i_k + h - n - 1} at
+    (1, i_1, ..., i_{k-1}), none when i_1 = 1.  (A literal (-1)^(k-1)
+    prefactor on the wrapped sum cancels against the sign of moving the
+    wrapped index to the front, so the net q-coefficient is +1.)  At
+    d > 0 it is the degree-0 row with d << n added to every target."""
+    if n is None:
+        row = _pieri(key, h)
+    elif key >> n:
+        shift = key >> n << n
+        base = rows.get(key - shift)
+        if base is None:
+            base = _build_row(rows, n, quantum, h, key - shift)
+        row = [t + shift for t in base]
+    else:
+        row = [t for t in _pieri(key, h) if not t >> n]
+        top = 1 << key.bit_length() - 1
+        if quantum and not (key ^ top) & 1:
+            wrap = _pieri((key ^ top) | 1, top.bit_length() + h - n - 1)
+            row += [t | 1 << n for t in wrap if t < top]
+    row = rows[key] = tuple(_SHARED.setdefault(t, t) for t in row)
+    return row
+
+
+def _apply_sigma(terms: dict, rows: dict, n: int | None, quantum: bool, h: int) -> dict:
+    """D_h on {key: coefficient} terms, its rows in rows: one dict get per
+    term, then its coefficient summed into every target.  Sums of 0 are
+    kept; a caller with signed terms drops them."""
+    get_row = rows.get
     acc = {}
     get = acc.get
     for key, c in terms.items():
-        for target in row(key):
+        row = get_row(key)
+        if row is None:
+            row = _build_row(rows, n, quantum, h, key)
+        for target in row:
             acc[target] = get(target, 0) + c
-    return {target: c for target, c in acc.items() if c}
+    return acc
 
 
-@lru_cache(maxsize=None)
-def _target(j: tuple, d: int) -> tuple:
-    """The one (j, d) tuple that every cached row holding this target
-    shares, so the rows cost one tuple per distinct target."""
-    return j, d
-
-
-@lru_cache(maxsize=None)
-def _row(n: int | None, quantum: bool, h: int, key: tuple) -> tuple:
-    """The Pieri row of D_h = sigma_h for a flat (index tuple I, q-degree d)
-    key, built once per process and holding interned targets, each with
-    coefficient 1.  n is None in the infinite context; at rank n, for
-    1 <= h <= n-k and I inside [1, n], only the targets with j_k <= n are
-    kept, and in quantum mode the wrapped chains
-    1 <= j_1 < i_1 <= j_2 < ... <= j_k < i_k with |J| = |I| + h - n follow
-    at q-degree d + 1: the interleavings of (1, i_1, ..., i_{k-1}) by
-    i_k + h - n - 1 that end below i_k.  (A literal (-1)^(k-1) prefactor on
-    the wrapped sum cancels against the sign of moving the wrapped index to
-    the front, so the net q-coefficient is +1.)  A row at q-degree d > 0 is
-    the row at 0 with every target's degree raised by d."""
-    indices, d = key
-    if d:
-        return tuple(_target(j, e + d) for j, e in _row(n, quantum, h, (indices, 0)))
-    row = [_target(j, 0) for j in pieri_symbols(indices, h) if n is None or j[-1] <= n]
-    if quantum:
-        chains = pieri_symbols((1,) + indices[:-1], indices[-1] + h - n - 1)
-        row.extend(_target(j, 1) for j in chains if j[-1] < indices[-1])
-    return tuple(row)
+def _by_degree(terms: dict) -> dict:
+    """Flat (index tuple, q-degree) terms as {d: {mask: coefficient}}."""
+    groups = {}
+    for (indices, d), c in terms.items():
+        groups.setdefault(d, {})[_MASKS[indices]] = c
+    return groups
 
 
 def pieri_d(h: int, v: KVector) -> KVector:
@@ -254,43 +297,53 @@ def pieri_d(h: int, v: KVector) -> KVector:
     h = as_int(h)
     if h < 0:
         raise InvalidInputError("h must be nonnegative")
-    return KVector._of(v.degree, apply_rows(v.terms, partial(_row, None, False, h)))
+    rows, out = _ROWS[None, False][h], {}
+    for d, terms in _by_degree(v.terms).items():
+        for t, c in _apply_sigma(terms, rows, None, False, h).items():
+            if c:
+                out[_TUPLES[t], d] = c
+    return KVector._of(v.degree, out)
 
 
 def apply_operator(p: DPolynomial, v: KVector) -> KVector:
     """Evaluate an operator polynomial on a k-vector.
 
-    The D_h commute, so p is evaluated as a Horner scheme
-    p = c + sum_h D_h * p_h, where p_h holds the other parts of the
-    monomials whose largest part is h.  Each p_h v is summed into one flat
-    dict before D_h's rows are applied to it once, so terms cancel inside
-    the tree, and a symbol's row for D_h is enumerated once per process
-    (the shared _row cache).  A constant p_h is a leaf, pieri_d(h, v)
-    cached per h for the call and scaled, so pieri_d stays the derivation
-    layer a tracer sees under apply_operator."""
-    return KVector._of(v.degree, _horner(p.terms.items(), v, {}))
+    D_h's rows do not depend on the q-degree, so each q-degree's terms go
+    through the infinite rows apart, keyed by mask.  The D_h commute, so p
+    is a Horner scheme p = c + sum_h D_h * p_h, p_h the other parts of the
+    monomials whose largest part is h: each p_h v is summed into one dict
+    before D_h's rows are applied to it once, so terms cancel inside the
+    tree.  A constant p_h is a leaf, pieri_d(h, v) cached per h for the
+    call and scaled, so pieri_d stays the layer a tracer sees under
+    apply_operator."""
+    monos, leaves, out = p.terms.items(), {}, {}
+    for d, terms in _by_degree(v.terms).items():
+        for mask, c in _horner(monos, terms, d, v, leaves).items():
+            out[_TUPLES[mask], d] = c
+    return KVector._of(v.degree, out)
 
 
-def _horner(monos, v: KVector, leaves: dict) -> dict:
-    """Flat terms of the sum of c * D_parts v over these (descending parts,
-    c) pairs, sharing the call's per-h leaves.  Module-level: a closure
-    that called itself would leave a reference cycle per call."""
+def _horner(monos, terms: dict, d: int, v: KVector, leaves: dict) -> dict:
+    """{mask: c} of the sum of c * D_parts over these (descending parts,
+    c) pairs on terms, v's part at q-degree d, sharing the call's per-h
+    leaves.  Module-level: a closure that called itself would leave a
+    reference cycle per call."""
     groups = {}
     pairs = []
     for parts, c in monos:
         if parts:
             groups.setdefault(parts[0], []).append((parts[1:], c))
         else:
-            pairs.extend((key, c * x) for key, x in v.terms.items())
+            pairs.extend((mask, c * x) for mask, x in terms.items())
     for h, inner in groups.items():
         if len(inner) > 1 or inner[0][0]:
-            inner_v = _horner(inner, v, leaves)
-            pairs.extend(apply_rows(inner_v, partial(_row, None, False, h)).items())
+            inner_terms = _horner(inner, terms, d, v, leaves)
+            pairs.extend(_apply_sigma(inner_terms, _ROWS[None, False][h], None, False, h).items())
             continue
         if h not in leaves:
-            leaves[h] = pieri_d(h, v).terms
+            leaves[h] = _by_degree(pieri_d(h, v).terms)
         c = inner[0][1]
-        pairs.extend((key, c * x) for key, x in leaves[h].items())
+        pairs.extend((mask, c * x) for mask, x in leaves[h].get(d, {}).items())
     return accumulate(pairs)
 
 

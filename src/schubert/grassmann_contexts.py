@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 
+from .derivations import _MASKS, _ROWS, _TUPLES, _apply_sigma, _indices, _laplace, _mask
 # pieri_d is not called here but stays bound: perfbench/selftest.py checks
 # that a tracer rebinding pieri_d finds it in this namespace.
-from .derivations import _laplace, _row, apply_rows, pieri_d  # noqa: F401
+from .derivations import pieri_d  # noqa: F401
 from .exterior_core import (
     InvalidInputError,
     KVector,
@@ -71,9 +72,10 @@ def reduce_kvector(v: KVector, ctx: GrassmannContext) -> KVector:
 
 
 def quantum_pieri(h: int, v: KVector, ctx: GrassmannContext) -> KVector:
-    """Direct quantum Pieri: sigma_h on v, one quantum row of
-    derivations._row per term, the classical targets at the term's
-    q-degree d and the wrapped ones at d + 1.
+    """Direct quantum Pieri: sigma_h on v, each term keyed by mask | d << n
+    like a product's, through the quantum rows of derivations._ROWS: the
+    classical targets at q-degree d, the wrapped ones at d + 1.  v is
+    signed, so targets that sum to 0 are dropped.
 
     Equals reduce_kvector(pieri_d(h, v), ctx) by construction; the two are
     cross-checked in the test suite."""
@@ -87,7 +89,12 @@ def quantum_pieri(h: int, v: KVector, ctx: GrassmannContext) -> KVector:
     for i, _ in v.terms:
         if i[-1] > n:
             raise InvalidInputError(f"symbol {i} has index above n={n}")
-    return KVector._of(k, apply_rows(v.terms, partial(_row, n, True, h)))
+    terms = {_MASKS[i] | d << n: c for (i, d), c in v.terms.items()}
+    low = ~(-1 << n)
+    return KVector._of(k, {
+        (_TUPLES[key & low], key >> n): c
+        for key, c in _apply_sigma(terms, _ROWS[n, True][h], n, True, h).items() if c
+    })
 
 
 def box_partitions(k: int, n: int, max_weight=None) -> list:
@@ -110,19 +117,6 @@ def box_partitions(k: int, n: int, max_weight=None) -> list:
     return [Partition(p) for p in sorted(out)]
 
 
-def _mask(indices) -> int:
-    """The bits of an index tuple: bit i-1 is set for each index i."""
-    mask = 0
-    for i in indices:
-        mask |= 1 << (i - 1)
-    return mask
-
-
-def _indices(key: int, n: int) -> tuple:
-    """The index tuple of a product key at rank n: its set bits below n."""
-    return tuple(i + 1 for i in range(n) if key >> i & 1)
-
-
 @lru_cache(maxsize=None)
 def _start(lam: Partition, k: int) -> int:
     """The key of I(lam) at q-degree 0."""
@@ -132,7 +126,7 @@ def _start(lam: Partition, k: int) -> int:
 @lru_cache(maxsize=None)
 def _decode(n: int, key: int) -> tuple:
     """The (class, q-degree) of a product key at rank n."""
-    return symbol_to_partition(_indices(key, n)), key >> n
+    return symbol_to_partition(_indices(key & ~(-1 << n))), key >> n
 
 
 @lru_cache(maxsize=None)
@@ -140,46 +134,6 @@ def _box_monomials(lam: Partition, k: int, width: int) -> dict:
     """The {parts: coefficient} monomials of the Giambelli determinant of
     lam whose parts are all <= width = n-k: sigma_h is 0 above."""
     return _laplace(as_partition(lam), k, width)
-
-
-# The products' Pieri rows, process-wide and unbounded like derivations._row:
-# for each (n, quantum), a list whose entry h is the dict of D_h's rows.  A
-# term's int key, mask | d << n, maps to the keys of its targets, each with
-# coefficient 1; a row is built the first time a product reaches its key.
-_ROWS = {}
-
-
-def _build_row(rows: dict, n: int, quantum: bool, h: int, key: int) -> tuple:
-    """Store in rows and return the row of D_h at this key.  At q-degree 0
-    it is _row's row, its targets turned into keys; at d > 0 it is the
-    degree-0 row with d << n added to every target, so _row is only asked
-    for d = 0."""
-    shift = key >> n << n
-    if shift:
-        base = rows.get(key - shift)
-        if base is None:
-            base = _build_row(rows, n, quantum, h, key - shift)
-        row = tuple(t + shift for t in base)
-    else:
-        row = tuple(_mask(j) | e << n for j, e in _row(n, quantum, h, (_indices(key, n), 0)))
-    rows[key] = row
-    return row
-
-
-def _apply_sigma(terms: dict, rows: dict, n: int, quantum: bool, h: int) -> dict:
-    """sigma_h on positive int-keyed terms, its rows in rows: one dict get
-    per term, then its coefficient summed into every target.  Rows have
-    coefficient 1, so no sum is 0 and none is dropped."""
-    get_row = rows.get
-    acc = {}
-    get = acc.get
-    for key, c in terms.items():
-        row = get_row(key)
-        if row is None:
-            row = _build_row(rows, n, quantum, h, key)
-        for target in row:
-            acc[target] = get(target, 0) + c
-    return acc
 
 
 def multiply(lam, mu, ctx: GrassmannContext) -> dict:
@@ -195,16 +149,16 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     exactly one, so when only lam is that short the factors swap first and
     the longer one's determinant is never built.  A term e_J at q-degree d
     is keyed by one int, mask | d << n, where bit i-1 of mask is set for
-    each index i of J; the rows come from _ROWS, and each distinct key of
-    the result is decoded to (nu, d) once per process.  A classical product
+    each index i of J; the rows come from derivations._ROWS, and each
+    distinct key of the result is decoded to (nu, d) once per process.  A classical product
     is {} at once when some lam_i + mu_{k+1-i} > n-k: mu does not fit in
     lam's complement (duality, Fulton, Young Tableaux, 9.4)."""
     if ctx.mode == INFINITE:
         raise InvalidInputError("multiply needs a classical or quantum context")
     lam, mu = as_partition(lam), as_partition(mu)
     k, n = ctx.k, ctx.n
-    for p in (lam, mu):
-        if not p.fits_box(k, n):
+    for p in (lam, mu):  # k and n are the context's, so fits_box's checks are done
+        if len(p) > k or p and p[0] > n - k:
             raise InvalidInputError(f"{tuple(p)} outside the {k}x{n - k} box")
     if ctx.mode == CLASSICAL and any(a + b > n - k for a, b in zip(lam[k - len(mu):], mu[::-1])):
         return {}  # the duality test, lam_i against mu_{k+1-i}; a zero part never fails it
@@ -216,9 +170,7 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
         if len(lam_monos) < len(monos):
             monos, other = lam_monos, mu
     start, quantum = {_start(other, k): 1}, ctx.mode == QUANTUM
-    rows = _ROWS.get((n, quantum))
-    if rows is None:
-        rows = _ROWS[n, quantum] = [{} for _ in range(n)]
+    rows = _ROWS[n, quantum]
     total = {}
     get = total.get
     for mono, c in monos.items():

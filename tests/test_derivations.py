@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +9,11 @@ from schubert import derivations
 from schubert.derivations import (
     DPolynomial,
     apply_operator,
-    apply_rows,
     inverse_components,
     iterated_d1,
     leibniz_d,
     leibniz_raw_terms,
     pieri_d,
-    pieri_symbols,
     render_dpolynomial,
 )
 from schubert.exterior_core import (
@@ -26,7 +26,7 @@ from schubert.exterior_core import (
     wedge,
 )
 from schubert.giambelli_ring import giambelli_det
-from schubert.grassmann_contexts import GrassmannContext, box_partitions, reduce_kvector
+from schubert.grassmann_contexts import GrassmannContext, box_partitions, quantum_pieri, reduce_kvector
 
 symbols = st.sets(st.integers(1, 12), min_size=1, max_size=4).map(
     lambda s: tuple(sorted(s))
@@ -260,6 +260,11 @@ class TestMixedCoefficients:
         assert apply_operator(p, v).is_zero()
 
 
+def pieri_symbols(indices, h):
+    """The Pieri rule's targets at a strictly increasing I, as index tuples."""
+    return [derivations._indices(t) for t in derivations._pieri(derivations._mask(indices), h)]
+
+
 @given(symbols, st.integers(0, 6))
 @settings(max_examples=200, deadline=None)
 def test_pieri_symbols_are_the_interleaving_raw_terms(indices, h):
@@ -281,19 +286,19 @@ def test_pieri_symbols_vanish_for_negative_h(indices):
         assert pieri_symbols(indices, h) == []
 
 
-def test_apply_rows_fills_each_row_once_and_drops_zeros():
-    # one row(key) call per key of each call; caching rows across calls
-    # is the row function's business (derivations._row is an lru_cache)
-    filled = []
-
-    def row(key):
-        filled.append(key)
-        return {"a": ("x", "y"), "b": ("y",), "c": ()}[key]
-
-    assert apply_rows({"a": 2, "b": -2, "c": 5}, row) == {"x": 2}
-    assert filled == ["a", "b", "c"]
-    assert apply_rows({"a": 1, "c": 1}, row) == {"x": 1, "y": 1}
-    assert filled == ["a", "b", "c", "a", "c"]
+def test_signed_input_loses_its_zero_sums():
+    # D_1 e[1,4] = e[2,4] + e[1,5] and D_1 e[2,3] = e[2,4]: in the
+    # difference the e[2,4] sums are 0, at q-degree 0 and at q-degree 2
+    v = KVector(2, {(1, 4): QInt({0: 1, 2: -3}), (2, 3): QInt({0: -1, 2: 3})})
+    want = {((1, 5), 0): 1, ((1, 5), 2): -3}
+    derivations._ROWS.clear()
+    assert pieri_d(1, v).terms == want
+    # one row per mask, built once: the second call builds none
+    rows = derivations._ROWS[None, False][1]
+    assert sorted(map(derivations._indices, rows)) == [(1, 4), (2, 3)]
+    assert pieri_d(1, v).terms == want and len(rows) == 2
+    # in quantum G(2,5) neither term wraps: i_1 = 1, and e[2,3] is too low
+    assert quantum_pieri(1, v, GrassmannContext(2, 5, "quantum")).terms == want
 
 
 def test_leibniz_raw_terms():
@@ -454,14 +459,17 @@ class TestApplyOperator:
 
 
 class TestSharedRows:
-    """derivations._row: the one Pieri-row cache of every context, an
-    lru_cache per process keyed on (n, quantum, h, flat key), with targets
-    interned through derivations._target."""
+    """derivations._ROWS: the one Pieri-row store of every context, keyed on
+    bit masks, with targets shared through derivations._SHARED."""
 
     @staticmethod
     def clear():
-        derivations._row.cache_clear()
-        derivations._target.cache_clear()
+        for store in (derivations._ROWS, derivations._SHARED, derivations._MASKS, derivations._TUPLES):
+            store.clear()
+
+    @staticmethod
+    def size():
+        return sum(len(rows) for by_h in derivations._ROWS.values() for rows in by_h.values())
 
     def test_cold_and_warm_cache_agree_on_the_5x5_box(self):
         cases = [(lam, k) for k in range(1, 6) for lam in box_partitions(k, k + 5)]
@@ -470,73 +478,146 @@ class TestSharedRows:
         for lam, k in cases:
             self.clear()
             cold.append(apply_operator(giambelli_det(lam, k), fundamental(k)))
-        assert derivations._row.cache_info().currsize > 0
+        assert self.size() > 0
         # warm: every row of the reversed pass comes from the pass before it
         for lam, k in cases:
             apply_operator(giambelli_det(lam, k), fundamental(k))
-        misses = derivations._row.cache_info().misses
+        built = self.size(), len(derivations._MASKS), len(derivations._TUPLES)
         for (lam, k), want in zip(reversed(cases), reversed(cold)):
             assert want == KVector.basis(partition_to_symbol(lam, k).indices)
             assert apply_operator(giambelli_det(lam, k), fundamental(k)) == want
-        assert derivations._row.cache_info().misses == misses
+        assert (self.size(), len(derivations._MASKS), len(derivations._TUPLES)) == built
 
-    @given(symbols, st.integers(0, 6), st.integers(1, 4))
+    @given(symbols, st.integers(0, 6), st.integers(1, 4), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_positive_q_degree_carries_d(self, indices, h, d):
+    def test_positive_q_degree_carries_d(self, indices, h, d, quantum):
         self.clear()
-        at_zero = derivations._row(None, False, h, (indices, 0))
-        assert derivations._row(None, False, h, (indices, d)) == tuple((j, d) for j, _ in at_zero)
-        assert [j for j, _ in at_zero] == pieri_symbols(indices, h)
+        mask = derivations._mask(indices)
+        infinite = derivations._build_row({}, None, False, h, mask)
+        assert [derivations._indices(t) for t in infinite] == pieri_symbols(indices, h)
+        # at rank n the row at q-degree d is the degree-0 row raised by d
+        rows = {}
+        at_d = derivations._build_row(rows, 12, quantum, h, mask | d << 12)
+        assert at_d == tuple(t + (d << 12) for t in rows[mask])
         v = KVector.basis(indices, QInt.q_power(d, 3))
         assert pieri_d(h, v) == pieri_d(h, KVector.basis(indices)).scale(QInt.q_power(d, 3))
 
     @pytest.mark.parametrize("d", [0, 2])
     def test_finite_rows_on_every_small_symbol(self, d):
-        # every symbol of rank n <= 8 and every 1 <= h <= n-k
+        # every symbol of G(1,3)..G(4,9) and every 0 <= h <= n-k: the rows
+        # at rank n are the infinite row cut at n, then in quantum mode the
+        # wrapped targets at q-degree d + 1
+        build, decode = derivations._build_row, derivations._indices
         checked = 0
-        for n in range(2, 9):
-            for k in range(1, n):
+        for n in range(3, 10):
+            for k in range(1, min(4, n - 1) + 1):
                 ctx = GrassmannContext(k, n, "quantum")
                 for lam in box_partitions(k, n):
                     indices = partition_to_symbol(lam, k).indices
-                    for h in range(1, n - k + 1):
-                        infinite = derivations._row(None, False, h, (indices, d))
-                        classical = derivations._row(n, False, h, (indices, d))
-                        quantum = derivations._row(n, True, h, (indices, d))
-                        assert classical == tuple(t for t in infinite if t[0][-1] <= n)
+                    mask = derivations._mask(indices)
+                    for h in range(n - k + 1):
+                        infinite = build({}, None, False, h, mask)
+                        classical = build({}, n, False, h, mask | d << n)
+                        quantum = build({}, n, True, h, mask | d << n)
+                        assert classical == tuple(t | d << n for t in infinite if t < 1 << n)
                         assert quantum[:len(classical)] == classical
                         wrapped = quantum[len(classical):]
-                        assert all(e == d + 1 for _, e in wrapped)
+                        assert all(t >> n == d + 1 for t in wrapped)
                         # the wrapped targets are those of the reduced derivative
                         v = KVector.basis(indices, QInt.q_power(d))
                         reduced = reduce_kvector(pieri_d(h, v), ctx).terms
-                        assert dict.fromkeys(quantum, 1) == reduced
+                        got = {(decode(t & ~(-1 << n)), t >> n): 1 for t in quantum}
+                        assert got == reduced
                         checked += 1
-        assert checked == 1757
+        assert checked == 3547
 
-    def test_rows_share_target_tuples(self):
+    def test_equal_targets_are_one_shared_int(self):
+        # masks above 256, which CPython does not share by itself
         self.clear()
-        a = derivations._row(None, False, 1, ((1, 3), 0))
-        b = derivations._row(None, False, 2, ((1, 2), 0))
-        assert a[a.index(((1, 4), 0))] is b[b.index(((1, 4), 0))]
-        # the finite rows reach the same tuples
-        c = derivations._row(4, True, 1, ((1, 3), 0))
-        assert c[c.index(((1, 4), 0))] is a[a.index(((1, 4), 0))]
-        # and so do the rows at a positive q-degree
-        a1 = derivations._row(None, False, 1, ((1, 3), 1))
-        c1 = derivations._row(4, True, 2, ((1, 2), 1))
-        assert a1[a1.index(((1, 4), 1))] is c1[c1.index(((1, 4), 1))]
-        # two steps of D_1..D_3 from e[1,2,3]: equal targets are one object
-        keys = [((1, 2, 3), 0)]
+        build, m = derivations._build_row, derivations._mask
+        target = m((10, 13))
+        assert target > 256
+        a = build({}, None, False, 1, m((10, 12)))
+        b = build({}, None, False, 2, m((10, 11)))
+        assert a[a.index(target)] is b[b.index(target)]
+        # the finite rows reach the same ints
+        c = build({}, 14, True, 1, m((10, 12)))
+        assert c[c.index(target)] is a[a.index(target)]
+        # and so do the rows at a positive q-degree, raised by d << n
+        a1 = build({}, 14, False, 1, m((10, 12)) | 1 << 14)
+        c1 = build({}, 14, True, 2, m((10, 11)) | 1 << 14)
+        assert a1[a1.index(target | 1 << 14)] is c1[c1.index(target | 1 << 14)]
+        # two steps of D_1..D_3 from e[10,11,12]: equal targets are one object
+        keys = [m((10, 11, 12))]
         rows = []
         for _ in range(2):
-            rows += [derivations._row(None, False, h, key) for key in keys for h in (1, 2, 3)]
+            rows += [build({}, None, False, h, key) for key in keys for h in (1, 2, 3)]
             keys = {t for row in rows for t in row}
         seen = {}
         for row in rows:
             for t in row:
                 assert seen.setdefault(t, t) is t
         assert len(seen) < sum(map(len, rows))
+
+    def test_mask_rows_leave_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            self.clear()
+            v = KVector(3, {(1, 3, 5): QInt({0: 2, 1: -1}), (2, 3, 4): QInt({2: 1})})
+            pieri_d(2, v)
+            assert gc.collect() == 0
+            quantum_pieri(2, v, GrassmannContext(3, 7, "quantum"))
+            assert gc.collect() == 0
+            apply_operator(giambelli_det(Partition((3, 2, 1)), 3), v)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def _seeded_mixed_q_results():
+    """1,500 pieri_d, 600 apply_operator and 1,500 quantum_pieri results
+    on seeded signed k-vectors with terms at q-degrees 0..3, each as its
+    sorted terms."""
+    rng = random.Random(3101)
+
+    def kvector(k, top):
+        terms = [
+            (sorted(rng.sample(range(1, top + 1), k)), QInt.q_power(rng.randint(0, 3), rng.choice((-2, -1, 1, 2))))
+            for _ in range(rng.randint(1, 6))
+        ]
+        return KVector(k, terms)
+
+    out = []
+    for _ in range(1500):
+        k = rng.randint(1, 4)
+        out.append(pieri_d(rng.randint(0, 5), kvector(k, k + 4)))
+    for _ in range(600):
+        k = rng.randint(1, 4)
+        pick = rng.randrange(3)
+        if pick == 0:
+            p = giambelli_det(rng.choice(box_partitions(k, k + 3)), k)
+        elif pick == 1:
+            p = inverse_components(4)[rng.randint(0, 4)]
+        else:
+            p = DPolynomial({
+                tuple(sorted(rng.sample(range(1, 5), rng.randint(0, 3)), reverse=True)): rng.randint(-3, 3)
+                for _ in range(rng.randint(1, 4))
+            })
+        out.append(apply_operator(p, kvector(k, k + 3)))
+    for _ in range(1500):
+        n = rng.randint(3, 8)
+        k = rng.randint(1, n - 1)
+        out.append(quantum_pieri(rng.randint(1, n - k), kvector(k, n), GrassmannContext(k, n, "quantum")))
+    return [sorted(v.terms.items()) for v in out]
+
+
+def test_mixed_q_results_match_the_pinned_digest():
+    # pinned from the tuple-keyed rows that the mask rows replaced
+    results = _seeded_mixed_q_results()
+    assert sum(map(len, results)) == 25889
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "d0f33ccf22ec0d65a361aa609be9bb154507255c51497dbb3a12b0b763d89d19"
 
 
 class TestIteratedD1:

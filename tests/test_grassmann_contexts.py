@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schubert
-from schubert import derivations
-from schubert.derivations import pieri_d
+from schubert.derivations import _ROWS, _build_row, _indices, _mask, _pieri, apply_operator, pieri_d
 from schubert.exterior_core import (
     InvalidInputError,
     KVector,
@@ -24,12 +23,9 @@ from schubert.exterior_core import (
     symbol_to_partition,
 )
 from schubert.giambelli_ring import expand_in_low_generators, giambelli_det
-from schubert.derivations import apply_operator
 from schubert.grassmann_contexts import (
-    _ROWS,
     GrassmannContext,
     _box_monomials,
-    _build_row,
     box_partitions,
     multiply,
     multiply_expansion,
@@ -231,12 +227,12 @@ class TestQuantumPieri:
         with pytest.raises(InvalidInputError):
             quantum_pieri(1, KVector.basis((1, 5)), ctx)
         # only the second term is out of range, and no row is built for it
-        derivations._row.cache_clear()
+        _ROWS.clear()
         v = KVector.basis((1, 2)) + KVector.basis((3, 5))
         assert [i for i, _ in v.terms] == [(1, 2), (3, 5)]
         with pytest.raises(InvalidInputError):
             quantum_pieri(1, v, ctx)
-        assert derivations._row.cache_info().currsize == 0
+        assert _ROWS == {}
 
 
 class TestMultiply:
@@ -386,6 +382,11 @@ class TestMultiply:
                     assert product == {}
 
 
+def pieri_symbols(indices, h):
+    """The Pieri rule's targets at a strictly increasing I, as index tuples."""
+    return [_indices(t) for t in _pieri(_mask(indices), h)]
+
+
 class TestIntRows:
     # the finite contexts key a term e_J at q-degree d by mask | d << n,
     # bit i-1 of mask set for each index i of J
@@ -400,6 +401,10 @@ class TestIntRows:
 
     @pytest.mark.parametrize("quantum", [False, True], ids=["classical", "quantum"])
     def test_each_row_decodes_to_the_tuple_row_in_order(self, quantum):
+        # the tuple row: the Pieri symbols with j_k <= n, then in quantum
+        # mode the interleavings of (1, i_1, ..., i_{k-1}) by
+        # i_k + h - n - 1 that end below i_k, at q-degree d + 1 (none when
+        # i_1 = 1, where that tuple repeats 1)
         for n in range(3, 10):
             for k in range(1, min(4, n - 1) + 1):
                 for lam in box_partitions(k, n):
@@ -408,7 +413,10 @@ class TestIntRows:
                         rows = {}
                         for d in (2, 0, 1):  # d = 2 first: it builds its degree-0 row
                             row = _build_row(rows, n, quantum, h, self.key(indices, d, n))
-                            want = list(derivations._row(n, quantum, h, (indices, d)))
+                            want = [(j, d) for j in pieri_symbols(indices, h) if j[-1] <= n]
+                            if quantum and indices[0] > 1:
+                                chains = pieri_symbols((1,) + indices[:-1], indices[-1] + h - n - 1)
+                                want += [(j, d + 1) for j in chains if j[-1] < indices[-1]]
                             assert [self.term(t, n) for t in row] == want, (k, n, lam, h, d)
 
     def test_a_cold_product_builds_only_the_rows_it_reaches(self):
@@ -417,16 +425,20 @@ class TestIntRows:
         _ROWS.clear()
         multiply(P((1,)), lam, GrassmannContext(5, 40))
         built = {(n, quantum, h): list(rows) for (n, quantum), by_h in _ROWS.items()
-                 for h, rows in enumerate(by_h) if rows}
+                 for h, rows in by_h.items() if rows}
         assert built == {(40, False, 1): [self.key(partition_to_symbol(lam, 5).indices, 0, 40)]}
 
-    def test_products_ask_the_tuple_rows_only_at_q_degree_zero(self):
-        # 126 symbols of G(4,9) times h = 1..5 is 630 degree-0 rows; the
-        # rows at d > 0 are the degree-0 int rows with d << n added
+    def test_no_row_store_is_tuple_keyed_after_a_quantum_table(self):
+        # every key and target is an int; 126 symbols of G(4,9) times
+        # h = 1..5 is 630 degree-0 rows, and the rows at d > 0 are the
+        # degree-0 rows with d << n added
         _ROWS.clear()
-        derivations._row.cache_clear()
         structure_table(GrassmannContext(4, 9, "quantum"))
-        assert derivations._row.cache_info().currsize <= 630
+        assert list(_ROWS) == [(9, True)]
+        rows = [(key, row) for by_h in _ROWS.values() for h_rows in by_h.values()
+                for key, row in h_rows.items()]
+        assert all(type(key) is int and all(type(t) is int for t in row) for key, row in rows)
+        assert 0 < sum(key >> 9 == 0 for key, _ in rows) <= 630
 
     def test_leaves_no_reference_cycle(self):
         gc.collect()
@@ -465,6 +477,17 @@ class TestDuality:
         assert multiply(P((4, 2)), P((3, 3, 1)), ctx) == {}
         assert multiply(P((3, 3, 1)), P((4, 2)), ctx) == {}
         assert _box_monomials.cache_info().misses == 0
+
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_out_of_box_factors_raise_before_the_duality_test(self, mode):
+        # each pair below would vanish classically by duality; the box
+        # check on either factor comes first, with the same text
+        ctx = GrassmannContext(2, 4, mode)
+        for lam, mu, bad in [((3,), (2, 2), (3,)), ((2, 2), (1, 1, 1), (1, 1, 1)),
+                             ((2, 2, 1), (2,), (2, 2, 1)), ((2,), (5, 1), (5, 1))]:
+            with pytest.raises(InvalidInputError) as err:
+                multiply(P(lam), P(mu), ctx)
+            assert str(err.value) == f"{bad} outside the 2x2 box"
 
     @pytest.mark.parametrize("k,n,lam,mu,want", [
         (2, 4, (2, 2), (2, 2), {((), 2): 1}),
@@ -667,8 +690,6 @@ def test_every_lru_cache_is_found_where_it_says_it_lives():
         assert getattr(sys.modules[cache.__module__], cache.__name__, None) is cache, cache
     names = sorted(f"{c.__module__}.{c.__name__}" for c in caches.values())
     assert names == [
-        "schubert.derivations._row",
-        "schubert.derivations._target",
         "schubert.grassmann_contexts._box_monomials",
         "schubert.grassmann_contexts._decode",
         "schubert.grassmann_contexts._start",
