@@ -3,10 +3,14 @@ series E_t, the commutative operator ring Z[D], and _laplace, the
 Laplace expansion that writes a Giambelli determinant as DPolynomial terms.
 
 Two independent evaluation paths are provided for D_h on a k-vector:
-leibniz_d enumerates all compositions of h (most of which cancel) and
-pieri_d enumerates only the surviving interleaving symbols.  pieri_d is
-the production path; leibniz_d exists as an oracle.  Neither treats h = 0
-apart: D_0 = 1 is the one zero composition and the h = 0 row, I -> I.
+leibniz_d applies the Leibniz rule as the Hasse-Schmidt product
+D_h(u ^ w) = sum over a + b = h of D_a u ^ D_b w, one factor e_i at a
+time, merging equal wedges as it goes, and pieri_d enumerates only the
+surviving interleaving symbols.  pieri_d is the production path;
+leibniz_d exists as an oracle and reads none of pieri_d's rows.
+leibniz_raw_terms lists the compositions of h before any cancellation.
+Neither path treats h = 0 apart: D_0 = 1 is the one zero composition and
+the h = 0 row, I -> I.
 
 One function on bit masks, _pieri, owns the Pieri rule (bit i-1 of a mask
 is set for each index i).  Its rows fill _ROWS, the one row store of every
@@ -21,6 +25,7 @@ no reference cycle.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 
 from .exterior_core import (
@@ -33,7 +38,6 @@ from .exterior_core import (
     as_nonnegative,
     as_partition,
     render_signed_terms,
-    signed_sorted,
 )
 
 
@@ -164,16 +168,44 @@ def leibniz_raw_terms(h: int, indices) -> list:
 
 
 def leibniz_d(h: int, v: KVector) -> KVector:
-    """D_h by brute-force composition enumeration followed by normalization.
-    D_0 is the identity through its one composition, (0, ..., 0)."""
+    """D_h by the Leibniz rule, as the Hasse-Schmidt product
+    D_h(e_i1 ^ ... ^ e_ik) = sum over a_1 + ... + a_k = h of
+    D_a1 e_i1 ^ ... ^ D_ak e_ik, with D_a e_i = e_{i+a}.  The factors go on
+    one at a time: a state is (sorted wedge so far, h left), the next
+    factor takes a = 0..left (the last takes all that is left), a repeated
+    index kills the state, and equal states are merged as they arise, so
+    terms cancel on the way rather than at the end.  An oracle for pieri_d:
+    it reads none of the Pieri rows.  D_0 is the identity, and on the
+    scalar (k = 0) D_h is 0 for h > 0: its one state keeps h left."""
     h = as_int(h)
     if h < 0:
         raise InvalidInputError("h must be nonnegative")
-    return KVector._of(v.degree, accumulate(signed_sorted(
-        ((shifted, d), c)
+    return KVector._of(v.degree, accumulate(
+        ((wedge, d), c * x)
         for (indices, d), c in v.terms.items()
-        for shifted in leibniz_raw_terms(h, indices)
-    )))
+        for wedge, x in _hasse_schmidt(h, indices)
+    ))
+
+
+def _hasse_schmidt(h: int, indices: tuple) -> list:
+    """(sorted index tuple, coefficient) pairs of D_h on e_I, I = indices,
+    built factor by factor.  Placing e_j into a sorted wedge w at position
+    p = bisect_left(w, j) moves it past the len(w) - p factors after it."""
+    states = {((), h): 1}
+    last = len(indices) - 1
+    for pos, i in enumerate(indices):
+        step = {}
+        get = step.get
+        for (w, left), c in states.items():
+            size = len(w)
+            for j in (i + left,) if pos == last else range(i, i + left + 1):
+                p = bisect_left(w, j)
+                if p < size and w[p] == j:
+                    continue
+                key = (w[:p] + (j,) + w[p:], left - j + i)
+                step[key] = get(key, 0) + (-c if (size - p) & 1 else c)
+        states = step
+    return [(w, c) for (w, left), c in states.items() if c and not left]
 
 
 def _mask(indices) -> int:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,10 @@ from schubert.exterior_core import (
     KVector,
     Partition,
     QInt,
+    accumulate,
     fundamental,
     partition_to_symbol,
+    signed_sorted,
     wedge,
 )
 from schubert.giambelli_ring import giambelli_det
@@ -316,6 +319,52 @@ def test_leibniz_raw_terms():
 def test_leibniz_rejects_negative_h():
     with pytest.raises(InvalidInputError, match="h must be nonnegative"):
         leibniz_d(-1, KVector.basis((1, 3)))
+
+
+def _composition_route(h, v):
+    """leibniz_d by brute force: every composition of h on every term,
+    cancelled only at the end."""
+    return accumulate(signed_sorted(
+        ((shifted, d), c) for (indices, d), c in v.terms.items() for shifted in leibniz_raw_terms(h, indices)
+    ))
+
+
+class TestLeibnizAgainstCompositions:
+    """leibniz_d merges as it goes; the composition route cancels at the end."""
+
+    def test_every_symbol_up_to_10(self):
+        for k in range(5):
+            for indices in combinations(range(1, 11), k):
+                v = KVector(k, {indices: 1})
+                for h in range(9):
+                    assert leibniz_d(h, v).terms == _composition_route(h, v), (indices, h)
+
+    @given(mixed_kvectors(), st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_q_degrees(self, v, h):
+        got = leibniz_d(h, v)
+        assert got.degree == v.degree and got.terms == _composition_route(h, v)
+
+    def test_h_zero_and_the_scalar(self):
+        v = KVector(2, {(2, 4): QInt({0: 1, 2: -3}), (1, 7): QInt({1: 5})})
+        assert leibniz_d(0, v).terms == v.terms == _composition_route(0, v)
+        scalar = KVector(0, {(): QInt({0: 3, 2: -1})})
+        assert leibniz_d(0, scalar).terms == scalar.terms == _composition_route(0, scalar)
+        for h in range(1, 4):
+            assert leibniz_d(h, scalar).terms == {} == _composition_route(h, scalar)
+
+    def test_reads_none_of_the_pieri_machinery(self, monkeypatch):
+        # an oracle for pieri_d must not reach its rule, rows or row loop
+        def engine(*_):
+            raise AssertionError("leibniz_d used the Pieri engine")
+
+        for name in ("_pieri", "_apply_sigma", "_build_row"):
+            monkeypatch.setattr(derivations, name, engine)
+        with pytest.raises(AssertionError):
+            pieri_d(1, KVector.basis((1, 3)))
+        v = KVector(3, {(1, 3, 4): QInt({0: 2, 1: -1}), (2, 3, 6): 1})
+        for h in range(6):
+            assert leibniz_d(h, v).terms == _composition_route(h, v)
 
 
 class TestInverseComponents:

@@ -693,5 +693,6 @@ def test_every_lru_cache_is_found_where_it_says_it_lives():
         "schubert.grassmann_contexts._box_monomials",
         "schubert.grassmann_contexts._decode",
         "schubert.grassmann_contexts._start",
+        "schubert.schur_oracle._lr_strips",
         "schubert.schur_oracle.lr_expansion",
     ]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from schubert.derivations import DPolynomial
 from schubert.exterior_core import InvalidInputError, KVector, Partition
 from schubert.schur_oracle import (
+    _lr_strips,
     lr_coefficient,
     lr_expansion,
     rim_hook_product,
@@ -313,6 +314,7 @@ class TestLRTableaux:
 
     def test_leaves_no_reference_cycle(self):
         lr_expansion.cache_clear()
+        _lr_strips.cache_clear()
         gc.collect()
         gc.disable()
         try:
@@ -320,6 +322,33 @@ class TestLRTableaux:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_caches_are_bounded(self):
+        # a long-lived process meets ever more pairs and strips
+        for cache in (lr_expansion, _lr_strips):
+            assert cache.cache_parameters()["maxsize"] is not None, cache
+        assert lr_expansion.cache_parameters()["typed"] is True
+
+    def test_strips_are_tuples(self):
+        # the memo hands one value to every caller, so it must be immutable
+        _lr_strips.cache_clear()
+        for last in (None, (1, 1, 0)):
+            strips = _lr_strips((2, 1, 0), last, 1)
+            assert strips and type(strips) is tuple, last
+            for shape, counts in strips:
+                assert type(shape) is tuple and type(counts) is tuple
+
+    def test_cold_and_warm_strips_agree_on_the_4x4_box(self):
+        parts = _box(4, 4)
+        pairs = [(lam, mu) for i, lam in enumerate(parts) for mu in parts[i:]]
+        expand = lr_expansion.__wrapped__
+        cold = []
+        for lam, mu in pairs:
+            _lr_strips.cache_clear()
+            cold.append(expand(lam, mu, 4))
+        warm = [expand(lam, mu, 4) for lam, mu in pairs]
+        assert _lr_strips.cache_info().hits > 0
+        assert repr(cold) == repr(warm)
 
 
 class TestRimHookProduct:
@@ -379,6 +408,7 @@ class TestRimHookProduct:
 
         monkeypatch.setattr(core, "accumulate", shared)
         lr_expansion.cache_clear()
+        _lr_strips.cache_clear()
         with pytest.raises(AssertionError):
             KVector.basis((1,)) + KVector.basis((2,))
         assert lr_expansion(P((2, 1)), P((1,)), 3) == ((P((2, 1, 1)), 1), (P((2, 2)), 1), (P((3, 1)), 1))
