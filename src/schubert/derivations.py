@@ -5,9 +5,10 @@ Laplace expansion that writes a Giambelli determinant as DPolynomial terms.
 Two independent evaluation paths are provided for D_h on a k-vector:
 leibniz_d applies the Leibniz rule as the Hasse-Schmidt product
 D_h(u ^ w) = sum over a + b = h of D_a u ^ D_b w, one factor e_i at a
-time, merging equal wedges as it goes, and pieri_d enumerates only the
-surviving interleaving symbols.  pieri_d is the production path;
-leibniz_d exists as an oracle and reads none of pieri_d's rows.
+time, on wedges held as bit masks, merging equal wedges as it goes, and
+pieri_d enumerates only the surviving interleaving symbols.  pieri_d is
+the production path; leibniz_d exists as an oracle and reads none of
+pieri_d's rows, rule or mask conversions.
 leibniz_raw_terms lists the compositions of h before any cancellation.
 Neither path treats h = 0 apart: D_0 = 1 is the one zero composition and
 the h = 0 row, I -> I.
@@ -25,7 +26,6 @@ no reference cycle.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
 
 from .exterior_core import (
@@ -171,11 +171,12 @@ def leibniz_d(h: int, v: KVector) -> KVector:
     """D_h by the Leibniz rule, as the Hasse-Schmidt product
     D_h(e_i1 ^ ... ^ e_ik) = sum over a_1 + ... + a_k = h of
     D_a1 e_i1 ^ ... ^ D_ak e_ik, with D_a e_i = e_{i+a}.  The factors go on
-    one at a time: a state is (sorted wedge so far, h left), the next
-    factor takes a = 0..left (the last takes all that is left), a repeated
-    index kills the state, and equal states are merged as they arise, so
-    terms cancel on the way rather than at the end.  An oracle for pieri_d:
-    it reads none of the Pieri rows.  D_0 is the identity, and on the
+    one at a time: a state is (wedge so far as a bit mask, h left), the
+    next factor takes a = 0..left (the last takes all that is left), a
+    repeated index kills the state, and equal states are merged as they
+    arise, so terms cancel on the way rather than at the end.  An oracle
+    for pieri_d: it reads none of the Pieri rows, and it encodes and
+    decodes its masks itself.  D_0 is the identity, and on the
     scalar (k = 0) D_h is 0 for h > 0: its one state keeps h left."""
     h = as_int(h)
     if h < 0:
@@ -189,23 +190,34 @@ def leibniz_d(h: int, v: KVector) -> KVector:
 
 def _hasse_schmidt(h: int, indices: tuple) -> list:
     """(sorted index tuple, coefficient) pairs of D_h on e_I, I = indices,
-    built factor by factor.  Placing e_j into a sorted wedge w at position
-    p = bisect_left(w, j) moves it past the len(w) - p factors after it."""
-    states = {((), h): 1}
+    built factor by factor.  A state is (wedge mask, h left), bit j-1 set
+    for each index j in the wedge: placing e_j into it moves e_j past the
+    factors above j, the set bits of w >> j, and a repeated index is a
+    set bit.  The masks are decoded once, at the end."""
+    states = {(0, h): 1}
     last = len(indices) - 1
     for pos, i in enumerate(indices):
         step = {}
         get = step.get
         for (w, left), c in states.items():
-            size = len(w)
             for j in (i + left,) if pos == last else range(i, i + left + 1):
-                p = bisect_left(w, j)
-                if p < size and w[p] == j:
+                bit = 1 << j - 1
+                if w & bit:
                     continue
-                key = (w[:p] + (j,) + w[p:], left - j + i)
-                step[key] = get(key, 0) + (-c if (size - p) & 1 else c)
+                key = (w | bit, left - j + i)
+                step[key] = get(key, 0) + (-c if (w >> j).bit_count() & 1 else c)
         states = step
-    return [(w, c) for (w, left), c in states.items() if c and not left]
+    out = []
+    for (w, left), c in states.items():
+        if c and not left:
+            wedge = []
+            while w:
+                j = w.bit_length()
+                wedge.append(j)
+                w ^= 1 << j - 1
+            wedge.reverse()
+            out.append((tuple(wedge), c))
+    return out
 
 
 def _mask(indices) -> int:

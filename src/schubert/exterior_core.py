@@ -12,7 +12,9 @@ defined once, in FreeElement.
 A Schubert class is named by a Partition lam or by its SchubertSymbol
 I(lam).  Both are tuples, checked when they are built: each equals, hashes
 and orders like the plain tuple of its parts or indices, so it serves as a
-dict key or sort key as it is.
+dict key or sort key as it is.  A shape the library derives itself from
+checked input (a symbol's partition, an oracle's output shapes) is wrapped
+by Partition._of without a second check.
 """
 
 from __future__ import annotations
@@ -78,6 +80,12 @@ class Partition(tuple):
         if parts and parts[-1] < 0:
             raise InvalidInputError(f"negative part in {parts}")
         return super().__new__(cls, (p for p in parts if p > 0))
+
+    @classmethod
+    def _of(cls, parts: tuple) -> "Partition":
+        """Wrap a weakly decreasing tuple of nonnegative ints without
+        checking it; its zeros, all trailing, are dropped."""
+        return tuple.__new__(cls, parts[: len(parts) - parts.count(0)])
 
     @property
     def parts(self) -> tuple:
@@ -338,7 +346,7 @@ def partition_to_symbol(lam: Partition, k: int) -> SchubertSymbol:
 def symbol_to_partition(sym: SchubertSymbol) -> Partition:
     """Inverse of partition_to_symbol at the same k."""
     sym = as_symbol(sym)
-    return Partition(sym[j] - j - 1 for j in reversed(range(len(sym))))
+    return Partition._of(tuple(sym[j] - j - 1 for j in reversed(range(len(sym)))))
 
 
 def signed_sorted(raw):

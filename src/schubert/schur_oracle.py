@@ -21,7 +21,14 @@ Every strip step is one call of _lr_strips, a pure function of (shape,
 the last letter's per-row counts, m), kept in a bounded lru_cache: the
 products of one box, and the Jacobi-Trudi steps below, meet the same
 steps over and over (1,190 products and 125 Jacobi-Trudi checks at
-k <= 4 ask 8,663 times for 1,552 distinct steps).
+k <= 4 ask 8,663 times for 1,552 distinct steps).  The strips keep every
+shape a partition, so lr_expansion wraps its output shapes with
+Partition._of, unchecked.
+
+rim_hook_product takes n-rim hooks off each shape on an int abacus, one
+bit per bead: a move flips two bits, and a hook's height is a bit count.
+The tests keep the set-based bead loop it replaced as its reference
+(tests/rim_hook_reference.py).
 
 verify_jacobi_trudi puts h_i(x_1..x_k) in place of each D_i of a Giambelli
 determinant (Macdonald, Symmetric Functions and Hall Polynomials, I.(3.4))
@@ -73,8 +80,9 @@ def lr_expansion(lam: Partition, mu: Partition, k: int) -> tuple:
     out = {}
     for (shape, _), c in states.items():
         out[shape] = out.get(shape, 0) + c
-    # zero padding keeps the order of the parts
-    return tuple((Partition(shape), c) for shape, c in sorted(out.items()))
+    # zero padding keeps the order of the parts; the strips keep each
+    # shape a partition, so it is wrapped without a second check
+    return tuple((Partition._of(shape), c) for shape, c in sorted(out.items()))
 
 
 # Bounded at some 10 MB (about 650 bytes an entry at k = 4).  Its values
@@ -123,8 +131,11 @@ def rim_hook_product(lam, mu, k: int, n: int) -> dict:
     Each s_nu of s_lam * s_mu loses n-rim hooks until it fits the
     k x (n-k) box, gaining q and (-1)^(k - height) per hook; a nu that
     cannot get there adds nothing.  Hooks come off on the abacus of the
-    beta-numbers nu_i + k - i: an n-rim hook moves one bead from b to an
-    empty b - n >= 0, and its height is 1 + the beads strictly between."""
+    beta-numbers nu_i + k - i, an int with bit b set for each bead b: an
+    n-rim hook moves one bead from b to an empty b - n >= 0 (the set bits
+    of beads >> n & ~beads), and its height is 1 + the beads strictly
+    between, the set bits among the n - 1 between them.  The core and the
+    sign do not depend on which hook comes off first, so the lowest goes."""
     k, n = as_int(k), as_int(n)
     if not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -133,17 +144,24 @@ def rim_hook_product(lam, mu, k: int, n: int) -> dict:
         if not p.fits_box(k, n):
             raise InvalidInputError(f"{tuple(p)} outside the {k}x{n - k} box")
     out = {}
+    between = (1 << n - 1) - 1
     for nu, c in lr_expansion(min(lam, mu), max(lam, mu), k):
-        beads = {part + k - 1 - i for i, part in enumerate(nu.padded(k))}
+        # the k - len(nu) zero parts hold beads 0 .. k - len(nu) - 1
+        beads = (1 << k - len(nu)) - 1
+        for i, part in enumerate(nu):
+            beads |= 1 << part + k - 1 - i
         d = 0
-        while movable := [b for b in beads if b >= n and b - n not in beads]:
-            b = movable[0]
-            c *= (-1) ** (k - 1 - sum(b - n < x < b for x in beads))
-            beads = beads - {b} | {b - n}
+        while movable := beads >> n & ~beads:
+            low = movable & -movable
+            if (k - 1 - (beads >> low.bit_length() & between).bit_count()) & 1:
+                c = -c
+            beads ^= low | low << n
             d += 1
-        if max(beads) < n:
-            core = Partition(b - (k - 1 - i) for i, b in enumerate(sorted(beads, reverse=True)))
-            out[(core, d)] = out.get((core, d), 0) + c
+        if not beads >> n:
+            # the r-th bead from the bottom, at b, is the part b - r
+            parts = [b - r for r, b in enumerate(b for b in range(n) if beads >> b & 1)]
+            key = (Partition._of(tuple(reversed(parts))), d)
+            out[key] = out.get(key, 0) + c
     return dict(sorted((key, c) for key, c in out.items() if c))
 
 

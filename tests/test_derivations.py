@@ -354,12 +354,21 @@ class TestLeibnizAgainstCompositions:
             assert leibniz_d(h, scalar).terms == {} == _composition_route(h, scalar)
 
     def test_reads_none_of_the_pieri_machinery(self, monkeypatch):
-        # an oracle for pieri_d must not reach its rule, rows or row loop
+        # an oracle for pieri_d must not reach its rule, rows, row loop or
+        # mask conversions: both work on masks, each with its own code
         def engine(*_):
             raise AssertionError("leibniz_d used the Pieri engine")
 
-        for name in ("_pieri", "_apply_sigma", "_build_row"):
+        class Raising(dict):
+            def __getitem__(self, key):
+                engine()
+
+            get = __getitem__
+
+        for name in ("_pieri", "_apply_sigma", "_build_row", "_mask", "_indices"):
             monkeypatch.setattr(derivations, name, engine)
+        for name in ("_MASKS", "_TUPLES"):
+            monkeypatch.setattr(derivations, name, Raising())
         with pytest.raises(AssertionError):
             pieri_d(1, KVector.basis((1, 3)))
         v = KVector(3, {(1, 3, 4): QInt({0: 2, 1: -1}), (2, 3, 6): 1})

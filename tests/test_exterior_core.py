@@ -1,6 +1,6 @@
 import json
 import pickle
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -46,10 +46,11 @@ two_symbols = st.sets(st.integers(1, 12), min_size=2, max_size=2).map(
 
 class TestPartition:
     def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            Partition((1, 2))
-        with pytest.raises(InvalidInputError):
-            Partition((2, -1))
+        # the public constructor validates, though the library wraps its
+        # own shapes with the unchecked Partition._of
+        for parts in [(1, 2), (2, -1), (1, -1)]:
+            with pytest.raises(InvalidInputError):
+                Partition(parts)
 
     def test_trailing_zeros_dropped(self):
         assert Partition((3, 1, 0, 0)).parts == (3, 1)
@@ -83,6 +84,28 @@ class TestPartition:
         with pytest.raises(InvalidInputError) as err:
             Partition().box_complement(3, 2)
         assert str(err.value) == "() does not fit: k=3 exceeds n=2"
+
+
+class TestUncheckedPartition:
+    """Partition._of wraps a shape the library built itself, unchecked."""
+
+    def test_trailing_zeros_dropped(self):
+        assert Partition._of((3, 1, 0, 0)).parts == (3, 1)
+        assert Partition._of((0, 0)).parts == Partition._of(()).parts == ()
+
+    def test_equals_and_hashes_like_the_validated_constructor(self):
+        for parts in [(), (0,), (2,), (3, 3, 1, 0), (4, 2, 2, 0, 0)]:
+            got, want = Partition._of(parts), Partition(parts)
+            assert type(got) is Partition
+            assert got == want and hash(got) == hash(want) and got.parts == want.parts
+
+    def test_symbol_to_partition_shapes_are_valid(self):
+        # every symbol with indices <= 10, k = 0 included
+        for k in range(11):
+            for sym in combinations(range(1, 11), k):
+                lam = symbol_to_partition(sym)
+                assert type(lam) is Partition, sym
+                assert lam == Partition(tuple(lam)) and 0 not in lam, sym
 
 
 class TestSchubertSymbol:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from schubert.derivations import DPolynomial
 from schubert.exterior_core import InvalidInputError, KVector, Partition
+from schubert.grassmann_contexts import box_partitions
 from schubert.schur_oracle import (
     _lr_strips,
     lr_coefficient,
@@ -16,6 +17,7 @@ from schubert.schur_oracle import (
     verify_jacobi_trudi,
 )
 
+from rim_hook_reference import mismatches
 from polynomial_reference import (
     LIMIT,
     complete_homogeneous,
@@ -377,6 +379,11 @@ class TestRimHookProduct:
                 for nu, d in product:
                     assert nu.weight() + n * d == lam.weight() + mu.weight()
 
+    @pytest.mark.parametrize("k, n", [(1, 4), (2, 4), (2, 5), (3, 6), (3, 7), (4, 8), (4, 4)])
+    def test_int_abacus_matches_the_bead_set_reference(self, k, n):
+        # every ordered pair, against the set-based loop the int abacus replaced
+        assert mismatches(k, n) == []
+
     def test_rejects_partitions_outside_the_box(self):
         with pytest.raises(InvalidInputError):
             rim_hook_product(P((3,)), P((1,)), 2, 4)
@@ -415,6 +422,34 @@ class TestRimHookProduct:
         square = multiply(schur_expand(P((1,)), 2), schur_expand(P((1,)), 2), 2)
         assert schur_decompose(square, 2) == {P((2,)): 1, P((1, 1)): 1}
         assert rim_hook_product(P((1,)), P((2, 1)), 2, 4) == {(P(()), 1): 1, (P((2, 2)), 0): 1}
+
+
+def _assert_valid_shape(nu):
+    # a shape wrapped by Partition._of must be what the constructor builds
+    assert type(nu) is Partition, nu
+    assert nu == Partition(tuple(nu)) and 0 not in nu, nu
+
+
+class TestOutputShapesAreValid:
+    """lr_expansion and rim_hook_product wrap the shapes they build with
+    Partition._of, unchecked; each must still be a valid Partition."""
+
+    def test_lr_expansion_on_the_4x4_box(self):
+        parts = _box(4, 4)
+        assert P() in parts
+        for k in range(5):
+            for lam in parts:
+                for mu in parts:
+                    for nu, _ in lr_expansion(lam, mu, k):
+                        _assert_valid_shape(nu)
+
+    @pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 6), (3, 7), (4, 8)])
+    def test_rim_hook_product_cores(self, k, n):
+        parts = box_partitions(k, n)
+        for lam in parts:
+            for mu in parts:
+                for nu, _ in rim_hook_product(lam, mu, k, n):
+                    _assert_valid_shape(nu)
 
 
 class TestJacobiTrudi:
