@@ -18,10 +18,12 @@ is set for each index i).  Its rows fill _ROWS, the one row store of every
 context, infinite, classical or quantum, and _apply_sigma is the one loop
 that applies them.  KVector terms keep their (index tuple, q-degree) keys;
 pieri_d, apply_operator and grassmann_contexts.quantum_pieri turn them
-into masks only where they meet the rows.  apply_operator evaluates a
+into masks only where they meet the rows; _apply_sigma adds a row's
+targets into a dict its caller hands it.  apply_operator evaluates a
 polynomial in the D_h as a Horner scheme on each q-degree's masks, with
-leaves pieri_d(h, v); the recursion is a plain function, so a call leaves
-no reference cycle.
+leaves pieri_d(h, v): each node sums into one dict handed down by its
+parent, and a child's sum reaches D_h's rows once, its zeros dropped.
+The recursion is a plain function, so a call leaves no reference cycle.
 """
 
 from __future__ import annotations
@@ -243,7 +245,8 @@ def _pieri(mask: int, h: int) -> list:
     i_1 <= j_1 < i_2 <= j_2 < ... <= i_k <= j_k with |J| = |I| + h, in
     lexicographic order of J.  The set bits are walked low to high: each
     steps up by at most the gap below the next set bit, and the last takes
-    what is left of h.  Empty when h < 0, as D_h = 0 there."""
+    what is left of h, in the same comprehension as the step before it.
+    Empty when h < 0, as D_h = 0 there."""
     if h < 0 or not mask:
         return [] if h else [mask]
     partial = [(0, h)]
@@ -252,9 +255,12 @@ def _pieri(mask: int, h: int) -> list:
     while rest:
         up = rest & -rest
         gap = up.bit_length() - low.bit_length() - 1
+        rest ^= up
+        if not rest:
+            return [t | low << s | up << r - s for t, r in partial for s in range(min(gap, r) + 1)]
         partial = [(t | low << s, r - s) for t, r in partial for s in range(min(gap, r) + 1)]
-        low, rest = up, rest ^ up
-    return [t | low << r for t, r in partial]
+        low = up
+    return [low << h]
 
 
 class _Conversions(dict):
@@ -311,12 +317,12 @@ def _build_row(rows: dict, n: int | None, quantum: bool, h: int, key: int) -> tu
     return row
 
 
-def _apply_sigma(terms: dict, rows: dict, n: int | None, quantum: bool, h: int) -> dict:
-    """D_h on {key: coefficient} terms, its rows in rows: one dict get per
-    term, then its coefficient summed into every target.  Sums of 0 are
-    kept; a caller with signed terms drops them."""
+def _apply_sigma(terms: dict, rows: dict, n: int | None, quantum: bool, h: int, acc: dict) -> dict:
+    """D_h on {key: coefficient} terms, its rows in rows, added into acc
+    and returned: one dict get per term, then its coefficient summed into
+    every target.  Sums of 0 are kept; a caller with signed terms drops
+    them.  A caller that wants D_h alone passes acc = {}."""
     get_row = rows.get
-    acc = {}
     get = acc.get
     for key, c in terms.items():
         row = get_row(key)
@@ -343,7 +349,7 @@ def pieri_d(h: int, v: KVector) -> KVector:
         raise InvalidInputError("h must be nonnegative")
     rows, out = _ROWS[None, False][h], {}
     for d, terms in _by_degree(v.terms).items():
-        for t, c in _apply_sigma(terms, rows, None, False, h).items():
+        for t, c in _apply_sigma(terms, rows, None, False, h, {}).items():
             if c:
                 out[_TUPLES[t], d] = c
     return KVector._of(v.degree, out)
@@ -355,40 +361,48 @@ def apply_operator(p: DPolynomial, v: KVector) -> KVector:
     D_h's rows do not depend on the q-degree, so each q-degree's terms go
     through the infinite rows apart, keyed by mask.  The D_h commute, so p
     is a Horner scheme p = c + sum_h D_h * p_h, p_h the other parts of the
-    monomials whose largest part is h: each p_h v is summed into one dict
-    before D_h's rows are applied to it once, so terms cancel inside the
-    tree.  A constant p_h is a leaf, pieri_d(h, v) cached per h for the
-    call and scaled, so pieri_d stays the layer a tracer sees under
-    apply_operator."""
+    monomials whose largest part is h.  Every node of the scheme sums into
+    one dict handed down by its parent: p_h v is summed into a dict of its
+    own, its zero sums dropped, and D_h's rows are applied to it once,
+    adding their targets into the parent's dict, so terms cancel inside
+    the tree.  A constant p_h is a leaf, pieri_d(h, v) cached per h for the
+    call and scaled into the parent's dict, so pieri_d stays the layer a
+    tracer sees under apply_operator."""
     monos, leaves, out = p.terms.items(), {}, {}
     for d, terms in _by_degree(v.terms).items():
-        for mask, c in _horner(monos, terms, d, v, leaves).items():
-            out[_TUPLES[mask], d] = c
+        acc = {}
+        _horner(monos, terms, d, v, leaves, acc)
+        for mask, c in acc.items():
+            if c:
+                out[_TUPLES[mask], d] = c
     return KVector._of(v.degree, out)
 
 
-def _horner(monos, terms: dict, d: int, v: KVector, leaves: dict) -> dict:
-    """{mask: c} of the sum of c * D_parts over these (descending parts,
-    c) pairs on terms, v's part at q-degree d, sharing the call's per-h
-    leaves.  Module-level: a closure that called itself would leave a
-    reference cycle per call."""
+def _horner(monos, terms: dict, d: int, v: KVector, leaves: dict, acc: dict) -> None:
+    """Add into acc, as {mask: c} with sums of 0 kept, the sum of c * D_parts
+    over these (descending parts, c) pairs on terms, v's part at q-degree d,
+    sharing the call's per-h leaves.  Module-level: a closure that called
+    itself would leave a reference cycle per call."""
     groups = {}
-    pairs = []
+    get = acc.get
     for parts, c in monos:
         if parts:
             groups.setdefault(parts[0], []).append((parts[1:], c))
         else:
-            pairs.extend((mask, c * x) for mask, x in terms.items())
+            for mask, x in terms.items():
+                acc[mask] = get(mask, 0) + c * x
     for h, inner in groups.items():
         if len(inner) > 1 or inner[0][0]:
-            inner_terms = _horner(inner, terms, d, v, leaves)
-            pairs.extend(_apply_sigma(inner_terms, _ROWS[None, False][h], None, False, h).items())
+            inner_sum = {}
+            _horner(inner, terms, d, v, leaves, inner_sum)
+            inner_sum = {mask: c for mask, c in inner_sum.items() if c}
+            _apply_sigma(inner_sum, _ROWS[None, False][h], None, False, h, acc)
             continue
         if h not in leaves:
             leaves[h] = _by_degree(pieri_d(h, v).terms)
         c = inner[0][1]
-        pairs.extend((mask, c * x) for mask, x in leaves[h].get(d, {}).items())
-    return accumulate(pairs)
+        for mask, x in leaves[h].get(d, {}).items():
+            acc[mask] = get(mask, 0) + c * x
 
 
 def _series_inverse(coeffs: list, max_degree: int) -> list:

@@ -93,7 +93,7 @@ def quantum_pieri(h: int, v: KVector, ctx: GrassmannContext) -> KVector:
     low = ~(-1 << n)
     return KVector._of(k, {
         (_TUPLES[key & low], key >> n): c
-        for key, c in _apply_sigma(terms, _ROWS[n, True][h], n, True, h).items() if c
+        for key, c in _apply_sigma(terms, _ROWS[n, True][h], n, True, h, {}).items() if c
     })
 
 
@@ -176,7 +176,7 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     for mono, c in monos.items():
         w = start
         for h in mono:
-            w = _apply_sigma(w, rows[h], n, quantum, h)
+            w = _apply_sigma(w, rows[h], n, quantum, h, {})
         for key, x in w.items():
             total[key] = get(key, 0) + c * x
     return dict(sorted((_decode(n, key), c) for key, c in total.items() if c))

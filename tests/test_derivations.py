@@ -1,7 +1,7 @@
 import gc
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -283,6 +283,30 @@ def test_pieri_symbols_are_the_interleaving_raw_terms(indices, h):
     assert set(got) == {j for j in leibniz_raw_terms(h, indices) if interleaves(j)}
 
 
+def test_pieri_is_the_interleaving_raw_terms_on_every_mask_below_2_to_the_10():
+    # every mask, the empty and the one-bit masks and so every last step
+    # included, and h = -1..9.  leibniz_raw_terms(h, I) is I plus each
+    # composition c of h into k = |I| parts, so the compositions are listed
+    # once per (k, h), keyed by their first k - 1 parts (which fix the
+    # last).  J = I + c interleaves, i_p <= j_p < i_{p+1}, exactly when
+    # each of those parts is below its gap i_{p+1} - i_p: the filter reads
+    # the raw terms at the prefixes under the gaps.
+    raw = {}
+    for mask in range(1 << 10):
+        indices = derivations._indices(mask)
+        k = len(indices)
+        under_gaps = list(product(*(range(b - a) for a, b in zip(indices, indices[1:]))))
+        for h in range(-1, 10):
+            if (k, h) not in raw:
+                raw[k, h] = {c[:-1]: c for c in leibniz_raw_terms(h, (0,) * k)}
+            want = {
+                tuple(i + s for i, s in zip(indices, raw[k, h][prefix]))
+                for prefix in under_gaps if prefix in raw[k, h]
+            }
+            got = pieri_symbols(indices, h)
+            assert len(got) == len(want) and set(got) == want, (indices, h)
+
+
 @pytest.mark.parametrize("indices", [(3,), (1,), (2, 5), (1, 2), (1, 4, 6)])
 def test_pieri_symbols_vanish_for_negative_h(indices):
     for h in (-1, -2, -7):
@@ -502,6 +526,28 @@ class TestApplyOperator:
         assert _composed_pieri(inner, v).is_zero()
         p = DPolynomial.generator(3) * inner
         assert apply_operator(p, v).is_zero()
+
+    def test_zero_inner_sums_reach_no_row(self):
+        # on k = 2, D_1^3 - 2 D_2 D_1 + D_3 = -E_3 kills every vector, so
+        # the D_5 node's inner sum is 0 at both q-degrees.  In the D_4 node,
+        # D_1^2 - D_2 + D_3 takes e[1,3] (q-degree 0) to e[2,4] + e[1,6] +
+        # e[2,5], its e[1,5] terms cancelling, and e[1,2] (q-degree 1) to
+        # e[2,3] + e[1,5], its e[1,4] terms cancelling: e[1,5] sums to 0 at
+        # one q-degree and not at the other.  A zero sum reaches no row.
+        v = KVector(2, {(1, 3): QInt({0: 1}), (1, 2): QInt({1: 1})})
+        kill = DPolynomial({(1, 1, 1): 1, (2, 1): -2, (3,): 1})
+        inner = DPolynomial({(1, 1): 1, (2,): -1, (3,): 1})
+        assert _composed_pieri(kill, v).is_zero()
+        assert _composed_pieri(inner, v).terms == {
+            ((2, 4), 0): 1, ((1, 6), 0): 1, ((2, 5), 0): 1, ((2, 3), 1): 1, ((1, 5), 1): 1,
+        }
+        p = DPolynomial.generator(5) * kill + DPolynomial.generator(4) * inner
+        derivations._ROWS.clear()
+        rows = derivations._ROWS[None, False]
+        got = apply_operator(p, v)
+        assert len(rows[5]) == 0
+        assert sorted(map(derivations._indices, rows[4])) == [(1, 5), (1, 6), (2, 3), (2, 4), (2, 5)]
+        assert got == _composed_pieri(p, v)
 
     def test_leaves_no_reference_cycle(self):
         # a recursion written as a closure that calls itself would keep
