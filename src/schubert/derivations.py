@@ -1,6 +1,7 @@
 """The shift derivation family D_h on the exterior algebra, its inverse
-series E_t, the commutative operator ring Z[D], and _laplace, the
-Laplace expansion that writes a Giambelli determinant as DPolynomial terms.
+series E_t, the commutative operator ring Z[D], and _laplace, which
+writes a Giambelli determinant as DPolynomial terms by a Laplace expansion
+run column by column over row subsets, each monomial packed in one int.
 
 Two independent evaluation paths are provided for D_h on a k-vector:
 leibniz_d applies the Leibniz rule as the Hasse-Schmidt product
@@ -108,29 +109,39 @@ def _laplace(lam: Partition, k: int, width: int) -> dict:
     """The DPolynomial terms with all parts <= width of lam's Giambelli
     determinant, entry (row i, col j) = D_{r_j + j - i}, r = lam reversed
     and zero padded to k.  Entries above width are skipped as it builds: a
-    monomial has a part above width exactly when one of its entries does."""
-    return _minor(tuple(range(1, k + 1)), tuple(reversed(lam.padded(k))), width, {(): {(): 1}})
+    monomial has a part above width exactly when one of its entries does.
 
-
-def _minor(rows: tuple, r: tuple, width: int, memo: dict) -> dict:
-    """_laplace's minor on these rows (1-indexed) and the first len(rows)
-    columns: Laplace expansion along the last column, memoised on the
-    remaining rows.  Module-level, so it leaves no reference cycle."""
-    cached = memo.get(rows)
-    if cached is None:
-        col = len(rows)
-        pairs = []
-        for pos, i in enumerate(rows):
-            s = r[col - 1] + col - i
-            if not 0 <= s <= width:
-                continue
-            sign = -1 if (col - 1 - pos) % 2 else 1
-            for mono, c in _minor(rows[:pos] + rows[pos + 1 :], r, width, memo).items():
-                if s:
-                    mono = tuple(sorted(mono + (s,), reverse=True))
-                pairs.append((mono, sign * c))
-        cached = memo[rows] = accumulate(pairs)
-    return cached
+    One pass over the columns: after column j, minors maps the bit mask of
+    j rows (bit i-1 for row i) to their minor on the first j columns.  Row
+    i extends a mask without it by D_{r_j + j - i}, signed by the parity of
+    the mask's rows numbered above i.  Each monomial is one int, b bits per
+    part's count: D_s adds 1 << s*b, and field 0 (D_0 = 1) is ignored.  The
+    full minor's nonzero terms are decoded once, top field first."""
+    r, b = lam.padded(k)[::-1], k.bit_length()
+    minors = {0: {0: 1}}
+    for j in range(1, k + 1):
+        top, nxt = r[j - 1] + j, {}
+        rows = range(max(1, top - width), min(k, top) + 1)  # 0 <= s = top - i <= width
+        for used, monos in minors.items():
+            for i in rows:
+                if not used >> i - 1 & 1:
+                    step, sign = 1 << (top - i) * b, -1 if (used >> i).bit_count() & 1 else 1
+                    minor = nxt.setdefault(used | 1 << i - 1, {})
+                    get = minor.get
+                    for m, c in monos.items():
+                        m += step
+                        minor[m] = get(m, 0) + sign * c
+        minors = nxt
+    out = {}
+    for m, c in minors.get((1 << k) - 1, {}).items():
+        if c:
+            parts = ()
+            while m >> b:
+                s = (m.bit_length() - 1) // b
+                e = m >> s * b
+                parts, m = parts + (s,) * e, m - (e << s * b)
+            out[parts] = c
+    return out
 
 
 def render_dpolynomial(p: DPolynomial) -> str:
@@ -145,19 +156,15 @@ def render_dpolynomial(p: DPolynomial) -> str:
     return render_signed_terms(terms)
 
 
-def _compositions(h: int, k: int):
-    """All tuples of k nonnegative integers summing to h."""
-    if k == 0:
-        if h == 0:
-            yield ()
-        return
-    if k == 1:
-        if h >= 0:
-            yield (h,)
-        return
-    for first in range(h + 1):
-        for rest in _compositions(h - first, k - 1):
-            yield (first,) + rest
+def _compositions(h: int, k: int) -> list:
+    """All tuples of k nonnegative integers summing to h, in lexicographic
+    order, built one part at a time like box_partitions."""
+    if h < 0 or k == 0:
+        return [()] if h == k == 0 else []
+    level = [()]
+    for _ in range(k - 1):  # every prefix leaves the last part >= 0
+        level = [p + (a,) for p in level for a in range(h - sum(p) + 1)]
+    return [p + (h - sum(p),) for p in level]
 
 
 def leibniz_raw_terms(h: int, indices) -> list:

@@ -340,6 +340,15 @@ def test_leibniz_raw_terms():
             assert leibniz_raw_terms(h, range(1, k + 1)) == [], (h, k)
 
 
+def test_compositions_are_the_sorted_product_filter():
+    # k = 0 and negative h included: the empty tuple is the one composition
+    # of 0 into no parts, and a negative h has none
+    for k in range(7):
+        for h in range(-2, 9):
+            want = sorted(c for c in product(range(h + 1), repeat=k) if sum(c) == h)
+            assert derivations._compositions(h, k) == want, (h, k)
+
+
 def test_leibniz_rejects_negative_h():
     with pytest.raises(InvalidInputError, match="h must be nonnegative"):
         leibniz_d(-1, KVector.basis((1, 3)))
@@ -552,7 +561,7 @@ class TestApplyOperator:
     def test_leaves_no_reference_cycle(self):
         # a recursion written as a closure that calls itself would keep
         # the call's rows alive in a cycle until the cyclic collector runs;
-        # giambelli_det's Laplace recursion is included on purpose
+        # giambelli_det's column-by-column Laplace pass is included on purpose
         gc.collect()
         gc.disable()
         try:

@@ -32,6 +32,8 @@ from schubert.grassmann_contexts import (
     reduce_kvector,
 )
 
+from laplace_reference import laplace_reference
+
 
 def d(h):
     return DPolynomial.generator(h)
@@ -115,6 +117,18 @@ class TestGiambelliDet:
                 width = max(lam.parts, default=0) + k - 1
                 assert terms == _laplace(lam, k, width), (lam, k)
                 assert all(type(mono) is tuple for mono in terms), (lam, k)
+
+    def test_laplace_matches_the_recursive_reference_at_every_width(self):
+        # every lam of the 6x6 box, k = 0 and the empty partition included,
+        # at every width up to the largest entry: _box_monomials passes
+        # widths below it
+        for k in range(7):
+            for lam in box_partitions(k, k + 6):
+                for width in range(max(lam.parts, default=0) + k):
+                    got = _laplace(lam, k, width)
+                    assert got == laplace_reference(lam, k, width), (lam, k, width)
+                    assert all(type(mono) is tuple for mono in got), (lam, k, width)
+        assert _laplace(Partition(()), 0, 0) == {(): 1}
 
     def test_k7_acts_as_basis_vector(self):
         lam = Partition((2, 1, 1))

@@ -523,7 +523,7 @@ class TestJacobiTrudi:
             assert verify_jacobi_trudi(lam, 5), lam
 
     def test_leaves_no_reference_cycle(self):
-        # giambelli_det's Laplace recursion is included on purpose
+        # giambelli_det's column-by-column Laplace pass is included on purpose
         gc.collect()
         gc.disable()
         try:
