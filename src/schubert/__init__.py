@@ -6,7 +6,6 @@ from .derivations import (
     apply_operator,
     inverse_components,
     iterated_d1,
-    leibniz_d,
     pieri_d,
     render_dpolynomial,
 )
@@ -42,7 +41,7 @@ from .grassmann_contexts import (
     reduce_kvector,
     structure_table,
 )
-from .schur_oracle import lr_coefficient, verify_jacobi_trudi
+from .schur_oracle import leibniz_d, lr_coefficient, verify_jacobi_trudi
 
 __all__ = [
     "DPolynomial",

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .derivations import leibniz_d, pieri_d, render_dpolynomial
+from .derivations import pieri_d, render_dpolynomial
 from .exterior_core import (
     InvalidInputError,
     KVector,
@@ -46,7 +46,7 @@ from .pluecker import (
     read_matrix,
     schubert_symbol,
 )
-from .schur_oracle import lr_expansion, rim_hook_product, verify_jacobi_trudi
+from .schur_oracle import leibniz_d, lr_expansion, rim_hook_product, verify_jacobi_trudi
 
 EXIT_OK = 0
 EXIT_ORACLE = 1

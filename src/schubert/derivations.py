@@ -3,16 +3,8 @@ series E_t, the commutative operator ring Z[D], and _laplace, which
 writes a Giambelli determinant as DPolynomial terms by a Laplace expansion
 run column by column over row subsets, each monomial packed in one int.
 
-Two independent evaluation paths are provided for D_h on a k-vector:
-leibniz_d applies the Leibniz rule as the Hasse-Schmidt product
-D_h(u ^ w) = sum over a + b = h of D_a u ^ D_b w, one factor e_i at a
-time, on wedges held as bit masks, merging equal wedges as it goes, and
-pieri_d enumerates only the surviving interleaving symbols.  pieri_d is
-the production path; leibniz_d exists as an oracle and reads none of
-pieri_d's rows, rule or mask conversions.
-leibniz_raw_terms lists the compositions of h before any cancellation.
-Neither path treats h = 0 apart: D_0 = 1 is the one zero composition and
-the h = 0 row, I -> I.
+pieri_d is the production path; its oracle, leibniz_d, and leibniz_raw_terms
+are defined in schur_oracle and only re-exported here.
 
 One function on bit masks, _pieri, owns the Pieri rule (bit i-1 of a mask
 is set for each index i).  Its rows fill _ROWS, the one row store of every
@@ -42,6 +34,7 @@ from .exterior_core import (
     as_partition,
     render_signed_terms,
 )
+from .schur_oracle import leibniz_d, leibniz_raw_terms  # noqa: F401
 
 
 class DPolynomial(FreeElement):
@@ -154,79 +147,6 @@ def render_dpolynomial(p: DPolynomial) -> str:
             factors.append(f"D{part}" if e == 1 else f"D{part}^{e}")
         terms.append((c, factors))
     return render_signed_terms(terms)
-
-
-def _compositions(h: int, k: int) -> list:
-    """All tuples of k nonnegative integers summing to h, in lexicographic
-    order, built one part at a time like box_partitions."""
-    if h < 0 or k == 0:
-        return [()] if h == k == 0 else []
-    level = [()]
-    for _ in range(k - 1):  # every prefix leaves the last part >= 0
-        level = [p + (a,) for p in level for a in range(h - sum(p) + 1)]
-    return [p + (h - sum(p),) for p in level]
-
-
-def leibniz_raw_terms(h: int, indices) -> list:
-    """Pre-cancellation index lists produced by the generalized Leibniz rule."""
-    indices = tuple(indices)
-    return [
-        tuple(i + s for i, s in zip(indices, shifts))
-        for shifts in _compositions(h, len(indices))
-    ]
-
-
-def leibniz_d(h: int, v: KVector) -> KVector:
-    """D_h by the Leibniz rule, as the Hasse-Schmidt product
-    D_h(e_i1 ^ ... ^ e_ik) = sum over a_1 + ... + a_k = h of
-    D_a1 e_i1 ^ ... ^ D_ak e_ik, with D_a e_i = e_{i+a}.  The factors go on
-    one at a time: a state is (wedge so far as a bit mask, h left), the
-    next factor takes a = 0..left (the last takes all that is left), a
-    repeated index kills the state, and equal states are merged as they
-    arise, so terms cancel on the way rather than at the end.  An oracle
-    for pieri_d: it reads none of the Pieri rows, and it encodes and
-    decodes its masks itself.  D_0 is the identity, and on the
-    scalar (k = 0) D_h is 0 for h > 0: its one state keeps h left."""
-    h = as_int(h)
-    if h < 0:
-        raise InvalidInputError("h must be nonnegative")
-    return KVector._of(v.degree, accumulate(
-        ((wedge, d), c * x)
-        for (indices, d), c in v.terms.items()
-        for wedge, x in _hasse_schmidt(h, indices)
-    ))
-
-
-def _hasse_schmidt(h: int, indices: tuple) -> list:
-    """(sorted index tuple, coefficient) pairs of D_h on e_I, I = indices,
-    built factor by factor.  A state is (wedge mask, h left), bit j-1 set
-    for each index j in the wedge: placing e_j into it moves e_j past the
-    factors above j, the set bits of w >> j, and a repeated index is a
-    set bit.  The masks are decoded once, at the end."""
-    states = {(0, h): 1}
-    last = len(indices) - 1
-    for pos, i in enumerate(indices):
-        step = {}
-        get = step.get
-        for (w, left), c in states.items():
-            for j in (i + left,) if pos == last else range(i, i + left + 1):
-                bit = 1 << j - 1
-                if w & bit:
-                    continue
-                key = (w | bit, left - j + i)
-                step[key] = get(key, 0) + (-c if (w >> j).bit_count() & 1 else c)
-        states = step
-    out = []
-    for (w, left), c in states.items():
-        if c and not left:
-            wedge = []
-            while w:
-                j = w.bit_length()
-                wedge.append(j)
-                w ^= 1 << j - 1
-            wedge.reverse()
-            out.append((tuple(wedge), c))
-    return out
 
 
 def _mask(indices) -> int:

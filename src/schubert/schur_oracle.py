@@ -1,5 +1,5 @@
-"""Independent cross-checks for classical and quantum products, computed on
-shapes only: Littlewood-Richardson coefficients, quantum products by the
+"""Independent cross-checks: D_h on wedges by the Leibniz rule and, on
+shapes only, Littlewood-Richardson coefficients, quantum products by the
 rim-hook rule over them, and the Jacobi-Trudi check in the Schur basis.
 
 lr_expansion counts Littlewood-Richardson tableaux (Fulton, Young Tableaux,
@@ -43,16 +43,24 @@ variables (Macdonald I.3), so the comparison is as exact as one over all
 monomials; a determinant monomial of the wrong weight adds shapes of that
 weight, which s_lam has none of.
 
-Deliberately shares no code with the derivation machinery, so the two paths
-cannot fail the same way: the only call into it is verify_jacobi_trudi's
-giambelli_det, the determinant under test."""
+Shares no code with the derivation machinery, so an oracle and the path it
+checks cannot fail the same way: the only call into the engine is
+verify_jacobi_trudi's giambelli_det, the determinant under test."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import add
 
-from .exterior_core import InvalidInputError, Partition, as_int, as_nonnegative, as_partition
+from .exterior_core import (
+    InvalidInputError,
+    KVector,
+    Partition,
+    accumulate,
+    as_int,
+    as_nonnegative,
+    as_partition,
+)
 
 
 # typed: a float k such as 2.0 hashes like 2, and must reach as_int, not
@@ -198,3 +206,76 @@ def _schur_horner(monos, k: int) -> dict:
             for grown, _ in _lr_strips(shape, None, h):
                 out[grown] = get(grown, 0) + c
     return {shape: c for shape, c in out.items() if c}
+
+
+def _compositions(h: int, k: int) -> list:
+    """All tuples of k nonnegative integers summing to h, in lexicographic
+    order, built one part at a time like box_partitions."""
+    if h < 0 or k == 0:
+        return [()] if h == k == 0 else []
+    level = [()]
+    for _ in range(k - 1):  # every prefix leaves the last part >= 0
+        level = [p + (a,) for p in level for a in range(h - sum(p) + 1)]
+    return [p + (h - sum(p),) for p in level]
+
+
+def leibniz_raw_terms(h: int, indices) -> list:
+    """Pre-cancellation index lists produced by the generalized Leibniz rule."""
+    h, indices = as_int(h), tuple(indices)
+    return [
+        tuple(i + s for i, s in zip(indices, shifts))
+        for shifts in _compositions(h, len(indices))
+    ]
+
+
+def leibniz_d(h: int, v: KVector) -> KVector:
+    """D_h by the Leibniz rule, as the Hasse-Schmidt product
+    D_h(e_i1 ^ ... ^ e_ik) = sum over a_1 + ... + a_k = h of
+    D_a1 e_i1 ^ ... ^ D_ak e_ik, with D_a e_i = e_{i+a}.  The factors go on
+    one at a time: a state is (wedge so far as a bit mask, h left), the
+    next factor takes a = 0..left (the last takes all that is left), a
+    repeated index kills the state, and equal states are merged as they
+    arise, so terms cancel on the way rather than at the end.  An oracle
+    for pieri_d: it reads none of the Pieri rows, and it encodes and
+    decodes its masks itself.  D_0 is the identity, and on the
+    scalar (k = 0) D_h is 0 for h > 0: its one state keeps h left."""
+    h = as_int(h)
+    if h < 0:
+        raise InvalidInputError("h must be nonnegative")
+    return KVector._of(v.degree, accumulate(
+        ((wedge, d), c * x)
+        for (indices, d), c in v.terms.items()
+        for wedge, x in _hasse_schmidt(h, indices)
+    ))
+
+
+def _hasse_schmidt(h: int, indices: tuple) -> list:
+    """(sorted index tuple, coefficient) pairs of D_h on e_I, I = indices,
+    built factor by factor.  A state is (wedge mask, h left), bit j-1 set
+    for each index j in the wedge: placing e_j into it moves e_j past the
+    factors above j, the set bits of w >> j, and a repeated index is a
+    set bit.  The masks are decoded once, at the end."""
+    states = {(0, h): 1}
+    last = len(indices) - 1
+    for pos, i in enumerate(indices):
+        step = {}
+        get = step.get
+        for (w, left), c in states.items():
+            for j in (i + left,) if pos == last else range(i, i + left + 1):
+                bit = 1 << j - 1
+                if w & bit:
+                    continue
+                key = (w | bit, left - j + i)
+                step[key] = get(key, 0) + (-c if (w >> j).bit_count() & 1 else c)
+        states = step
+    out = []
+    for (w, left), c in states.items():
+        if c and not left:
+            wedge = []
+            while w:
+                j = w.bit_length()
+                wedge.append(j)
+                w ^= 1 << j - 1
+            wedge.reverse()
+            out.append((tuple(wedge), c))
+    return out

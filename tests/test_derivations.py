@@ -1,7 +1,7 @@
 import gc
 import hashlib
 import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +22,8 @@ from schubert.exterior_core import (
     KVector,
     Partition,
     QInt,
-    accumulate,
     fundamental,
     partition_to_symbol,
-    signed_sorted,
     wedge,
 )
 from schubert.giambelli_ring import giambelli_det
@@ -326,87 +324,6 @@ def test_signed_input_loses_its_zero_sums():
     assert pieri_d(1, v).terms == want and len(rows) == 2
     # in quantum G(2,5) neither term wraps: i_1 = 1, and e[2,3] is too low
     assert quantum_pieri(1, v, GrassmannContext(2, 5, "quantum")).terms == want
-
-
-def test_leibniz_raw_terms():
-    raw = leibniz_raw_terms(2, (2, 3, 5))
-    assert len(raw) == 6
-    assert set(raw) == {(4, 3, 5), (3, 4, 5), (3, 3, 6), (2, 5, 5), (2, 4, 6), (2, 3, 7)}
-    # the empty wedge has the one empty composition of 0
-    assert leibniz_raw_terms(0, ()) == [()]
-    # D_h = 0 for h < 0 at every k, k = 1 included
-    for k in range(5):
-        for h in (-3, -2, -1):
-            assert leibniz_raw_terms(h, range(1, k + 1)) == [], (h, k)
-
-
-def test_compositions_are_the_sorted_product_filter():
-    # k = 0 and negative h included: the empty tuple is the one composition
-    # of 0 into no parts, and a negative h has none
-    for k in range(7):
-        for h in range(-2, 9):
-            want = sorted(c for c in product(range(h + 1), repeat=k) if sum(c) == h)
-            assert derivations._compositions(h, k) == want, (h, k)
-
-
-def test_leibniz_rejects_negative_h():
-    with pytest.raises(InvalidInputError, match="h must be nonnegative"):
-        leibniz_d(-1, KVector.basis((1, 3)))
-
-
-def _composition_route(h, v):
-    """leibniz_d by brute force: every composition of h on every term,
-    cancelled only at the end."""
-    return accumulate(signed_sorted(
-        ((shifted, d), c) for (indices, d), c in v.terms.items() for shifted in leibniz_raw_terms(h, indices)
-    ))
-
-
-class TestLeibnizAgainstCompositions:
-    """leibniz_d merges as it goes; the composition route cancels at the end."""
-
-    def test_every_symbol_up_to_10(self):
-        for k in range(5):
-            for indices in combinations(range(1, 11), k):
-                v = KVector(k, {indices: 1})
-                for h in range(9):
-                    assert leibniz_d(h, v).terms == _composition_route(h, v), (indices, h)
-
-    @given(mixed_kvectors(), st.integers(0, 8))
-    @settings(max_examples=200, deadline=None)
-    def test_mixed_q_degrees(self, v, h):
-        got = leibniz_d(h, v)
-        assert got.degree == v.degree and got.terms == _composition_route(h, v)
-
-    def test_h_zero_and_the_scalar(self):
-        v = KVector(2, {(2, 4): QInt({0: 1, 2: -3}), (1, 7): QInt({1: 5})})
-        assert leibniz_d(0, v).terms == v.terms == _composition_route(0, v)
-        scalar = KVector(0, {(): QInt({0: 3, 2: -1})})
-        assert leibniz_d(0, scalar).terms == scalar.terms == _composition_route(0, scalar)
-        for h in range(1, 4):
-            assert leibniz_d(h, scalar).terms == {} == _composition_route(h, scalar)
-
-    def test_reads_none_of_the_pieri_machinery(self, monkeypatch):
-        # an oracle for pieri_d must not reach its rule, rows, row loop or
-        # mask conversions: both work on masks, each with its own code
-        def engine(*_):
-            raise AssertionError("leibniz_d used the Pieri engine")
-
-        class Raising(dict):
-            def __getitem__(self, key):
-                engine()
-
-            get = __getitem__
-
-        for name in ("_pieri", "_apply_sigma", "_build_row", "_mask", "_indices"):
-            monkeypatch.setattr(derivations, name, engine)
-        for name in ("_MASKS", "_TUPLES"):
-            monkeypatch.setattr(derivations, name, Raising())
-        with pytest.raises(AssertionError):
-            pieri_d(1, KVector.basis((1, 3)))
-        v = KVector(3, {(1, 3, 4): QInt({0: 2, 1: -1}), (2, 3, 6): 1})
-        for h in range(6):
-            assert leibniz_d(h, v).terms == _composition_route(h, v)
 
 
 class TestInverseComponents:

@@ -1,8 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import gcd
+from itertools import permutations
 
 import pytest
 

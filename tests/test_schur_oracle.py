@@ -1,15 +1,20 @@
+import ast
 import gc
+import inspect
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schubert import derivations, schur_oracle
 from schubert.derivations import DPolynomial
-from schubert.exterior_core import InvalidInputError, KVector, Partition
+from schubert.exterior_core import InvalidInputError, KVector, Partition, QInt, accumulate, signed_sorted
 from schubert.grassmann_contexts import box_partitions
 from schubert.schur_oracle import (
     _lr_strips,
+    leibniz_d,
+    leibniz_raw_terms,
     lr_coefficient,
     lr_expansion,
     rim_hook_product,
@@ -18,6 +23,7 @@ from schubert.schur_oracle import (
 )
 
 from rim_hook_reference import mismatches
+from test_derivations import mixed_kvectors
 from polynomial_reference import (
     LIMIT,
     complete_homogeneous,
@@ -31,6 +37,18 @@ from polynomial_reference import (
 )
 
 P = Partition
+
+
+def _imports(module):
+    """(enclosing top-level def or "", level, module or "", name) of every
+    import in a module's source, nested ones included, sorted."""
+    return sorted(
+        (getattr(top, "name", ""), getattr(node, "level", 0), getattr(node, "module", "") or "", alias.name)
+        for top in ast.parse(inspect.getsource(module)).body
+        for node in ast.walk(top) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    )
+
 
 small_partitions = st.lists(st.integers(1, 4), max_size=3).map(
     lambda xs: P(sorted(xs, reverse=True))
@@ -164,11 +182,10 @@ class TestSchurExpand:
         # number K_{lam,alpha}, the coefficient of s_lam in h_alpha, which
         # the library's Pieri strips give; the sum of all is the dimension
         kostka = {}
-        for alpha in _box(k, 16):
-            if alpha.weight() <= 16:
-                for shape, c in _schur_horner([(alpha.parts, 1)], k).items():
-                    kostka.setdefault(P(shape), {})[alpha.padded(k)] = c
-        for lam in _box(4, 4):
+        for alpha in box_partitions(k, k + 16, 16):
+            for shape, c in _schur_horner([(alpha.parts, 1)], k).items():
+                kostka.setdefault(P(shape), {})[alpha.padded(k)] = c
+        for lam in box_partitions(4, 8):
             got = schur_expand(lam, k)
             assert (got == {}) == (lam.length() > k)
             assert sum(got.values()) == _hook_content(lam, k)
@@ -202,7 +219,7 @@ class TestSchurExpand:
     @pytest.mark.parametrize("k", range(5))
     def test_symmetric_on_the_4x4_box(self, k):
         # schur_decompose reads a symmetric polynomial at its leading exponents
-        for lam in _box(k, 4):
+        for lam in box_partitions(k, k + 4):
             assert is_symmetric(schur_expand(lam, k), k), lam
 
 
@@ -263,13 +280,13 @@ class TestLRTableaux:
     @pytest.mark.parametrize("k", range(4))
     def test_matches_polynomial_route_on_the_3x3_box(self, k):
         # for k < 3 some factors are longer than k
-        for lam in _box(3, 3):
-            for mu in _box(3, 3):
+        for lam in box_partitions(3, 6):
+            for mu in box_partitions(3, 6):
                 _assert_same(lam, mu, k)
 
     def test_matches_polynomial_route_on_the_4x4_box(self):
-        for lam in _box(4, 4):
-            for mu in _box(4, 4):
+        for lam in box_partitions(4, 8):
+            for mu in box_partitions(4, 8):
                 _assert_same(lam, mu, 4)
 
     @given(small_partitions, small_partitions, st.integers(0, 5))
@@ -288,14 +305,14 @@ class TestLRTableaux:
         for a in range(4):
             for b in range(4):
                 assert lr_expansion(P((a,)), P((b,)), 1) == ((P((a + b,)), 1),)
-        for lam in _box(2, 3):
-            for mu in _box(2, 3):
+        for lam in box_partitions(2, 5):
+            for mu in box_partitions(2, 5):
                 for k in (0, 1):
                     _assert_same(lam, mu, k)
 
     def test_empty_partition_is_the_unit(self):
         for k in range(5):
-            for lam in _box(min(k, 4), 3):
+            for lam in box_partitions(k, k + 3):
                 assert lr_expansion(P(), lam, k) == lr_expansion(lam, P(), k) == ((lam, 1),)
                 _assert_same(P(), lam, k)
                 _assert_same(lam, P(), k)
@@ -341,7 +358,7 @@ class TestLRTableaux:
                 assert type(shape) is tuple and type(counts) is tuple
 
     def test_cold_and_warm_strips_agree_on_the_4x4_box(self):
-        parts = _box(4, 4)
+        parts = box_partitions(4, 8)
         pairs = [(lam, mu) for i, lam in enumerate(parts) for mu in parts[i:]]
         expand = lr_expansion.__wrapped__
         cold = []
@@ -364,16 +381,16 @@ class TestRimHookProduct:
 
     def test_classical_part_is_lr(self):
         k, n = 3, 6
-        for lam in _box(k, n - k):
-            for mu in _box(k, n - k):
+        for lam in box_partitions(k, n):
+            for mu in box_partitions(k, n):
                 got = {nu: c for (nu, d), c in rim_hook_product(lam, mu, k, n).items() if d == 0}
                 want = {nu: c for nu, c in lr_expansion(lam, mu, k) if nu.fits_box(k, n)}
                 assert got == want, (lam, mu)
 
     def test_graded_and_sorted(self):
         k, n = 2, 5
-        for lam in _box(k, n - k):
-            for mu in _box(k, n - k):
+        for lam in box_partitions(k, n):
+            for mu in box_partitions(k, n):
                 product = rim_hook_product(lam, mu, k, n)
                 assert list(product) == sorted(product)
                 for nu, d in product:
@@ -393,21 +410,19 @@ class TestRimHookProduct:
             rim_hook_product(P(), P(), 3, 2)
 
     def test_imports_no_engine_code(self):
-        import ast
-        import schubert.schur_oracle as oracle
-
-        with open(oracle.__file__) as f:
-            tree = ast.parse(f.read())
-        imports = {node.module: node for node in tree.body if isinstance(node, ast.ImportFrom)}
-        assert set(imports) == {"__future__", "functools", "operator", "exterior_core"}
-        assert sorted(alias.name for alias in imports["exterior_core"].names) == [
-            "InvalidInputError", "Partition", "as_int", "as_nonnegative", "as_partition",
-        ]
+        # every import, nested ones too: the one call into the engine is
+        # verify_jacobi_trudi's giambelli_det, the determinant under test
+        stdlib = [("__future__", "annotations"), ("functools", "lru_cache"), ("operator", "add")]
+        core = ["InvalidInputError", "KVector", "Partition", "accumulate", "as_int", "as_nonnegative", "as_partition"]
+        assert _imports(schur_oracle) == sorted(
+            [("", 0, *name) for name in stdlib] + [("", 1, "exterior_core", name) for name in core]
+            + [("verify_jacobi_trudi", 1, "giambelli_ring", "giambelli_det")]
+        )
 
     def test_computes_without_the_shared_module_arithmetic(self, monkeypatch):
         # the engine's vectors take their sum from FreeElement, which runs
-        # exterior_core.accumulate; the oracle's own computations must not
-        # reach it, and neither does the reference's packed product
+        # exterior_core.accumulate; the shape oracles must not reach it, and
+        # neither does the reference's packed product
         import schubert.exterior_core as core
 
         def shared(*_):
@@ -435,7 +450,7 @@ class TestOutputShapesAreValid:
     Partition._of, unchecked; each must still be a valid Partition."""
 
     def test_lr_expansion_on_the_4x4_box(self):
-        parts = _box(4, 4)
+        parts = box_partitions(4, 8)
         assert P() in parts
         for k in range(5):
             for lam in parts:
@@ -462,7 +477,7 @@ class TestJacobiTrudi:
 
     def test_exhaustive_box(self):
         for k in (1, 2, 3, 4):
-            for lam in _box(k, 4):
+            for lam in box_partitions(k, k + 4):
                 assert verify_jacobi_trudi(lam, k)
 
     @pytest.mark.parametrize("lam,k", [((1,), 2), ((2, 1), 2), ((3, 1, 1), 3), ((3, 3, 2), 4), ((4, 2), 4)])
@@ -519,7 +534,7 @@ class TestJacobiTrudi:
         assert verify_jacobi_trudi(P((LIMIT, 1)), 2)
 
     def test_exhaustive_5x5_box_at_k_5(self):
-        for lam in _box(5, 5):
+        for lam in box_partitions(5, 10):
             assert verify_jacobi_trudi(lam, 5), lam
 
     def test_leaves_no_reference_cycle(self):
@@ -559,7 +574,7 @@ class TestSubstitute:
         from schubert.giambelli_ring import giambelli_det
 
         for k in range(5):
-            for lam in _box(k, 4):
+            for lam in box_partitions(k, k + 4):
                 monos = list(giambelli_det(lam, k).terms.items())
                 got = _in_schur_basis(monos, k)
                 assert got == schur_decompose(_one_at_a_time(monos, k), k) == {lam: 1}, (lam, k)
@@ -570,7 +585,7 @@ class TestSubstitute:
         from schubert.giambelli_ring import giambelli_det
 
         for k in range(5):
-            for lam in _box(k, 4):
+            for lam in box_partitions(k, k + 4):
                 det = giambelli_det(lam, k).terms
                 for mono in sorted(det)[:3]:
                     for step in (1, -1):
@@ -606,15 +621,70 @@ class TestSubstitute:
         assert _schur_horner(e3, 3) == {(1, 1, 1): 1}
 
 
-def _box(k, width):
-    out = []
+def test_leibniz_raw_terms():
+    raw = leibniz_raw_terms(2, (2, 3, 5))
+    assert len(raw) == 6
+    assert set(raw) == {(4, 3, 5), (3, 4, 5), (3, 3, 6), (2, 5, 5), (2, 4, 6), (2, 3, 7)}
+    # the empty wedge has the one empty composition of 0
+    assert leibniz_raw_terms(0, ()) == [()]
+    # D_h = 0 for h < 0 at every k, k = 1 included
+    for k in range(5):
+        for h in (-3, -2, -1):
+            assert leibniz_raw_terms(h, range(1, k + 1)) == [], (h, k)
+    for indices in ((1,), (1, 2)):  # h meets as_int, as in leibniz_d and pieri_d
+        with pytest.raises(InvalidInputError, match="not an integer: 2.0"):
+            leibniz_raw_terms(2.0, indices)
 
-    def rec(prefix, prev):
-        out.append(P(prefix))
-        if len(prefix) == k:
-            return
-        for part in range(1, prev + 1):
-            rec(prefix + (part,), part)
 
-    rec((), width)
-    return out
+def test_compositions_are_the_sorted_product_filter():
+    # k = 0 and negative h included: the empty tuple is the one composition
+    # of 0 into no parts, and a negative h has none
+    for k in range(7):
+        for h in range(-2, 9):
+            want = sorted(c for c in product(range(h + 1), repeat=k) if sum(c) == h)
+            assert schur_oracle._compositions(h, k) == want, (h, k)
+
+
+def test_leibniz_rejects_negative_h():
+    with pytest.raises(InvalidInputError, match="h must be nonnegative"):
+        leibniz_d(-1, KVector.basis((1, 3)))
+
+
+def _composition_route(h, v):
+    """leibniz_d by brute force: every composition of h on every term,
+    cancelled only at the end."""
+    return accumulate(signed_sorted(
+        ((shifted, d), c) for (indices, d), c in v.terms.items() for shifted in leibniz_raw_terms(h, indices)
+    ))
+
+
+class TestLeibnizAgainstCompositions:
+    """leibniz_d merges as it goes; the composition route cancels at the end."""
+
+    def test_every_symbol_up_to_10(self):
+        for k in range(5):
+            for indices in combinations(range(1, 11), k):
+                v = KVector(k, {indices: 1})
+                for h in range(9):
+                    assert leibniz_d(h, v).terms == _composition_route(h, v), (indices, h)
+
+    @given(mixed_kvectors(), st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_q_degrees(self, v, h):
+        got = leibniz_d(h, v)
+        assert got.degree == v.degree and got.terms == _composition_route(h, v)
+
+    def test_h_zero_and_the_scalar(self):
+        v = KVector(2, {(2, 4): QInt({0: 1, 2: -3}), (1, 7): QInt({1: 5})})
+        assert leibniz_d(0, v).terms == v.terms == _composition_route(0, v)
+        scalar = KVector(0, {(): QInt({0: 3, 2: -1})})
+        assert leibniz_d(0, scalar).terms == scalar.terms == _composition_route(0, scalar)
+        for h in range(1, 4):
+            assert leibniz_d(h, scalar).terms == {} == _composition_route(h, scalar)
+
+
+def test_derivations_re_exports_the_leibniz_oracle():
+    # one function under two names, and no other import from the oracle
+    assert derivations.leibniz_d is leibniz_d and derivations.leibniz_raw_terms is leibniz_raw_terms
+    from_oracle = [i for i in _imports(derivations) if "schur_oracle" in f"{i[2]}.{i[3]}"]
+    assert from_oracle == [("", 1, "schur_oracle", "leibniz_d"), ("", 1, "schur_oracle", "leibniz_raw_terms")]
