@@ -5,10 +5,10 @@ products and structure tables."""
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from functools import lru_cache
 
-from .derivations import _MASKS, _ROWS, _TUPLES, _apply_sigma, _indices, _laplace, _mask
+from .derivations import _MASKS, _ROWS, _TUPLES, _apply_sigma, _build_row, _indices, _laplace, _mask
 # pieri_d is not called here but stays bound: perfbench/selftest.py checks
 # that a tracer rebinding pieri_d finds it in this namespace.
 from .derivations import pieri_d  # noqa: F401
@@ -118,15 +118,29 @@ def box_partitions(k: int, n: int, max_weight=None) -> list:
 
 
 @lru_cache(maxsize=None)
-def _start(lam: Partition, k: int) -> int:
-    """The key of I(lam) at q-degree 0."""
-    return _mask(partition_to_symbol(lam, k).indices)
+def _factor(lam: Partition, k: int, n: int) -> tuple:
+    """A factor's record at rank n, after the box check: (low, high,
+    guard, start), start the key of I(lam) at q-degree 0.  Each part gets
+    a field of b = (n-k).bit_length() + 1 bits: low holds lam_i plus
+    2^(b-1) - 1 - (n-k) in field i-1, high holds lam_i in field k-i, and
+    guard holds every field's top bit.  A field of one factor's low plus
+    the other's high stays below 2^b, so no carry crosses fields, and
+    (low + high) & guard is nonzero exactly when some
+    lam_i + mu_{k+1-i} > n-k."""
+    if len(lam) > k or lam and lam[0] > n - k:
+        raise InvalidInputError(f"{tuple(lam)} outside the {k}x{n - k} box")
+    b = (n - k).bit_length() + 1
+    low = high = guard = 0
+    for i, part in enumerate(lam.padded(k)):
+        low |= part + (1 << b - 1) - 1 - (n - k) << b * i
+        high |= part << b * (k - 1 - i)
+        guard |= 1 << b * i + b - 1
+    return low, high, guard, _mask(partition_to_symbol(lam, k).indices)
 
 
-@lru_cache(maxsize=None)
-def _decode(n: int, key: int) -> tuple:
-    """The (class, q-degree) of a product key at rank n."""
-    return symbol_to_partition(_indices(key & ~(-1 << n))), key >> n
+# Process-wide and unbounded, like derivations._ROWS: _DECODED[n] maps a
+# product key at rank n to its (class, q-degree), filled as keys are met.
+_DECODED = defaultdict(dict)
 
 
 @lru_cache(maxsize=None)
@@ -150,36 +164,56 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     the longer one's determinant is never built.  A term e_J at q-degree d
     is keyed by one int, mask | d << n, where bit i-1 of mask is set for
     each index i of J; the rows come from derivations._ROWS, and each
-    distinct key of the result is decoded to (nu, d) once per process.  A classical product
-    is {} at once when some lam_i + mu_{k+1-i} > n-k: mu does not fit in
-    lam's complement (duality, Fulton, Young Tableaux, 9.4)."""
+    distinct key of the result is decoded to (nu, d) once per process,
+    into _DECODED[n].  A classical product is {} at once when some
+    lam_i + mu_{k+1-i} > n-k: mu does not fit in lam's complement
+    (duality, Fulton, Young Tableaux, 9.4).  Each factor's _factor record
+    holds its box check and its parts packed into int fields, so that test
+    is one add and one and over all i."""
     if ctx.mode == INFINITE:
         raise InvalidInputError("multiply needs a classical or quantum context")
     lam, mu = as_partition(lam), as_partition(mu)
-    k, n = ctx.k, ctx.n
-    for p in (lam, mu):  # k and n are the context's, so fits_box's checks are done
-        if len(p) > k or p and p[0] > n - k:
-            raise InvalidInputError(f"{tuple(p)} outside the {k}x{n - k} box")
-    if ctx.mode == CLASSICAL and any(a + b > n - k for a, b in zip(lam[k - len(mu):], mu[::-1])):
-        return {}  # the duality test, lam_i against mu_{k+1-i}; a zero part never fails it
+    k, n, quantum = ctx.k, ctx.n, ctx.mode == QUANTUM
+    low, _, guard, lam_start = _factor(lam, k, n)
+    _, high, _, mu_start = _factor(mu, k, n)
+    if not quantum and (low + high) & guard:
+        return {}  # the duality test, lam_i against mu_{k+1-i}, all fields at once
+    if not lam or not mu:  # sigma_() = 1
+        return {(lam or mu, 0): 1}
     if len(lam) <= 1 < len(mu):  # lam's one monomial, D_{lam_1}, is no larger
-        lam, mu = mu, lam
-    monos, other = _box_monomials(mu, k, n - k), lam
+        lam, mu, lam_start, mu_start = mu, lam, mu_start, lam_start
+    monos, start = _box_monomials(mu, k, n - k), lam_start
     if len(monos) > 1:  # lam's count is >= 1 (sigma_lam != 0), so only then can it be smaller
         lam_monos = _box_monomials(lam, k, n - k)
         if len(lam_monos) < len(monos):
-            monos, other = lam_monos, mu
-    start, quantum = {_start(other, k): 1}, ctx.mode == QUANTUM
+            monos, start = lam_monos, mu_start
     rows = _ROWS[n, quantum]
     total = {}
     get = total.get
     for mono, c in monos.items():
-        w = start
-        for h in mono:
+        first = rows[mono[0]]  # the start is one key with coefficient 1: D_h on it is its row
+        row = first.get(start)
+        if row is None:
+            row = _build_row(first, n, quantum, mono[0], start)
+        if len(mono) == 1:
+            for key in row:
+                total[key] = get(key, 0) + c
+            continue
+        w = dict.fromkeys(row, 1)
+        for h in mono[1:]:
             w = _apply_sigma(w, rows[h], n, quantum, h, {})
         for key, x in w.items():
             total[key] = get(key, 0) + c * x
-    return dict(sorted((_decode(n, key), c) for key, c in total.items() if c))
+    decoded = _DECODED[n]
+    out = []
+    for key, c in total.items():
+        if c:
+            term = decoded.get(key)
+            if term is None:
+                term = decoded[key] = symbol_to_partition(_indices(key & ~(-1 << n))), key >> n
+            out.append((term, c))
+    out.sort()
+    return dict(out)
 
 
 def unit_expansion(lam) -> dict:
@@ -232,10 +266,14 @@ class StructureTable(namedtuple("StructureTable", "context entries")):
 
 def structure_table(ctx: GrassmannContext, max_weight=None) -> StructureTable:
     """Products of all box-partition pairs with weights up to max_weight,
-    iterated in lexicographic order."""
+    iterated in lexicographic order.  The ring is commutative, so each
+    unordered pair is multiplied once, for mu >= lam, and (mu, lam) gets a
+    copy of that product: no two entries share a dict."""
     parts = box_partitions(ctx.k, ctx.n, max_weight)
     entries = {}
-    for lam in parts:
-        for mu in parts:
+    for i, lam in enumerate(parts):
+        for mu in parts[:i]:
+            entries[(lam, mu)] = dict(entries[(mu, lam)])
+        for mu in parts[i:]:
             entries[(lam, mu)] = multiply(lam, mu, ctx)
     return StructureTable(ctx, entries)

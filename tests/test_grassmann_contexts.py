@@ -26,6 +26,7 @@ from schubert.giambelli_ring import expand_in_low_generators, giambelli_det
 from schubert.grassmann_contexts import (
     GrassmannContext,
     _box_monomials,
+    _factor,
     box_partitions,
     multiply,
     multiply_expansion,
@@ -471,6 +472,28 @@ class TestDuality:
                     assert product == want, (k, n, lam, mu)
                     assert (product == {}) == (not fits_complement(lam, mu, k, n)), (k, n, lam, mu)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 8, 15, 16])
+    def test_packed_test_matches_row_by_row_where_the_field_width_changes(self, width):
+        # each factor's record packs its parts into fields of
+        # width.bit_length() + 1 bits, which grows past 1, 3, 7 and 15;
+        # the reference is fits_complement, lam's complement built once
+        for k in (1, 2, 3):
+            parts = box_partitions(k, k + width)
+            rows = [(mu.padded(k), _factor(mu, k, k + width)) for mu in parts]
+            for lam in parts:
+                complement = lam.box_complement(k, k + width).padded(k)
+                low, _, guard, _ = _factor(lam, k, k + width)
+                for padded, (_, high, _, _) in rows:
+                    fits = all(m <= c for m, c in zip(padded, complement))
+                    assert bool((low + high) & guard) != fits, (k, lam, padded)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_the_empty_class_survives_the_packed_test_at_k_equal_n(self, n):
+        # one field of one bit per part, all zero
+        low, high, guard, _ = _factor(P(), n, n)
+        assert (low + high) & guard == 0
+        assert multiply(P(), P(), GrassmannContext(n, n)) == {(P(), 0): 1}
+
     def test_vanishing_pairs_build_no_determinant(self):
         ctx = GrassmannContext(3, 7)
         _box_monomials.cache_clear()
@@ -642,6 +665,23 @@ class TestStructureTable:
         table = structure_table(GrassmannContext(2, 4), max_weight=1)
         assert len(table.entries) == 4  # pairs of {} and {1}
 
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_multiply_commutes_on_every_pair_of_g48(self, mode):
+        # the table multiplies each unordered pair once, so the
+        # commutativity it relies on is checked on multiply itself
+        ctx = GrassmannContext(4, 8, mode)
+        parts = box_partitions(4, 8)
+        for lam in parts:
+            for mu in parts:
+                assert multiply(lam, mu, ctx) == multiply(mu, lam, ctx), (lam, mu)
+
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_no_two_entries_share_a_dict(self, mode):
+        entries = structure_table(GrassmannContext(3, 6, mode)).entries
+        assert len({id(product) for product in entries.values()}) == len(entries) == 20 ** 2
+        parts = box_partitions(3, 6)
+        assert list(entries) == [(lam, mu) for lam in parts for mu in parts]
+
 
 def test_box_partitions():
     parts = box_partitions(2, 4)
@@ -691,8 +731,7 @@ def test_every_lru_cache_is_found_where_it_says_it_lives():
     names = sorted(f"{c.__module__}.{c.__name__}" for c in caches.values())
     assert names == [
         "schubert.grassmann_contexts._box_monomials",
-        "schubert.grassmann_contexts._decode",
-        "schubert.grassmann_contexts._start",
+        "schubert.grassmann_contexts._factor",
         "schubert.schur_oracle._lr_strips",
         "schubert.schur_oracle.lr_expansion",
     ]
