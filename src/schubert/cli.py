@@ -111,7 +111,7 @@ def cmd_pieri(args):
     if ctx.mode == QUANTUM and 1 <= args.h <= ctx.n - ctx.k and indices[-1] <= ctx.n:
         if quantum_pieri(args.h, v, ctx) != result:
             raise _Disagreement
-    terms = [{"indices": list(i), "d": d, "coeff": c} for (i, d), c in sorted(result.terms.items())]
+    terms = [{"indices": list(sym), "d": d, "coeff": c} for sym, qc in result.items() for d, c in qc.items()]
     return EXIT_OK, {"degree": result.degree, "terms": terms}, lambda: render_kvector(result)
 
 

@@ -9,13 +9,14 @@ are defined in schur_oracle and only re-exported here.
 One function on bit masks, _pieri, owns the Pieri rule (bit i-1 of a mask
 is set for each index i).  Its rows fill _ROWS, the one row store of every
 context, infinite, classical or quantum, and _apply_sigma is the one loop
-that applies them.  KVector terms keep their (index tuple, q-degree) keys;
-pieri_d, apply_operator and grassmann_contexts.quantum_pieri turn them
-into masks only where they meet the rows; _apply_sigma adds a row's
-targets into a dict its caller hands it.  apply_operator evaluates a
-polynomial in the D_h as a Horner scheme on each q-degree's masks, with
-leaves pieri_d(h, v): each node sums into one dict handed down by its
-parent, and a child's sum reaches D_h's rows once, its zeros dropped.
+that applies them.  KVector terms are keyed by (mask, q-degree) in the
+same bits, so pieri_d and apply_operator hand each q-degree's masks to
+the rows as they are, and grassmann_contexts.quantum_pieri folds the
+q-degree in, mask | d << n; _apply_sigma adds a row's targets into a
+dict its caller hands it.  apply_operator evaluates a polynomial in the
+D_h as a Horner scheme on each q-degree's masks, with leaves
+pieri_d(h, v): each node sums into one dict handed down by its parent,
+and a child's sum reaches D_h's rows once, its zeros dropped.
 The recursion is a plain function, so a call leaves no reference cycle.
 """
 
@@ -149,24 +150,6 @@ def render_dpolynomial(p: DPolynomial) -> str:
     return render_signed_terms(terms)
 
 
-def _mask(indices) -> int:
-    """The bits of an index tuple: bit i-1 is set for each index i."""
-    mask = 0
-    for i in indices:
-        mask |= 1 << (i - 1)
-    return mask
-
-
-def _indices(mask: int) -> tuple:
-    """The index tuple of a mask: i for each set bit i-1, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
-
-
 def _pieri(mask: int, h: int) -> list:
     """The Pieri rule: the masks of the targets J of D_h at the mask of I,
     i_1 <= j_1 < i_2 <= j_2 < ... <= i_k <= j_k with |J| = |I| + h, in
@@ -190,23 +173,9 @@ def _pieri(mask: int, h: int) -> list:
     return [low << h]
 
 
-class _Conversions(dict):
-    """A dict that fills a missing key with fn(key) and keeps it."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
-# Process-wide and unbounded, like the rows: each conversion at the KVector
-# boundary, and one shared int per row target.
-_MASKS = _Conversions(_mask)
-_TUPLES = _Conversions(_indices)
+# Process-wide and unbounded, like the rows: one shared int per row target.
+# The rows repeat their targets (the 461 operators of the 5x5 box build
+# 62,936 targets on 3,530 ints), so sharing them cuts the peak RSS by a tenth.
 _SHARED = {}
 
 # The Pieri rows, built once per process as terms reach them:
@@ -261,10 +230,10 @@ def _apply_sigma(terms: dict, rows: dict, n: int | None, quantum: bool, h: int, 
 
 
 def _by_degree(terms: dict) -> dict:
-    """Flat (index tuple, q-degree) terms as {d: {mask: coefficient}}."""
+    """KVector terms as {q-degree: {mask: coefficient}}."""
     groups = {}
-    for (indices, d), c in terms.items():
-        groups.setdefault(d, {})[_MASKS[indices]] = c
+    for (mask, d), c in terms.items():
+        groups.setdefault(d, {})[mask] = c
     return groups
 
 
@@ -278,7 +247,7 @@ def pieri_d(h: int, v: KVector) -> KVector:
     for d, terms in _by_degree(v.terms).items():
         for t, c in _apply_sigma(terms, rows, None, False, h, {}).items():
             if c:
-                out[_TUPLES[t], d] = c
+                out[t, d] = c
     return KVector._of(v.degree, out)
 
 
@@ -301,7 +270,7 @@ def apply_operator(p: DPolynomial, v: KVector) -> KVector:
         _horner(monos, terms, d, v, leaves, acc)
         for mask, c in acc.items():
             if c:
-                out[_TUPLES[mask], d] = c
+                out[mask, d] = c
     return KVector._of(v.degree, out)
 
 

@@ -275,10 +275,11 @@ class QInt(FreeElement):
 class KVector(FreeElement):
     """Element of the k-th exterior power.
 
-    ``terms`` maps (index tuple, q-degree) to a nonzero int, so the vector
-    is the sum of c * q^d * e^{i1} ^ ... ^ e^{ik} over its entries.  The
-    constructor, ``items()`` and ``coefficient()`` speak in SchubertSymbol
-    and QInt; the engine works on ``terms`` directly.
+    ``terms`` maps (mask, q-degree) to a nonzero int, bit i-1 of mask set
+    for each index i, so the vector is the sum of c * q^d * e^{i1} ^ ... ^
+    e^{ik} over its entries.  The constructor, ``items()`` and
+    ``coefficient()`` speak in SchubertSymbol and QInt; the engine works
+    on ``terms`` directly.
 
     The degree k is carried explicitly so the zero vectors of distinct
     exterior powers stay distinguishable.
@@ -289,11 +290,11 @@ class KVector(FreeElement):
     def __init__(self, degree: int, terms=None):
         self.degree = degree = as_nonnegative(degree, "degree")
         items = terms.items() if hasattr(terms, "items") else terms or ()
-        self.terms = accumulate(_flat_terms(((as_symbol(sym), c) for sym, c in items), degree))
+        self.terms = accumulate(signed_sorted(_flat_terms(((as_symbol(sym), c) for sym, c in items), degree)))
 
     @classmethod
     def _of(cls, degree: int, terms: dict) -> "KVector":
-        """Wrap a {(index tuple, q-degree): nonzero int} dict without checking it."""
+        """Wrap a {(mask, q-degree): nonzero int} dict without checking it."""
         out = cls.__new__(cls)
         out.degree = degree
         out.terms = terms
@@ -315,19 +316,19 @@ class KVector(FreeElement):
     def items(self):
         """(SchubertSymbol, QInt) terms in canonical (lexicographic symbol) order."""
         grouped = {}
-        for (indices, d), c in sorted(self.terms.items()):
+        for (indices, d), c in _decoded(self):
             grouped.setdefault(indices, {})[d] = c
         return [(SchubertSymbol(indices), QInt._of(qc)) for indices, qc in grouped.items()]
 
     def coefficient(self, indices) -> QInt:
-        sym = as_symbol(indices)
-        return QInt._of({d: c for (i, d), c in self.terms.items() if i == sym})
+        mask = _mask(as_symbol(indices))
+        return QInt._of({d: c for (m, d), c in self.terms.items() if m == mask})
 
     def scale(self, c) -> "KVector":
         c = QInt._coerce(c)
         return KVector._of(self.degree, accumulate(
-            ((indices, d + e), x * y)
-            for (indices, d), x in self.terms.items()
+            ((mask, d + e), x * y)
+            for (mask, d), x in self.terms.items()
             for e, y in c.terms.items()
         ))
 
@@ -349,13 +350,45 @@ def symbol_to_partition(sym: SchubertSymbol) -> Partition:
     return Partition._of(tuple(sym[j] - j - 1 for j in reversed(range(len(sym)))))
 
 
+def _mask(indices) -> int:
+    """The bits of an index tuple: bit i-1 is set for each index i."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def _indices(mask: int) -> tuple:
+    """The index tuple of a mask: i for each set bit i-1, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def _decoded(v: KVector) -> list:
+    """v's terms as ((index tuple, q-degree), int) pairs, sorted: by index
+    tuple, which is not the order of the masks (e[2,3] has the smaller)."""
+    return sorted(((_indices(mask), d), c) for (mask, d), c in v.terms.items())
+
+
 def signed_sorted(raw):
-    """Canonicalize raw ((index tuple, q-degree), int) pairs: drop those with
-    a repeated index and sort the rest, signed by their inversion parity."""
+    """Canonicalize raw ((index sequence, q-degree), int) pairs into
+    ((mask, q-degree), int) pairs: drop those with a repeated index and sign
+    the rest by their inversion parity, each index counting the ones
+    before it that exceed it (the set bits of the mask above it)."""
     for (indices, d), c in raw:
-        if len(set(indices)) == len(indices):
-            odd = sum(i > j for p, i in enumerate(indices) for j in indices[p + 1 :]) % 2
-            yield (tuple(sorted(indices)), d), -c if odd else c
+        mask = odd = 0
+        for i in indices:
+            bit = 1 << i - 1
+            if mask & bit:
+                break
+            odd ^= (mask >> i).bit_count() & 1
+            mask |= bit
+        else:
+            yield (mask, d), -c if odd else c
 
 
 def _flat_terms(items, degree: int):
@@ -389,9 +422,9 @@ def normalize(raw, degree=None) -> KVector:
 def wedge(a: KVector, b: KVector) -> KVector:
     """Bilinear wedge product; degree adds."""
     return KVector._of(a.degree + b.degree, accumulate(signed_sorted(
-        ((ia + ib, da + db), ca * cb)
-        for (ia, da), ca in a.terms.items()
-        for (ib, db), cb in b.terms.items()
+        ((_indices(ma) + _indices(mb), da + db), ca * cb)
+        for (ma, da), ca in a.terms.items()
+        for (mb, db), cb in b.terms.items()
     )))
 
 
@@ -426,7 +459,7 @@ def render_kvector(v: KVector) -> str:
     each rendered as c*q^d*e[i1,...,ik] with q^0 and unit c elided."""
     return render_signed_terms(
         (c, q_factors(d) + ["e[" + ",".join(map(str, indices)) + "]"])
-        for (indices, d), c in sorted(v.terms.items())
+        for (indices, d), c in _decoded(v)
     )
 
 

@@ -8,7 +8,7 @@ import json
 from collections import defaultdict, namedtuple
 from functools import lru_cache
 
-from .derivations import _MASKS, _ROWS, _TUPLES, _apply_sigma, _build_row, _indices, _laplace, _mask
+from .derivations import _ROWS, _apply_sigma, _build_row, _laplace
 # pieri_d is not called here but stays bound: perfbench/selftest.py checks
 # that a tracer rebinding pieri_d finds it in this namespace.
 from .derivations import pieri_d  # noqa: F401
@@ -16,6 +16,8 @@ from .exterior_core import (
     InvalidInputError,
     KVector,
     Partition,
+    _indices,
+    _mask,
     accumulate,
     as_int,
     as_partition,
@@ -62,10 +64,11 @@ def reduce_kvector(v: KVector, ctx: GrassmannContext) -> KVector:
         return v
     n, k = ctx.n, ctx.k
     if ctx.mode == CLASSICAL:
-        return KVector._of(k, {key: c for key, c in v.terms.items() if key[0][-1] <= n})
+        return KVector._of(k, {key: c for key, c in v.terms.items() if not key[0] >> n})
     wrap = (-1) ** (k - 1)
     pairs = []
-    for (indices, d), c in v.terms.items():
+    for (mask, d), c in v.terms.items():
+        indices = _indices(mask)
         w = sum((i - 1) // n for i in indices)
         pairs.append((([(i - 1) % n + 1 for i in indices], d + w), c * wrap ** w))
     return KVector._of(k, accumulate(signed_sorted(pairs)))
@@ -86,13 +89,13 @@ def quantum_pieri(h: int, v: KVector, ctx: GrassmannContext) -> KVector:
         raise InvalidInputError(f"h={h} outside [1, {n - k}]")
     if v.degree != k:
         raise InvalidInputError("degree mismatch")
-    for i, _ in v.terms:
-        if i[-1] > n:
-            raise InvalidInputError(f"symbol {i} has index above n={n}")
-    terms = {_MASKS[i] | d << n: c for (i, d), c in v.terms.items()}
+    for mask, _ in v.terms:
+        if mask >> n:
+            raise InvalidInputError(f"symbol {_indices(mask)} has index above n={n}")
+    terms = {mask | d << n: c for (mask, d), c in v.terms.items()}
     low = ~(-1 << n)
     return KVector._of(k, {
-        (_TUPLES[key & low], key >> n): c
+        (key & low, key >> n): c
         for key, c in _apply_sigma(terms, _ROWS[n, True][h], n, True, h, {}).items() if c
     })
 

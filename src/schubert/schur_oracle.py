@@ -236,46 +236,37 @@ def leibniz_d(h: int, v: KVector) -> KVector:
     next factor takes a = 0..left (the last takes all that is left), a
     repeated index kills the state, and equal states are merged as they
     arise, so terms cancel on the way rather than at the end.  An oracle
-    for pieri_d: it reads none of the Pieri rows, and it encodes and
-    decodes its masks itself.  D_0 is the identity, and on the
-    scalar (k = 0) D_h is 0 for h > 0: its one state keeps h left."""
+    for pieri_d: it reads none of the Pieri rows, and it walks its masks'
+    bits itself.  D_0 is the identity, and on the scalar (k = 0) D_h is 0
+    for h > 0: its one state keeps h left."""
     h = as_int(h)
     if h < 0:
         raise InvalidInputError("h must be nonnegative")
     return KVector._of(v.degree, accumulate(
         ((wedge, d), c * x)
-        for (indices, d), c in v.terms.items()
-        for wedge, x in _hasse_schmidt(h, indices)
+        for (mask, d), c in v.terms.items()
+        for wedge, x in _hasse_schmidt(h, mask)
     ))
 
 
-def _hasse_schmidt(h: int, indices: tuple) -> list:
-    """(sorted index tuple, coefficient) pairs of D_h on e_I, I = indices,
-    built factor by factor.  A state is (wedge mask, h left), bit j-1 set
-    for each index j in the wedge: placing e_j into it moves e_j past the
-    factors above j, the set bits of w >> j, and a repeated index is a
-    set bit.  The masks are decoded once, at the end."""
+def _hasse_schmidt(h: int, mask: int) -> list:
+    """(wedge mask, coefficient) pairs of D_h on e_I, bit i-1 of mask set
+    for each i in I, built factor by factor, lowest index first.  A state
+    is (wedge mask, h left): placing e_j into it moves e_j past the factors
+    above j, the set bits of w >> j, and a repeated index is a set bit."""
     states = {(0, h): 1}
-    last = len(indices) - 1
-    for pos, i in enumerate(indices):
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        i = low.bit_length()
         step = {}
         get = step.get
         for (w, left), c in states.items():
-            for j in (i + left,) if pos == last else range(i, i + left + 1):
+            for j in range(i, i + left + 1) if mask else (i + left,):
                 bit = 1 << j - 1
                 if w & bit:
                     continue
                 key = (w | bit, left - j + i)
                 step[key] = get(key, 0) + (-c if (w >> j).bit_count() & 1 else c)
         states = step
-    out = []
-    for (w, left), c in states.items():
-        if c and not left:
-            wedge = []
-            while w:
-                j = w.bit_length()
-                wedge.append(j)
-                w ^= 1 << j - 1
-            wedge.reverse()
-            out.append((tuple(wedge), c))
-    return out
+    return [(w, c) for (w, left), c in states.items() if c and not left]

@@ -179,8 +179,7 @@ def schur_decompose(p: dict, k: int) -> dict:
 def weight_components(v: KVector) -> dict:
     """Split v into homogeneous pieces keyed by symbol weight (q is neutral)."""
     out = {}
-    base = v.degree * (v.degree + 1) // 2
-    for (indices, d), c in v.terms.items():
-        piece = out.setdefault(sum(indices) - base, KVector(v.degree))
-        piece.terms[(indices, d)] = c
+    for sym, c in v.items():
+        w = sym.weight()
+        out[w] = out.get(w, KVector.zero(v.degree)) + KVector(v.degree, {sym: c})
     return out

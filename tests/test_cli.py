@@ -75,6 +75,15 @@ class TestPieri:
         code, out, _ = run(capsys, "pieri", "1", "2,4", "--n", "4")
         assert (code, out) == (EXIT_OK, "e[3,4]")
 
+    def test_index_order_not_mask_order(self, capsys):
+        # D_1 e[1,3] = e[1,4] + e[2,3]: e[1,4] has the larger mask, 0b1001 > 0b110
+        assert run(capsys, "pieri", "1", "1,3") == (EXIT_OK, "e[1,4] + e[2,3]", "")
+        code, out, _ = run(capsys, "pieri", "1", "1,3", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out) == {"degree": 2, "terms": [
+            {"indices": [1, 4], "d": 0, "coeff": 1}, {"indices": [2, 3], "d": 0, "coeff": 1},
+        ]}
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "pieri", "1", "2,4", "--json")
         assert code == EXIT_OK

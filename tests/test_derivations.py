@@ -22,6 +22,8 @@ from schubert.exterior_core import (
     KVector,
     Partition,
     QInt,
+    _indices,
+    _mask,
     fundamental,
     partition_to_symbol,
     wedge,
@@ -263,7 +265,7 @@ class TestMixedCoefficients:
 
 def pieri_symbols(indices, h):
     """The Pieri rule's targets at a strictly increasing I, as index tuples."""
-    return [derivations._indices(t) for t in derivations._pieri(derivations._mask(indices), h)]
+    return [_indices(t) for t in derivations._pieri(_mask(indices), h)]
 
 
 @given(symbols, st.integers(0, 6))
@@ -291,7 +293,7 @@ def test_pieri_is_the_interleaving_raw_terms_on_every_mask_below_2_to_the_10():
     # the raw terms at the prefixes under the gaps.
     raw = {}
     for mask in range(1 << 10):
-        indices = derivations._indices(mask)
+        indices = _indices(mask)
         k = len(indices)
         under_gaps = list(product(*(range(b - a) for a, b in zip(indices, indices[1:]))))
         for h in range(-1, 10):
@@ -315,12 +317,12 @@ def test_signed_input_loses_its_zero_sums():
     # D_1 e[1,4] = e[2,4] + e[1,5] and D_1 e[2,3] = e[2,4]: in the
     # difference the e[2,4] sums are 0, at q-degree 0 and at q-degree 2
     v = KVector(2, {(1, 4): QInt({0: 1, 2: -3}), (2, 3): QInt({0: -1, 2: 3})})
-    want = {((1, 5), 0): 1, ((1, 5), 2): -3}
+    want = {(_mask((1, 5)), 0): 1, (_mask((1, 5)), 2): -3}
     derivations._ROWS.clear()
     assert pieri_d(1, v).terms == want
     # one row per mask, built once: the second call builds none
     rows = derivations._ROWS[None, False][1]
-    assert sorted(map(derivations._indices, rows)) == [(1, 4), (2, 3)]
+    assert sorted(map(_indices, rows)) == [(1, 4), (2, 3)]
     assert pieri_d(1, v).terms == want and len(rows) == 2
     # in quantum G(2,5) neither term wraps: i_1 = 1, and e[2,3] is too low
     assert quantum_pieri(1, v, GrassmannContext(2, 5, "quantum")).terms == want
@@ -465,14 +467,15 @@ class TestApplyOperator:
         inner = DPolynomial({(1, 1): 1, (2,): -1, (3,): 1})
         assert _composed_pieri(kill, v).is_zero()
         assert _composed_pieri(inner, v).terms == {
-            ((2, 4), 0): 1, ((1, 6), 0): 1, ((2, 5), 0): 1, ((2, 3), 1): 1, ((1, 5), 1): 1,
+            (_mask((2, 4)), 0): 1, (_mask((1, 6)), 0): 1, (_mask((2, 5)), 0): 1,
+            (_mask((2, 3)), 1): 1, (_mask((1, 5)), 1): 1,
         }
         p = DPolynomial.generator(5) * kill + DPolynomial.generator(4) * inner
         derivations._ROWS.clear()
         rows = derivations._ROWS[None, False]
         got = apply_operator(p, v)
         assert len(rows[5]) == 0
-        assert sorted(map(derivations._indices, rows[4])) == [(1, 5), (1, 6), (2, 3), (2, 4), (2, 5)]
+        assert sorted(map(_indices, rows[4])) == [(1, 5), (1, 6), (2, 3), (2, 4), (2, 5)]
         assert got == _composed_pieri(p, v)
 
     def test_leaves_no_reference_cycle(self):
@@ -494,8 +497,8 @@ class TestSharedRows:
 
     @staticmethod
     def clear():
-        for store in (derivations._ROWS, derivations._SHARED, derivations._MASKS, derivations._TUPLES):
-            store.clear()
+        derivations._ROWS.clear()
+        derivations._SHARED.clear()
 
     @staticmethod
     def size():
@@ -512,19 +515,19 @@ class TestSharedRows:
         # warm: every row of the reversed pass comes from the pass before it
         for lam, k in cases:
             apply_operator(giambelli_det(lam, k), fundamental(k))
-        built = self.size(), len(derivations._MASKS), len(derivations._TUPLES)
+        built = self.size()
         for (lam, k), want in zip(reversed(cases), reversed(cold)):
             assert want == KVector.basis(partition_to_symbol(lam, k).indices)
             assert apply_operator(giambelli_det(lam, k), fundamental(k)) == want
-        assert (self.size(), len(derivations._MASKS), len(derivations._TUPLES)) == built
+        assert self.size() == built
 
     @given(symbols, st.integers(0, 6), st.integers(1, 4), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_positive_q_degree_carries_d(self, indices, h, d, quantum):
         self.clear()
-        mask = derivations._mask(indices)
+        mask = _mask(indices)
         infinite = derivations._build_row({}, None, False, h, mask)
-        assert [derivations._indices(t) for t in infinite] == pieri_symbols(indices, h)
+        assert [_indices(t) for t in infinite] == pieri_symbols(indices, h)
         # at rank n the row at q-degree d is the degree-0 row raised by d
         rows = {}
         at_d = derivations._build_row(rows, 12, quantum, h, mask | d << 12)
@@ -537,14 +540,14 @@ class TestSharedRows:
         # every symbol of G(1,3)..G(4,9) and every 0 <= h <= n-k: the rows
         # at rank n are the infinite row cut at n, then in quantum mode the
         # wrapped targets at q-degree d + 1
-        build, decode = derivations._build_row, derivations._indices
+        build = derivations._build_row
         checked = 0
         for n in range(3, 10):
             for k in range(1, min(4, n - 1) + 1):
                 ctx = GrassmannContext(k, n, "quantum")
                 for lam in box_partitions(k, n):
                     indices = partition_to_symbol(lam, k).indices
-                    mask = derivations._mask(indices)
+                    mask = _mask(indices)
                     for h in range(n - k + 1):
                         infinite = build({}, None, False, h, mask)
                         classical = build({}, n, False, h, mask | d << n)
@@ -556,7 +559,7 @@ class TestSharedRows:
                         # the wrapped targets are those of the reduced derivative
                         v = KVector.basis(indices, QInt.q_power(d))
                         reduced = reduce_kvector(pieri_d(h, v), ctx).terms
-                        got = {(decode(t & ~(-1 << n)), t >> n): 1 for t in quantum}
+                        got = {(t & ~(-1 << n), t >> n): 1 for t in quantum}
                         assert got == reduced
                         checked += 1
         assert checked == 3547
@@ -564,7 +567,7 @@ class TestSharedRows:
     def test_equal_targets_are_one_shared_int(self):
         # masks above 256, which CPython does not share by itself
         self.clear()
-        build, m = derivations._build_row, derivations._mask
+        build, m = derivations._build_row, _mask
         target = m((10, 13))
         assert target > 256
         a = build({}, None, False, 1, m((10, 12)))
@@ -608,7 +611,7 @@ class TestSharedRows:
 def _seeded_mixed_q_results():
     """1,500 pieri_d, 600 apply_operator and 1,500 quantum_pieri results
     on seeded signed k-vectors with terms at q-degrees 0..3, each as its
-    sorted terms."""
+    sorted terms, each keyed by (index tuple, q-degree)."""
     rng = random.Random(3101)
 
     def kvector(k, top):
@@ -639,7 +642,7 @@ def _seeded_mixed_q_results():
         n = rng.randint(3, 8)
         k = rng.randint(1, n - 1)
         out.append(quantum_pieri(rng.randint(1, n - k), kvector(k, n), GrassmannContext(k, n, "quantum")))
-    return [sorted(v.terms.items()) for v in out]
+    return [sorted(((_indices(mask), d), c) for (mask, d), c in v.terms.items()) for v in out]
 
 
 def test_mixed_q_results_match_the_pinned_digest():

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from schubert.derivations import DPolynomial, inverse_components, iterated_d1, leibniz_d, pieri_d
+from schubert.derivations import DPolynomial, apply_operator, inverse_components, iterated_d1, leibniz_d, pieri_d
 from schubert.giambelli_ring import (
     expand_in_low_generators,
     giambelli_det,
@@ -13,7 +13,7 @@ from schubert.giambelli_ring import (
     verify_presentation,
     y_polynomials,
 )
-from schubert.grassmann_contexts import GrassmannContext, box_partitions, quantum_pieri
+from schubert.grassmann_contexts import GrassmannContext, box_partitions, quantum_pieri, reduce_kvector
 from schubert.schur_oracle import lr_coefficient, lr_expansion, rim_hook_product
 from schubert.exterior_core import (
     InvalidInputError,
@@ -21,6 +21,7 @@ from schubert.exterior_core import (
     Partition,
     QInt,
     SchubertSymbol,
+    _mask,
     fundamental,
     normalize,
     parse_kvector,
@@ -166,7 +167,7 @@ class TestTupleContract:
         assert type(SchubertSymbol((1, 3)).indices) is tuple
         for v in (KVector.basis((1, 3)), KVector.basis(SchubertSymbol((1, 3))),
                   KVector(2, {SchubertSymbol((1, 3)): 1})):
-            assert [type(indices) for indices, _ in v.terms] == [tuple]
+            assert list(v.terms) == [(0b101, 0)] and [type(mask) for mask, _ in v.terms] == [int]
         assert repr(KVector.basis(SchubertSymbol((1, 3)))) == "KVector(2, 'e[1,3]')"
 
     def test_repr(self):
@@ -316,11 +317,11 @@ class TestSignedSorted:
         values = (2, 3, 5, 7, 11, 13)[:k]
         for perm in permutations(range(k)):
             indices = tuple(values[i] for i in perm)
-            assert list(signed_sorted([((indices, 4), 3)])) == [((values, 4), 3 * cycle_sign(perm))]
+            assert list(signed_sorted([((indices, 4), 3)])) == [((_mask(values), 4), 3 * cycle_sign(perm))]
 
     def test_repeated_index_dropped(self):
         raw = [(((2, 1), 0), 5), (((1, 3, 1), 1), 2), (((4, 4), 0), 1), ((list((2, 1, 3)), 2), 1)]
-        assert list(signed_sorted(raw)) == [(((1, 2), 0), -5), (((1, 2, 3), 2), -1)]
+        assert list(signed_sorted(raw)) == [((0b11, 0), -5), ((0b111, 2), -1)]
 
 
 class TestRenderParse:
@@ -393,8 +394,9 @@ class TestRenderParse:
 
 
 class TestKVectorBoundary:
-    """Terms are stored as {(indices, q-degree): int}; the constructor,
-    items() and coefficient() convert to and from SchubertSymbol/QInt."""
+    """Terms are stored as {(mask, q-degree): int}, bit i-1 of mask set for
+    each index i; the constructor, items() and coefficient() convert to
+    and from SchubertSymbol/QInt."""
 
     def vector(self):
         return KVector(2, {
@@ -404,9 +406,10 @@ class TestKVectorBoundary:
         })
 
     def test_storage(self):
+        # e[1,3], e[2,5] and e[3,4]
         assert self.vector().terms == {
-            ((1, 3), 0): 2, ((1, 3), 1): -1, ((1, 3), 3): 4,
-            ((2, 5), 2): -3, ((3, 4), 0): 5,
+            (0b101, 0): 2, (0b101, 1): -1, (0b101, 3): 4,
+            (0b10010, 2): -3, (0b1100, 0): 5,
         }
 
     def test_items_and_coefficient(self):
@@ -437,6 +440,73 @@ class TestKVectorBoundary:
         v = self.vector()
         assert (v - v).terms == {}
         assert (v + KVector.basis((2, 5), QInt.q_power(2, 3))).coefficient((2, 5)) == QInt()
+
+
+class TestMaskKeys:
+    """Every public way to build a k-vector stores (mask, q-degree) int
+    keys, so elements built along different paths compare and hash equal."""
+
+    @staticmethod
+    def built():
+        v = KVector(2, {(1, 3): QInt({0: 2, 1: -1}), (2, 5): 3})
+        classical, quantum = GrassmannContext(2, 5, "classical"), GrassmannContext(2, 5, "quantum")
+        return {
+            "constructor": v,
+            "basis": KVector.basis((2, 4), QInt.q_power(1)),
+            "fundamental": fundamental(3),
+            "normalize": normalize([((3, 1), 2), ((1, 1), 1), ((2, 4), QInt.q_power(2))]),
+            "parse_kvector": parse_kvector("e[3,1] + 2*q*e[2,4]"),
+            "wedge": wedge(KVector.basis((3,)), KVector.basis((1, 2))),
+            "scale": v.scale(QInt({0: 1, 2: -2})),
+            "add": v + KVector.basis((1, 4)),
+            "sub": v - KVector.basis((1, 3)),
+            "reduce_kvector classical": reduce_kvector(pieri_d(2, v), classical),
+            "reduce_kvector quantum": reduce_kvector(pieri_d(2, v), quantum),
+            "pieri_d": pieri_d(2, v),
+            "leibniz_d": leibniz_d(2, v),
+            "apply_operator": apply_operator(giambelli_det(Partition((2, 1)), 2), v),
+            "quantum_pieri": quantum_pieri(2, v, quantum),
+        }
+
+    def test_keys_are_int_pairs(self):
+        for name, v in self.built().items():
+            assert v.terms, name
+            for key, c in v.terms.items():
+                assert type(key) is tuple and [type(x) for x in key] == [int, int], name
+                assert type(c) is int and c, name
+
+    def test_rebuilt_elements_compare_and_hash_equal(self):
+        for name, v in self.built().items():
+            rebuilt = KVector(v.degree, dict(v.items())), parse_kvector(render_kvector(v), v.degree)
+            for again in rebuilt:
+                assert again == v and hash(again) == hash(v), name
+
+    def test_paths_to_one_element_agree(self):
+        built = self.built()
+        quantum = GrassmannContext(2, 5, "quantum")
+        v = built["constructor"]
+        pairs = [
+            (built["pieri_d"], built["leibniz_d"]),
+            (built["quantum_pieri"], built["reduce_kvector quantum"]),
+            (built["wedge"], KVector.basis((1, 2, 3))),
+            (built["normalize"], KVector(2, {(1, 3): -2, (2, 4): QInt.q_power(2)})),
+            (built["parse_kvector"], KVector(2, {(1, 3): -1, (2, 4): QInt.q_power(1, 2)})),
+            (quantum_pieri(1, v, quantum), reduce_kvector(apply_operator(DPolynomial.generator(1), v), quantum)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+
+    def test_index_order_not_mask_order(self):
+        # e[2,3] has the mask 0b110, below e[1,4]'s 0b1001, yet e[1,4]
+        # comes first, q-degree by q-degree
+        v = KVector.basis((2, 3)) + KVector.basis((1, 4), QInt({0: 1, 1: -2}))
+        assert sorted(v.terms) == [(0b110, 0), (0b1001, 0), (0b1001, 1)]
+        assert v.items() == [
+            (SchubertSymbol((1, 4)), QInt({0: 1, 1: -2})), (SchubertSymbol((2, 3)), QInt.integer(1)),
+        ]
+        assert repr(v) == "KVector(2, 'e[1,4] - 2*q*e[1,4] + e[2,3]')"
+        assert render_kvector(v) == "e[1,4] - 2*q*e[1,4] + e[2,3]"
+        assert parse_kvector(render_kvector(v)) == v
 
 
 def test_kvector_degree_mismatch():

@@ -654,7 +654,8 @@ def _composition_route(h, v):
     """leibniz_d by brute force: every composition of h on every term,
     cancelled only at the end."""
     return accumulate(signed_sorted(
-        ((shifted, d), c) for (indices, d), c in v.terms.items() for shifted in leibniz_raw_terms(h, indices)
+        ((shifted, d), c)
+        for sym, qc in v.items() for d, c in qc.items() for shifted in leibniz_raw_terms(h, sym)
     ))
 
 
