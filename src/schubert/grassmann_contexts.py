@@ -23,7 +23,6 @@ from .exterior_core import (
     as_partition,
     partition_to_symbol,
     signed_sorted,
-    symbol_to_partition,
 )
 
 INFINITE = "infinite"
@@ -121,10 +120,12 @@ def box_partitions(k: int, n: int, max_weight=None) -> list:
 
 
 @lru_cache(maxsize=None)
-def _factor(lam: Partition, k: int, n: int) -> tuple:
-    """A factor's record at rank n, after the box check: (low, high,
-    guard, start), start the key of I(lam) at q-degree 0.  Each part gets
-    a field of b = (n-k).bit_length() + 1 bits: low holds lam_i plus
+def _factor(lam: Partition, k: int, n: int) -> list:
+    """A factor's record at rank n, after the box check: [low, high,
+    guard, start, monos], start the key of I(lam) at q-degree 0 and monos
+    None until multiply first needs lam's Giambelli monomials with all
+    parts <= n-k (sigma_h is 0 above), which it stores there.  Each part
+    gets a field of b = (n-k).bit_length() + 1 bits: low holds lam_i plus
     2^(b-1) - 1 - (n-k) in field i-1, high holds lam_i in field k-i, and
     guard holds every field's top bit.  A field of one factor's low plus
     the other's high stays below 2^b, so no carry crosses fields, and
@@ -138,19 +139,25 @@ def _factor(lam: Partition, k: int, n: int) -> tuple:
         low |= part + (1 << b - 1) - 1 - (n - k) << b * i
         high |= part << b * (k - 1 - i)
         guard |= 1 << b * i + b - 1
-    return low, high, guard, _mask(partition_to_symbol(lam, k).indices)
+    return [low, high, guard, _mask(partition_to_symbol(lam, k).indices), None]
+
+
+def _partition_of(mask: int) -> Partition:
+    """The partition of the symbol whose mask this is: its parts
+    i_j - j, read from the top set bit down."""
+    parts = []
+    j = mask.bit_count()
+    while mask:
+        i = mask.bit_length()
+        parts.append(i - j)
+        mask ^= 1 << i - 1
+        j -= 1
+    return Partition._of(tuple(parts))
 
 
 # Process-wide and unbounded, like derivations._ROWS: _DECODED[n] maps a
 # product key at rank n to its (class, q-degree), filled as keys are met.
 _DECODED = defaultdict(dict)
-
-
-@lru_cache(maxsize=None)
-def _box_monomials(lam: Partition, k: int, width: int) -> dict:
-    """The {parts: coefficient} monomials of the Giambelli determinant of
-    lam whose parts are all <= width = n-k: sigma_h is 0 above."""
-    return _laplace(as_partition(lam), k, width)
 
 
 def multiply(lam, mu, ctx: GrassmannContext) -> dict:
@@ -166,30 +173,36 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     exactly one, so when only lam is that short the factors swap first and
     the longer one's determinant is never built.  A term e_J at q-degree d
     is keyed by one int, mask | d << n, where bit i-1 of mask is set for
-    each index i of J; the rows come from derivations._ROWS, and each
-    distinct key of the result is decoded to (nu, d) once per process,
-    into _DECODED[n].  A classical product is {} at once when some
-    lam_i + mu_{k+1-i} > n-k: mu does not fit in lam's complement
-    (duality, Fulton, Young Tableaux, 9.4).  Each factor's _factor record
-    holds its box check and its parts packed into int fields, so that test
-    is one add and one and over all i."""
+    each index i of J; the rows come from derivations._ROWS.  A monomial's
+    first factor is its row at the start key, and its last factor's rows
+    are summed, scaled by the monomial's coefficient, straight into the
+    product.  Each distinct key of the result is decoded from its mask to
+    (nu, d) once per process, into _DECODED[n].  A classical product is {}
+    at once when some lam_i + mu_{k+1-i} > n-k: mu does not fit in lam's
+    complement (duality, Fulton, Young Tableaux, 9.4).  Each factor's
+    _factor record holds its box check, its parts packed into int fields,
+    so that test is one add and one and over all i, and its in-box
+    monomials once they are built."""
     if ctx.mode == INFINITE:
         raise InvalidInputError("multiply needs a classical or quantum context")
     lam, mu = as_partition(lam), as_partition(mu)
     k, n, quantum = ctx.k, ctx.n, ctx.mode == QUANTUM
-    low, _, guard, lam_start = _factor(lam, k, n)
-    _, high, _, mu_start = _factor(mu, k, n)
-    if not quantum and (low + high) & guard:
+    lam_rec, mu_rec = _factor(lam, k, n), _factor(mu, k, n)
+    if not quantum and (lam_rec[0] + mu_rec[1]) & lam_rec[2]:
         return {}  # the duality test, lam_i against mu_{k+1-i}, all fields at once
     if not lam or not mu:  # sigma_() = 1
         return {(lam or mu, 0): 1}
     if len(lam) <= 1 < len(mu):  # lam's one monomial, D_{lam_1}, is no larger
-        lam, mu, lam_start, mu_start = mu, lam, mu_start, lam_start
-    monos, start = _box_monomials(mu, k, n - k), lam_start
+        lam, mu, lam_rec, mu_rec = mu, lam, mu_rec, lam_rec
+    monos, start = mu_rec[4], lam_rec[3]
+    if monos is None:
+        monos = mu_rec[4] = _laplace(mu, k, n - k)
     if len(monos) > 1:  # lam's count is >= 1 (sigma_lam != 0), so only then can it be smaller
-        lam_monos = _box_monomials(lam, k, n - k)
+        lam_monos = lam_rec[4]
+        if lam_monos is None:
+            lam_monos = lam_rec[4] = _laplace(lam, k, n - k)
         if len(lam_monos) < len(monos):
-            monos, start = lam_monos, mu_start
+            monos, start = lam_monos, mu_rec[3]
     rows = _ROWS[n, quantum]
     total = {}
     get = total.get
@@ -203,17 +216,24 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
                 total[key] = get(key, 0) + c
             continue
         w = dict.fromkeys(row, 1)
-        for h in mono[1:]:
+        for h in mono[1:-1]:
             w = _apply_sigma(w, rows[h], n, quantum, h, {})
+        h = mono[-1]
+        last = rows[h]
         for key, x in w.items():
-            total[key] = get(key, 0) + c * x
+            row = last.get(key)
+            if row is None:
+                row = _build_row(last, n, quantum, h, key)
+            x *= c
+            for target in row:
+                total[target] = get(target, 0) + x
     decoded = _DECODED[n]
     out = []
     for key, c in total.items():
         if c:
             term = decoded.get(key)
             if term is None:
-                term = decoded[key] = symbol_to_partition(_indices(key & ~(-1 << n))), key >> n
+                term = decoded[key] = _partition_of(key & ~(-1 << n)), key >> n
             out.append((term, c))
     out.sort()
     return dict(out)

@@ -119,7 +119,7 @@ class TestGiambelliDet:
 
     def test_laplace_matches_the_recursive_reference_at_every_width(self):
         # every lam of the 6x6 box, k = 0 and the empty partition included,
-        # at every width up to the largest entry: _box_monomials passes
+        # at every width up to the largest entry: multiply passes
         # widths below it
         for k in range(7):
             for lam in box_partitions(k, k + 6):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schubert
-from schubert.derivations import _ROWS, _build_row, _pieri, apply_operator, pieri_d
+from schubert import grassmann_contexts
+from schubert.derivations import _ROWS, _build_row, _laplace, _pieri, apply_operator, pieri_d
 from schubert.exterior_core import (
     InvalidInputError,
     KVector,
@@ -27,8 +28,8 @@ from schubert.exterior_core import (
 from schubert.giambelli_ring import expand_in_low_generators, giambelli_det
 from schubert.grassmann_contexts import (
     GrassmannContext,
-    _box_monomials,
     _factor,
+    _partition_of,
     box_partitions,
     multiply,
     multiply_expansion,
@@ -40,6 +41,8 @@ from schubert.grassmann_contexts import (
 )
 from schubert.schur_oracle import lr_expansion, rim_hook_product
 
+from untraced import untraced
+
 P = Partition
 
 
@@ -48,6 +51,20 @@ def apply_then_reduce(lam, mu, ctx):
     start = KVector.basis(partition_to_symbol(lam, ctx.k))
     w = reduce_kvector(apply_operator(giambelli_det(mu, ctx.k), start), ctx)
     return {(symbol_to_partition(s), d): c for s, qc in w.items() for d, c in qc.items()}
+
+
+def counted_laplace(monkeypatch):
+    """Cold factor records, and the list of the (lam, k, width) that
+    multiply builds in-box determinants for from now on."""
+    _factor.cache_clear()
+    built = []
+
+    def laplace(lam, k, width):
+        built.append((lam, k, width))
+        return _laplace(lam, k, width)
+
+    monkeypatch.setattr(grassmann_contexts, "_laplace", laplace)
+    return built
 
 
 def expand(pairs):
@@ -324,6 +341,28 @@ class TestMultiply:
             assert product == apply_then_reduce(lam, mu, ctx)
             assert product == apply_then_reduce(mu, lam, ctx)
 
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_monomials_of_three_or_more_parts_match_apply_then_reduce_on_g49(self, mode):
+        # such a monomial's middle parts go through _apply_sigma and its
+        # last part's rows are summed straight into the product; the
+        # applied determinant is mu's, or lam's when it has fewer in-box
+        # monomials, after a one-part lam swaps with a longer mu
+        k, n = 4, 9
+        ctx = GrassmannContext(k, n, mode)
+        parts = box_partitions(k, n)
+        monos = {lam: _laplace(lam, k, n - k) for lam in parts}
+        checked = 0
+        for lam in parts:
+            for mu in parts:
+                if mode == "classical" and not fits_complement(lam, mu, k, n):
+                    continue  # {} by duality: no determinant is applied
+                a, b = (mu, lam) if len(lam) <= 1 < len(mu) else (lam, mu)
+                applied = monos[a] if len(monos[a]) < len(monos[b]) else monos[b]
+                if max(map(len, applied)) >= 3:
+                    assert multiply(lam, mu, ctx) == apply_then_reduce(lam, mu, ctx), (lam, mu)
+                    checked += 1
+        assert checked > 1000
+
     def test_golden_digest(self):
         # sha256 of every product repr, recorded before multiply chose the
         # smaller of the two Giambelli determinants
@@ -422,6 +461,12 @@ class TestIntRows:
                                 want += [(j, d + 1) for j in chains if j[-1] < indices[-1]]
                             assert [self.term(t, n) for t in row] == want, (k, n, lam, h, d)
 
+    def test_partition_of_a_mask_is_the_symbol_route(self):
+        for mask in range(1 << 12):
+            got = _partition_of(mask)
+            assert type(got) is Partition
+            assert got == symbol_to_partition(_indices(mask)), mask
+
     def test_a_cold_product_builds_only_the_rows_it_reaches(self):
         # sigma_1 * sigma_lam applies D_1 once, to I(lam): one row, no table
         lam = P((35, 20, 10, 5, 1))
@@ -444,17 +489,18 @@ class TestIntRows:
         assert 0 < sum(key >> 9 == 0 for key, _ in rows) <= 630
 
     def test_leaves_no_reference_cycle(self):
-        gc.collect()
-        gc.disable()
-        try:
-            _ROWS.clear()
-            multiply(P((2, 1)), P((3, 2, 1)), GrassmannContext(3, 7, "quantum"))
-            assert gc.collect() == 0
-            structure_table(GrassmannContext(3, 7, "quantum"))
-            structure_table(GrassmannContext(3, 7))
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        with untraced():
+            gc.collect()
+            gc.disable()
+            try:
+                _ROWS.clear()
+                multiply(P((2, 1)), P((3, 2, 1)), GrassmannContext(3, 7, "quantum"))
+                assert gc.collect() == 0
+                structure_table(GrassmannContext(3, 7, "quantum"))
+                structure_table(GrassmannContext(3, 7))
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
 
 class TestDuality:
@@ -484,24 +530,24 @@ class TestDuality:
             rows = [(mu.padded(k), _factor(mu, k, k + width)) for mu in parts]
             for lam in parts:
                 complement = lam.box_complement(k, k + width).padded(k)
-                low, _, guard, _ = _factor(lam, k, k + width)
-                for padded, (_, high, _, _) in rows:
+                low, _, guard, _, _ = _factor(lam, k, k + width)
+                for padded, (_, high, _, _, _) in rows:
                     fits = all(m <= c for m, c in zip(padded, complement))
                     assert bool((low + high) & guard) != fits, (k, lam, padded)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_the_empty_class_survives_the_packed_test_at_k_equal_n(self, n):
         # one field of one bit per part, all zero
-        low, high, guard, _ = _factor(P(), n, n)
+        low, high, guard, _, _ = _factor(P(), n, n)
         assert (low + high) & guard == 0
         assert multiply(P(), P(), GrassmannContext(n, n)) == {(P(), 0): 1}
 
-    def test_vanishing_pairs_build_no_determinant(self):
+    def test_vanishing_pairs_build_no_determinant(self, monkeypatch):
         ctx = GrassmannContext(3, 7)
-        _box_monomials.cache_clear()
+        built = counted_laplace(monkeypatch)
         assert multiply(P((4, 2)), P((3, 3, 1)), ctx) == {}
         assert multiply(P((3, 3, 1)), P((4, 2)), ctx) == {}
-        assert _box_monomials.cache_info().misses == 0
+        assert built == []
 
     @pytest.mark.parametrize("mode", ["classical", "quantum"])
     def test_out_of_box_factors_raise_before_the_duality_test(self, mode):
@@ -569,7 +615,7 @@ class TestBoxMonomials:
                 det = giambelli_det(lam, k).terms
                 for width in range(max(lam.parts, default=0), 6):
                     want = {m: c for m, c in det.items() if all(p <= width for p in m)}
-                    assert dict(_box_monomials(lam.parts, k, width)) == want, (lam, k, width)
+                    assert _laplace(lam, k, width) == want, (lam, k, width)
 
     @pytest.mark.parametrize("mode", ["classical", "quantum"])
     def test_sigma1_times_a_large_staircase(self, mode):
@@ -583,15 +629,15 @@ class TestBoxMonomials:
         assert multiply(lam, P((1,)), ctx) == want
 
     @pytest.mark.parametrize("mode", ["classical", "quantum"])
-    def test_one_part_factor_builds_only_its_determinant(self, mode):
+    def test_one_part_factor_builds_only_its_determinant(self, mode, monkeypatch):
         # sigma_1 has one in-box monomial, so the staircase's 1,588 are
         # never built, in either order
         lam = P(tuple(range(12, 2, -1)))
         ctx = GrassmannContext(10, 22, mode)
         for pair in ((P((1,)), lam), (lam, P((1,)))):
-            _box_monomials.cache_clear()
+            built = counted_laplace(monkeypatch)
             multiply(*pair, ctx)
-            assert _box_monomials.cache_info().misses == 1
+            assert built == [(P((1,)), 10, 12)]
 
 
 class TestQuantumGiambelli:
@@ -709,14 +755,15 @@ def test_box_partitions_in_lexicographic_order():
 
 
 def test_box_partitions_leaves_no_reference_cycle():
-    gc.collect()
-    gc.disable()
-    try:
-        box_partitions(4, 9)
-        box_partitions(3, 7, 5)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    with untraced():
+        gc.collect()
+        gc.disable()
+        try:
+            box_partitions(4, 9)
+            box_partitions(3, 7, 5)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_every_lru_cache_is_found_where_it_says_it_lives():
@@ -732,7 +779,6 @@ def test_every_lru_cache_is_found_where_it_says_it_lives():
         assert getattr(sys.modules[cache.__module__], cache.__name__, None) is cache, cache
     names = sorted(f"{c.__module__}.{c.__name__}" for c in caches.values())
     assert names == [
-        "schubert.grassmann_contexts._box_monomials",
         "schubert.grassmann_contexts._factor",
         "schubert.schur_oracle._lr_strips",
         "schubert.schur_oracle.lr_expansion",

@@ -35,6 +35,7 @@ from polynomial_reference import (
     schur_decompose,
     schur_expand,
 )
+from untraced import untraced
 
 P = Partition
 
@@ -334,13 +335,14 @@ class TestLRTableaux:
     def test_leaves_no_reference_cycle(self):
         lr_expansion.cache_clear()
         _lr_strips.cache_clear()
-        gc.collect()
-        gc.disable()
-        try:
-            assert lr_expansion(P((3, 2, 1)), P((2, 2, 1)), 4)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        with untraced():
+            gc.collect()
+            gc.disable()
+            try:
+                assert lr_expansion(P((3, 2, 1)), P((2, 2, 1)), 4)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
     def test_caches_are_bounded(self):
         # a long-lived process meets ever more pairs and strips
@@ -539,13 +541,14 @@ class TestJacobiTrudi:
 
     def test_leaves_no_reference_cycle(self):
         # giambelli_det's column-by-column Laplace pass is included on purpose
-        gc.collect()
-        gc.disable()
-        try:
-            assert verify_jacobi_trudi(P((3, 2, 1)), 3)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        with untraced():
+            gc.collect()
+            gc.disable()
+            try:
+                assert verify_jacobi_trudi(P((3, 2, 1)), 3)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
 
 def _one_at_a_time(monos, k):
