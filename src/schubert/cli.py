@@ -55,25 +55,25 @@ EXIT_MATH = 3
 EXIT_BROKEN_PIPE = 141
 
 
+def _ints(text: str, what: str, build):
+    """build over text's comma-separated ints; a bad int or build's own check names what."""
+    try:
+        return build(int(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise InvalidInputError(f"cannot parse {what} {text!r}: {exc}")
+
+
 def parse_partition(text: str) -> Partition:
     """Comma-separated descending parts; the empty string is empty."""
     text = text.strip()
-    if not text:
-        return Partition()
-    try:
-        return Partition(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise InvalidInputError(f"cannot parse partition {text!r}: {exc}")
+    return _ints(text, "partition", Partition) if text else Partition()
 
 
 def parse_symbol(text: str) -> tuple:
     text = text.strip()
     if not text:
         raise InvalidInputError("empty symbol")
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise InvalidInputError(f"cannot parse symbol {text!r}: {exc}")
+    return _ints(text, "symbol", tuple)
 
 
 def render_sigma(expansion: dict) -> str:

@@ -81,7 +81,7 @@ class DPolynomial(FreeElement):
 
     def items(self):
         """(Partition, int) terms in ascending part order."""
-        return [(Partition(m), c) for m, c in sorted(self.terms.items())]
+        return [(Partition._of(m), c) for m, c in sorted(self.terms.items())]
 
     def __mul__(self, other):
         if isinstance(other, int):

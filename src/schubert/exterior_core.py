@@ -346,8 +346,7 @@ def partition_to_symbol(lam: Partition, k: int) -> SchubertSymbol:
 
 def symbol_to_partition(sym: SchubertSymbol) -> Partition:
     """Inverse of partition_to_symbol at the same k."""
-    sym = as_symbol(sym)
-    return Partition._of(tuple(sym[j] - j - 1 for j in reversed(range(len(sym)))))
+    return _partition_of(_mask(as_symbol(sym)))
 
 
 def _mask(indices) -> int:
@@ -366,6 +365,19 @@ def _indices(mask: int) -> tuple:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
+
+
+def _partition_of(mask: int) -> Partition:
+    """The partition of the symbol whose mask this is: its parts
+    i_j - j, read from the top set bit down."""
+    parts = []
+    j = mask.bit_count()
+    while mask:
+        i = mask.bit_length()
+        parts.append(i - j)
+        mask ^= 1 << i - 1
+        j -= 1
+    return Partition._of(tuple(parts))
 
 
 def _decoded(v: KVector) -> list:

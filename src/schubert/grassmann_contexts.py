@@ -18,6 +18,7 @@ from .exterior_core import (
     Partition,
     _indices,
     _mask,
+    _partition_of,
     accumulate,
     as_int,
     as_partition,
@@ -116,7 +117,7 @@ def box_partitions(k: int, n: int, max_weight=None) -> list:
             for part in range(1, min(p[-1] if p else n - k, cap - sum(p)) + 1)
         ]
         out.extend(level)
-    return [Partition(p) for p in sorted(out)]
+    return [Partition._of(p) for p in sorted(out)]
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +132,7 @@ def _factor(lam: Partition, k: int, n: int) -> list:
     the other's high stays below 2^b, so no carry crosses fields, and
     (low + high) & guard is nonzero exactly when some
     lam_i + mu_{k+1-i} > n-k."""
-    if len(lam) > k or lam and lam[0] > n - k:
+    if not lam.fits_box(k, n):
         raise InvalidInputError(f"{tuple(lam)} outside the {k}x{n - k} box")
     b = (n - k).bit_length() + 1
     low = high = guard = 0
@@ -140,19 +141,6 @@ def _factor(lam: Partition, k: int, n: int) -> list:
         high |= part << b * (k - 1 - i)
         guard |= 1 << b * i + b - 1
     return [low, high, guard, _mask(partition_to_symbol(lam, k).indices), None]
-
-
-def _partition_of(mask: int) -> Partition:
-    """The partition of the symbol whose mask this is: its parts
-    i_j - j, read from the top set bit down."""
-    parts = []
-    j = mask.bit_count()
-    while mask:
-        i = mask.bit_length()
-        parts.append(i - j)
-        mask ^= 1 << i - 1
-        j -= 1
-    return Partition._of(tuple(parts))
 
 
 # Process-wide and unbounded, like derivations._ROWS: _DECODED[n] maps a

@@ -775,6 +775,18 @@ class TestParsing:
         assert parse_partition("") == Partition()
         assert parse_partition("2,1") == Partition((2, 1))
 
+    @pytest.mark.parametrize("argv, err", [
+        (["mult", "2,3", "1", "--k", "2", "--n", "4"],
+         "error: cannot parse partition '2,3': parts not weakly decreasing: (2, 3)"),
+        (["mult", "x", "1", "--k", "2", "--n", "4"],
+         "error: cannot parse partition 'x': invalid literal for int() with base 10: 'x'"),
+        (["pieri", "1", "1,,2"], "error: cannot parse symbol '1,,2': invalid literal for int() with base 10: ''"),
+        (["pieri", "1", "x"], "error: cannot parse symbol 'x': invalid literal for int() with base 10: 'x'"),
+    ], ids=["partition-increasing", "partition-not-int", "symbol-empty-part", "symbol-not-int"])
+    def test_parse_error_text(self, capsys, argv, err):
+        # a partition's own check and int()'s message are both wrapped
+        assert run(capsys, *argv) == (EXIT_PARSE, "", err)
+
     def test_render_sigma_empty(self):
         assert render_sigma({}) == "0"
 

@@ -374,9 +374,7 @@ def _spanning_set(k, max_weight):
 
     def rec(prefix, lo):
         if len(prefix) == k:
-            sym = tuple(prefix)
-            if sum(sym) - k * (k + 1) // 2 <= max_weight:
-                out.append(KVector.basis(sym))
+            out.append(KVector.basis(tuple(prefix)))
             return
         for i in range(lo, max_weight + k + 1):
             if sum(prefix) + i <= max_weight + k * (k + 1) // 2:

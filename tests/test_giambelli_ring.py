@@ -1,6 +1,5 @@
 import hashlib
 import json
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -30,8 +29,10 @@ from schubert.grassmann_contexts import (
     box_partitions,
     reduce_kvector,
 )
+from schubert.pluecker import determinant, rank
 
 from laplace_reference import laplace_reference
+from test_derivations import _spanning_set
 
 
 def d(h):
@@ -197,21 +198,6 @@ class TestFreshResults:
         assert call().terms == expected
 
 
-def _spanning_set(k, max_weight):
-    out = []
-
-    def rec(prefix, lo):
-        if len(prefix) == k:
-            out.append(KVector.basis(tuple(prefix)))
-            return
-        for i in range(lo, max_weight + k + 1):
-            if sum(prefix) + i <= max_weight + k * (k + 1) // 2:
-                rec(prefix + [i], i + 1)
-
-    rec([], 1)
-    return out
-
-
 def test_expand_in_low_generators():
     p = d(1) * d(4) - d(5)
     k = 2
@@ -266,42 +252,6 @@ def _action_matrix(ops, k, degree):
     return matrix
 
 
-def _rank(matrix):
-    a = [[Fraction(x) for x in row] for row in matrix]
-    rows, r = len(a), 0
-    cols = len(a[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, rows):
-            if a[i][c]:
-                f = a[i][c] / a[r][c]
-                for j in range(c, cols):
-                    a[i][j] -= f * a[r][j]
-        r += 1
-    return r
-
-
-def _det(matrix):
-    m = len(matrix)
-    if m == 0:
-        return 1
-    total = 0
-    from itertools import permutations
-
-    for perm in permutations(range(m)):
-        inv = sum(
-            1 for i in range(m) for j in range(i + 1, m) if perm[i] > perm[j]
-        )
-        prod = (-1) ** inv
-        for i in range(m):
-            prod *= matrix[i][perm[i]]
-        total += prod
-    return total
-
-
 class TestOperatorLattices:
     def test_monomials_act_independently(self):
         # monomials in D_1..D_k of one degree act on the fundamental vector
@@ -311,7 +261,7 @@ class TestOperatorLattices:
                 monos = _monomials_of_degree(degree, k)
                 ops = [DPolynomial.monomial(m) for m in monos]
                 matrix = _action_matrix(ops, k, degree)
-                assert _rank(matrix) == len(ops)
+                assert rank(matrix) == len(ops)
 
     def test_determinant_operators_are_a_basis(self):
         # determinant operators of one degree act as distinct basis vectors,
@@ -326,7 +276,7 @@ class TestOperatorLattices:
                 ops = [giambelli_det(lam, k) for lam in lams]
                 matrix = _action_matrix(ops, k, degree)
                 assert len(matrix) == len(ops)
-                assert abs(_det(matrix)) == 1
+                assert abs(determinant(matrix)) == 1
 
     def test_annihilated_determinants_reduce_to_zero(self):
         # when the determinant's action lands entirely above rank n, its

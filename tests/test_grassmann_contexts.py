@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schubert
-from schubert import grassmann_contexts
-from schubert.derivations import _ROWS, _build_row, _laplace, _pieri, apply_operator, pieri_d
+from schubert import exterior_core, grassmann_contexts
+from schubert.derivations import _ROWS, _build_row, _laplace, apply_operator, pieri_d
 from schubert.exterior_core import (
     InvalidInputError,
     KVector,
     Partition,
     QInt,
     _indices,
-    _mask,
+    _partition_of,
     fundamental,
     normalize,
     partition_to_symbol,
@@ -29,7 +29,6 @@ from schubert.giambelli_ring import expand_in_low_generators, giambelli_det
 from schubert.grassmann_contexts import (
     GrassmannContext,
     _factor,
-    _partition_of,
     box_partitions,
     multiply,
     multiply_expansion,
@@ -41,6 +40,7 @@ from schubert.grassmann_contexts import (
 )
 from schubert.schur_oracle import lr_expansion, rim_hook_product
 
+from test_derivations import pieri_symbols
 from untraced import untraced
 
 P = Partition
@@ -424,11 +424,6 @@ class TestMultiply:
                     assert product == {}
 
 
-def pieri_symbols(indices, h):
-    """The Pieri rule's targets at a strictly increasing I, as index tuples."""
-    return [_indices(t) for t in _pieri(_mask(indices), h)]
-
-
 class TestIntRows:
     # the finite contexts key a term e_J at q-degree d by mask | d << n,
     # bit i-1 of mask set for each index i of J
@@ -462,10 +457,12 @@ class TestIntRows:
                             assert [self.term(t, n) for t in row] == want, (k, n, lam, h, d)
 
     def test_partition_of_a_mask_is_the_symbol_route(self):
+        # one decoder, owned by exterior_core; its inverse rule is i_j = lam_{k+1-j} + j
+        assert grassmann_contexts._partition_of is exterior_core._partition_of
         for mask in range(1 << 12):
             got = _partition_of(mask)
             assert type(got) is Partition
-            assert got == symbol_to_partition(_indices(mask)), mask
+            assert partition_to_symbol(got, mask.bit_count()).indices == _indices(mask), mask
 
     def test_a_cold_product_builds_only_the_rows_it_reaches(self):
         # sigma_1 * sigma_lam applies D_1 once, to I(lam): one row, no table

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubert import derivations, schur_oracle
-from schubert.derivations import DPolynomial
+from schubert.derivations import DPolynomial, inverse_components
 from schubert.exterior_core import InvalidInputError, KVector, Partition, QInt, accumulate, signed_sorted
 from schubert.grassmann_contexts import box_partitions
 from schubert.schur_oracle import (
@@ -448,8 +448,9 @@ def _assert_valid_shape(nu):
 
 
 class TestOutputShapesAreValid:
-    """lr_expansion and rim_hook_product wrap the shapes they build with
-    Partition._of, unchecked; each must still be a valid Partition."""
+    """lr_expansion, rim_hook_product, box_partitions and DPolynomial.items()
+    wrap the shapes they build with Partition._of, unchecked; each must
+    still be a valid Partition."""
 
     def test_lr_expansion_on_the_4x4_box(self):
         parts = box_partitions(4, 8)
@@ -467,6 +468,22 @@ class TestOutputShapesAreValid:
             for mu in parts:
                 for nu, _ in rim_hook_product(lam, mu, k, n):
                     _assert_valid_shape(nu)
+
+    def test_box_partitions(self):
+        for k in range(7):
+            for w in (None, 0, 5):
+                for lam in box_partitions(k, k + 6, w):
+                    _assert_valid_shape(lam)
+
+    def test_dpolynomial_items(self):
+        # Giambelli determinants, a product of two and the signed inverse
+        # components, keyed as the engine builds them
+        import schubert.giambelli_ring as ring
+
+        dets = [ring.giambelli_det(lam, 4) for lam in box_partitions(4, 8)]
+        for p in [*dets, dets[5] * dets[-1], *inverse_components(6)]:
+            for mono, _ in p.items():
+                _assert_valid_shape(mono)
 
 
 class TestJacobiTrudi:
