@@ -13,8 +13,9 @@ that applies them.  KVector terms are keyed by (mask, q-degree) in the
 same bits, so pieri_d and apply_operator hand each q-degree's masks to
 the rows as they are, and grassmann_contexts.quantum_pieri folds the
 q-degree in, mask | d << n; _apply_sigma adds a row's targets into a
-dict its caller hands it.  apply_operator evaluates a polynomial in the
-D_h as a Horner scheme on each q-degree's masks, with leaves
+dict its caller hands it.  apply_operator runs a Giambelli determinant's
+matrix through _laplace's pass with a vector per row subset, and any other
+polynomial as a Horner scheme, on each q-degree's masks, with leaves
 pieri_d(h, v): each node sums into one dict handed down by its parent,
 and a child's sum reaches D_h's rows once, its zeros dropped.
 The recursion is a plain function, so a call leaves no reference cycle.
@@ -43,11 +44,13 @@ class DPolynomial(FreeElement):
     of the subscripts of its D factors, to a nonzero integer coefficient.
     The constructor takes Partitions or part tuples and validates them as
     partitions, and ``items()`` gives Partitions; the engine works on
-    ``terms`` directly, keyed as _laplace builds them.
+    ``terms`` directly, keyed as _laplace builds them.  ``terms`` is never
+    changed in place: giambelli_det's result also records its matrix in
+    ``columns``, a slot unset on every other DPolynomial.
 
     The empty tuple is the identity operator."""
 
-    __slots__ = ()
+    __slots__ = ("columns",)
 
     def __init__(self, terms=None):
         items = terms.items() if hasattr(terms, "items") else terms or ()
@@ -174,8 +177,9 @@ def _pieri(mask: int, h: int) -> list:
 
 
 # Process-wide and unbounded, like the rows: one shared int per row target.
-# The rows repeat their targets (the 461 operators of the 5x5 box build
-# 62,936 targets on 3,530 ints), so sharing them cuts the peak RSS by a tenth.
+# The rows repeat their targets: the 1,715 Giambelli operators of the 6x6
+# box (k <= 6) build 69,501 targets on 7,727 ints, and sharing them takes
+# the peak RSS of that pass from 18.7 to 17.1 MB.
 _SHARED = {}
 
 # The Pieri rows, built once per process as terms reach them:
@@ -243,6 +247,8 @@ def pieri_d(h: int, v: KVector) -> KVector:
     h = as_int(h)
     if h < 0:
         raise InvalidInputError("h must be nonnegative")
+    if not isinstance(v, KVector):
+        raise InvalidInputError(f"pieri_d acts on a KVector, not {type(v).__name__}")
     rows, out = _ROWS[None, False][h], {}
     for d, terms in _by_degree(v.terms).items():
         for t, c in _apply_sigma(terms, rows, None, False, h, {}).items():
@@ -255,23 +261,57 @@ def apply_operator(p: DPolynomial, v: KVector) -> KVector:
     """Evaluate an operator polynomial on a k-vector.
 
     D_h's rows do not depend on the q-degree, so each q-degree's terms go
-    through the infinite rows apart, keyed by mask.  The D_h commute, so p
-    is a Horner scheme p = c + sum_h D_h * p_h, p_h the other parts of the
+    through the infinite rows apart, keyed by mask.  A Giambelli
+    determinant (p.columns set) is applied by its matrix, _columns' pass
+    over row subsets.  Any other p goes through a Horner scheme: the D_h
+    commute, so p = c + sum_h D_h * p_h, p_h the other parts of the
     monomials whose largest part is h.  Every node of the scheme sums into
     one dict handed down by its parent: p_h v is summed into a dict of its
     own, its zero sums dropped, and D_h's rows are applied to it once,
     adding their targets into the parent's dict, so terms cancel inside
     the tree.  A constant p_h is a leaf, pieri_d(h, v) cached per h for the
-    call and scaled into the parent's dict, so pieri_d stays the layer a
-    tracer sees under apply_operator."""
-    monos, leaves, out = p.terms.items(), {}, {}
+    call and scaled into the parent's dict.  Both routes read these
+    leaves, so pieri_d stays the layer a tracer sees under apply_operator."""
+    if not isinstance(p, DPolynomial) or not isinstance(v, KVector):
+        raise InvalidInputError("apply_operator takes a DPolynomial and a KVector")
+    columns, monos, leaves, out = getattr(p, "columns", None), p.terms.items(), {}, {}
     for d, terms in _by_degree(v.terms).items():
-        acc = {}
-        _horner(monos, terms, d, v, leaves, acc)
+        if columns is None:
+            acc = {}
+            _horner(monos, terms, d, v, leaves, acc)
+        else:
+            acc = _columns(columns, terms, d, v, leaves)
         for mask, c in acc.items():
             if c:
                 out[mask, d] = c
     return KVector._of(v.degree, out)
+
+
+def _columns(r: tuple, terms: dict, d: int, v: KVector, leaves: dict) -> dict:
+    """The determinant with entry (row i, col j) = D_{r_j + j - i} on terms,
+    v's part at q-degree d, as {mask: c} with zeros dropped: _laplace's
+    pass with a vector per row subset.  The leading columns with r_j = 0
+    are the identity on rows 1..j, and the first other column reads the
+    leaves.  A minor's vector is negated once, for the rows of odd sign."""
+    k, j = len(r), r.count(0) + 1
+    if j > k:
+        return terms
+    top, minors = r[j - 1] + j, {}
+    for i in range(j, min(k, top) + 1):
+        if top - i not in leaves:
+            leaves[top - i] = _by_degree(pieri_d(top - i, v).terms)
+        minors[(1 << j - 1) - 1 | 1 << i - 1] = leaves[top - i].get(d, {})
+    for j in range(j + 1, k + 1):
+        top, nxt = r[j - 1] + j, {}
+        for used, vec in minors.items():
+            neg = {m: -c for m, c in vec.items()}
+            for i in range(1, min(k, top) + 1):
+                if not used >> i - 1 & 1:
+                    src = neg if (used >> i).bit_count() & 1 else vec
+                    acc = nxt.setdefault(used | 1 << i - 1, {})
+                    _apply_sigma(src, _ROWS[None, False][top - i], None, False, top - i, acc)
+        minors = {used: {m: c for m, c in acc.items() if c} for used, acc in nxt.items()}
+    return minors.get((1 << k) - 1, {})
 
 
 def _horner(monos, terms: dict, d: int, v: KVector, leaves: dict, acc: dict) -> None:

@@ -32,9 +32,13 @@ def giambelli_det(lam: Partition, k: int) -> DPolynomial:
     where r_j is lam reversed (zero padded), D_0 = 1 and D_{<0} = 0.
 
     Homogeneous of degree |lam|.  _laplace with the largest entry,
-    lam_1 + k - 1, as the width keeps every monomial."""
+    lam_1 + k - 1, as the width keeps every monomial.  The result also
+    records r in its columns slot, so apply_operator applies the matrix
+    column by column instead of the expanded terms."""
     k, lam = as_int(k), as_partition(lam)
-    return DPolynomial._of(_laplace(lam, k, max(lam, default=0) + k - 1))
+    det = DPolynomial._of(_laplace(lam, k, max(lam, default=0) + k - 1))
+    det.columns = lam.padded(k)[::-1]
+    return det
 
 
 def _low_generators(k: int, top: int) -> list:

@@ -215,15 +215,13 @@ class TestMixedCoefficients:
     def test_apply_operator_is_composed_pieri(self, p, v):
         assert apply_operator(p, v) == _composed_pieri(p, v)
 
-    @given(mixed_kvectors(), st.integers(1, 3))
-    @settings(max_examples=50, deadline=None)
-    def test_giambelli_operator_is_composed_pieri(self, v, width):
-        lam = Partition((width,) * max(v.degree, 1))
-        p = giambelli_det(lam, max(v.degree, 1))
-        if v.degree == 0:
-            assert apply_operator(p, v).is_zero()
-        else:
-            assert apply_operator(p, v) == _composed_pieri(p, v)
+    @given(mixed_kvectors(), st.lists(st.integers(1, 3), max_size=4), st.integers(0, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_giambelli_operator_is_composed_pieri(self, v, parts, extra):
+        # giambelli_det's matrix, applied column by column, against its
+        # expanded terms applied one monomial at a time, on any degree
+        p = giambelli_det(Partition(sorted(parts, reverse=True)), len(parts) + extra)
+        assert apply_operator(p, v) == _composed_pieri(p, v)
 
     def test_cancellation_per_q_degree(self):
         # D_1 e[2,3] = e[2,4] and D_1 e[1,4] = e[2,4] + e[1,5]: the e[2,4]
@@ -477,6 +475,55 @@ class TestApplyOperator:
         assert len(rows[5]) == 0
         assert sorted(map(_indices, rows[4])) == [(1, 5), (1, 6), (2, 3), (2, 4), (2, 5)]
         assert got == _composed_pieri(p, v)
+
+    def test_determinant_route_equals_horner_on_the_6x6_box(self):
+        # giambelli_det's matrix against its own expanded terms, which carry
+        # none and so go through _horner, on fundamental(k) and on a seeded
+        # vector of degree 0..5 with terms at q-degrees 0..3 per operator
+        rng = random.Random(4101)
+        checked = 0
+        for k in range(1, 7):
+            for lam in box_partitions(k, k + 6):
+                det = giambelli_det(lam, k)
+                horner = DPolynomial._of(dict(det.terms))
+                assert det.columns == lam.padded(k)[::-1]
+                assert getattr(horner, "columns", None) is None
+                deg = rng.randint(0, 5)
+                v = KVector(deg, [
+                    (sorted(rng.sample(range(1, deg + 4), deg)),
+                     QInt.q_power(rng.randint(0, 3), rng.choice((-2, -1, 1, 2))))
+                    for _ in range(rng.randint(1, 3))
+                ])
+                for w in (fundamental(k), v):
+                    assert apply_operator(det, w) == apply_operator(horner, w), (lam, k, w)
+                    checked += 1
+        assert checked == 2 * 1715
+
+    def test_arithmetic_results_carry_no_matrix(self):
+        det = giambelli_det((3, 1), 3)
+        v = self.horner_vectors[2]
+        want = apply_operator(det, v)
+        assert det.columns == (0, 1, 3)
+        assert want == _composed_pieri(det, v)
+        for p in (det * 1, det + DPolynomial(), -(-det), DPolynomial(det.items())):
+            assert getattr(p, "columns", None) is None
+            assert p == det
+            assert apply_operator(p, v) == want
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_empty_partition_is_the_identity(self, k):
+        det = giambelli_det((), k)
+        assert det.terms == {(): 1}
+        for v in self.horner_vectors:
+            assert apply_operator(det, v) == v
+
+    def test_rejects_other_types(self):
+        with pytest.raises(InvalidInputError):
+            apply_operator({(): 1}, fundamental(2))
+        with pytest.raises(InvalidInputError):
+            apply_operator(DPolynomial.identity(), {(1, 2): 1})
+        with pytest.raises(InvalidInputError):
+            pieri_d(1, {})
 
     def test_leaves_no_reference_cycle(self):
         # a recursion written as a closure that calls itself would keep
