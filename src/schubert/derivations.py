@@ -15,9 +15,8 @@ the rows as they are, and grassmann_contexts.quantum_pieri folds the
 q-degree in, mask | d << n; _apply_sigma adds a row's targets into a
 dict its caller hands it.  apply_operator runs a Giambelli determinant's
 matrix through _laplace's pass with a vector per row subset, and any other
-polynomial as a Horner scheme, on each q-degree's masks, with leaves
-pieri_d(h, v): each node sums into one dict handed down by its parent,
-and a child's sum reaches D_h's rows once, its zeros dropped.
+polynomial as a Horner scheme, on each q-degree's masks: each node returns
+its own sum, zeros dropped, and a child's sum reaches D_h's rows once.
 The recursion is a plain function, so a call leaves no reference cycle.
 """
 
@@ -263,27 +262,17 @@ def apply_operator(p: DPolynomial, v: KVector) -> KVector:
     D_h's rows do not depend on the q-degree, so each q-degree's terms go
     through the infinite rows apart, keyed by mask.  A Giambelli
     determinant (p.columns set) is applied by its matrix, _columns' pass
-    over row subsets.  Any other p goes through a Horner scheme: the D_h
-    commute, so p = c + sum_h D_h * p_h, p_h the other parts of the
-    monomials whose largest part is h.  Every node of the scheme sums into
-    one dict handed down by its parent: p_h v is summed into a dict of its
-    own, its zero sums dropped, and D_h's rows are applied to it once,
-    adding their targets into the parent's dict, so terms cancel inside
-    the tree.  A constant p_h is a leaf, pieri_d(h, v) cached per h for the
-    call and scaled into the parent's dict.  Both routes read these
-    leaves, so pieri_d stays the layer a tracer sees under apply_operator."""
+    over row subsets, whose first column reads pieri_d(h, v), cached per h
+    for the call, so pieri_d stays the layer a tracer sees under
+    apply_operator.  Any other p goes through _horner.  Both return their
+    sums with zeros dropped."""
     if not isinstance(p, DPolynomial) or not isinstance(v, KVector):
         raise InvalidInputError("apply_operator takes a DPolynomial and a KVector")
     columns, monos, leaves, out = getattr(p, "columns", None), p.terms.items(), {}, {}
     for d, terms in _by_degree(v.terms).items():
-        if columns is None:
-            acc = {}
-            _horner(monos, terms, d, v, leaves, acc)
-        else:
-            acc = _columns(columns, terms, d, v, leaves)
-        for mask, c in acc.items():
-            if c:
-                out[mask, d] = c
+        vec = _horner(monos, terms) if columns is None else _columns(columns, terms, d, v, leaves)
+        for mask, c in vec.items():
+            out[mask, d] = c
     return KVector._of(v.degree, out)
 
 
@@ -291,8 +280,11 @@ def _columns(r: tuple, terms: dict, d: int, v: KVector, leaves: dict) -> dict:
     """The determinant with entry (row i, col j) = D_{r_j + j - i} on terms,
     v's part at q-degree d, as {mask: c} with zeros dropped: _laplace's
     pass with a vector per row subset.  The leading columns with r_j = 0
-    are the identity on rows 1..j, and the first other column reads the
-    leaves.  A minor's vector is negated once, for the rows of odd sign."""
+    are skipped: column j has 1 on the diagonal, D_1, D_2, ... above it
+    and 0 below, so their only nonzero minor is on the rows 1..j they
+    span, and it is 1.  The first other column reads the leaves
+    pieri_d(h, v).  A minor's vector is negated once, for the rows of odd
+    sign."""
     k, j = len(r), r.count(0) + 1
     if j > k:
         return terms
@@ -314,31 +306,23 @@ def _columns(r: tuple, terms: dict, d: int, v: KVector, leaves: dict) -> dict:
     return minors.get((1 << k) - 1, {})
 
 
-def _horner(monos, terms: dict, d: int, v: KVector, leaves: dict, acc: dict) -> None:
-    """Add into acc, as {mask: c} with sums of 0 kept, the sum of c * D_parts
-    over these (descending parts, c) pairs on terms, v's part at q-degree d,
-    sharing the call's per-h leaves.  Module-level: a closure that called
-    itself would leave a reference cycle per call."""
-    groups = {}
-    get = acc.get
+def _horner(monos, terms: dict) -> dict:
+    """The sum of c * D_parts over these (descending parts, c) pairs on
+    terms, as {mask: c} with zeros dropped.  The D_h commute, so the sum
+    is c + sum_h D_h * p_h, p_h the other parts of the pairs whose largest
+    part is h: the constant is scaled into the sum, and D_h's rows are
+    applied once to p_h's own sum, adding their targets into it, so terms
+    cancel inside the tree.  Module-level: a closure that called itself
+    would leave a reference cycle per call."""
+    groups, out = {}, {}
     for parts, c in monos:
         if parts:
             groups.setdefault(parts[0], []).append((parts[1:], c))
         else:
-            for mask, x in terms.items():
-                acc[mask] = get(mask, 0) + c * x
+            out = {mask: c * x for mask, x in terms.items()}
     for h, inner in groups.items():
-        if len(inner) > 1 or inner[0][0]:
-            inner_sum = {}
-            _horner(inner, terms, d, v, leaves, inner_sum)
-            inner_sum = {mask: c for mask, c in inner_sum.items() if c}
-            _apply_sigma(inner_sum, _ROWS[None, False][h], None, False, h, acc)
-            continue
-        if h not in leaves:
-            leaves[h] = _by_degree(pieri_d(h, v).terms)
-        c = inner[0][1]
-        for mask, x in leaves[h].get(d, {}).items():
-            acc[mask] = get(mask, 0) + c * x
+        _apply_sigma(_horner(inner, terms), _ROWS[None, False][h], None, False, h, out)
+    return {mask: c for mask, c in out.items() if c}
 
 
 def _series_inverse(coeffs: list, max_degree: int) -> list:

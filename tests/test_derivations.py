@@ -59,6 +59,14 @@ operators = st.dictionaries(
 ).map(DPolynomial)
 
 
+# Giambelli determinants of small partitions, each carrying its matrix
+small_dets = st.builds(
+    lambda parts, extra: giambelli_det(Partition(sorted(parts, reverse=True)), len(parts) + extra),
+    st.lists(st.integers(1, 3), max_size=3),
+    st.integers(0, 2),
+)
+
+
 def _composed_pieri(p, v):
     """apply_operator by its definition: the sum over monomials of c times
     the composed pieri_d's, added up with KVector add and scale."""
@@ -223,6 +231,17 @@ class TestMixedCoefficients:
         p = giambelli_det(Partition(sorted(parts, reverse=True)), len(parts) + extra)
         assert apply_operator(p, v) == _composed_pieri(p, v)
 
+    @given(st.one_of(operators, small_dets), st.one_of(operators, small_dets), mixed_kvectors())
+    @settings(max_examples=120, deadline=None)
+    def test_operator_ring_acts_commutatively(self, p, q, v):
+        # Z[D] is a commutative ring of operators: a product carries no
+        # matrix and goes through _horner, its factors through either route
+        pq = p * q
+        assert getattr(pq, "columns", None) is None
+        want = apply_operator(pq, v)
+        assert apply_operator(p, apply_operator(q, v)) == want
+        assert apply_operator(q, apply_operator(p, v)) == want
+
     def test_cancellation_per_q_degree(self):
         # D_1 e[2,3] = e[2,4] and D_1 e[1,4] = e[2,4] + e[1,5]: the e[2,4]
         # terms cancel in q-degree 0 and survive in q-degree 1
@@ -365,6 +384,37 @@ class TestInverseComponents:
     def test_e1_on_line(self):
         e1 = inverse_components(1)[1]
         assert apply_operator(e1, KVector.basis((3,))) == KVector.basis((4,), -1)
+
+    def test_components_are_signed_column_determinants(self):
+        # D_h acting as h_h makes E_t = D_t^{-1} the series of (-1)^m e_m,
+        # and e_m = det(h_{1-i+j}) (Macdonald I.(2.6')), the Giambelli
+        # determinant of the column (1^m) at k = m.  E_m carries no matrix
+        # and goes through _horner; det_m goes through _columns, so the two
+        # evaluators check each other on every box symbol of the k x 4 box
+        # and on seeded vectors with terms at q-degrees 0..3
+        es = inverse_components(9)
+        dets = [giambelli_det(Partition((1,) * m), m) for m in range(10)]
+        for m in range(10):
+            assert es[m] == (-1) ** m * dets[m]
+        rng = random.Random(4201)
+        vectors = [
+            KVector(deg, [
+                (sorted(rng.sample(range(1, deg + 4), deg)),
+                 QInt.q_power(rng.randint(0, 3), rng.choice((-2, -1, 1, 2))))
+                for _ in range(rng.randint(1, 4))
+            ])
+            for deg in range(6) for _ in range(2)
+        ]
+        for k in range(1, 6):
+            for lam in box_partitions(k, k + 4):
+                vectors.append(KVector.basis(partition_to_symbol(lam, k)))
+        checked = 0
+        for m in range(7):
+            assert getattr(es[m], "columns", None) is None
+            for v in vectors:
+                assert apply_operator(es[m], v) == apply_operator(dets[m], v).scale((-1) ** m), (m, v)
+                checked += 1
+        assert checked == 7 * (12 + 251)
 
 
 def _spanning_set(k, max_weight):
