@@ -42,7 +42,7 @@ from .grassmann_contexts import (
 from .pluecker import (
     RankDeficientError,
     all_minors,
-    minimality_certificate,
+    bruhat_smaller,
     read_matrix,
     schubert_symbol,
 )
@@ -197,7 +197,8 @@ def cmd_pluecker(args):
         raise InvalidInputError(f"matrix has {n} columns, --n says {args.n}")
     sym = schubert_symbol(matrix)  # raises RankDeficientError on rank < k
     minors = all_minors(matrix)
-    cert_ok = all(m == 0 for _, m in minimality_certificate(matrix, sym))
+    smaller = set(bruhat_smaller(sym, n))  # the minimality certificate's symbols
+    cert_ok = all(m == 0 for s, m in minors if s in smaller)
     payload = {"k": k, "n": n, "minors": [{"indices": list(s), "value": m} for s, m in minors],
                "symbol": list(sym), "minimality_certificate": cert_ok}
 

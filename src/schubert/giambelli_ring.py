@@ -121,8 +121,8 @@ def verify_presentation(k: int, n: int, mode: str = CLASSICAL) -> PresentationRe
     ctx = GrassmannContext(k, n, mode)
     k, n = ctx.k, ctx.n
     fund = fundamental(k)
-    es = inverse_components(n)
-    gens = _series_inverse(es[1 : k + 1], n)  # D_t = E_t^{-1}, as _low_generators
+    es = inverse_components(n)  # reused for D_t: _low_generators would add a 4th series inversion
+    gens = _series_inverse(es[1 : k + 1], n)  # D_t = E_t^{-1}
     # the Y's are a series of their own, not E filtered, so that the E/Y
     # identity below compares two independent computations
     ys = y_polynomials(n, k) if k < n else []

@@ -162,8 +162,8 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
     the longer one's determinant is never built.  A term e_J at q-degree d
     is keyed by one int, mask | d << n, where bit i-1 of mask is set for
     each index i of J; the rows come from derivations._ROWS.  A monomial's
-    first factor is its row at the start key, and its last factor's rows
-    are summed, scaled by the monomial's coefficient, straight into the
+    first factor is its row at the start key, seeded with the monomial's
+    coefficient, and its last factor's rows are summed straight into the
     product.  Each distinct key of the result is decoded from its mask to
     (nu, d) once per process, into _DECODED[n].  A classical product is {}
     at once when some lam_i + mu_{k+1-i} > n-k: mu does not fit in lam's
@@ -203,7 +203,7 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
             for key in row:
                 total[key] = get(key, 0) + c
             continue
-        w = dict.fromkeys(row, 1)
+        w = dict.fromkeys(row, c)
         for h in mono[1:-1]:
             w = _apply_sigma(w, rows[h], n, quantum, h, {})
         h = mono[-1]
@@ -212,7 +212,6 @@ def multiply(lam, mu, ctx: GrassmannContext) -> dict:
             row = last.get(key)
             if row is None:
                 row = _build_row(last, n, quantum, h, key)
-            x *= c
             for target in row:
                 total[target] = get(target, 0) + x
     decoded = _DECODED[n]

@@ -742,6 +742,17 @@ class TestPluecker:
         assert payload["symbol"] == [2, 4]
         assert payload["minimality_certificate"] is True
 
+    def test_each_minor_computed_once(self, capsys, tmp_path, monkeypatch):
+        # the certificate's Bruhat-smaller minors are read off all_minors' list
+        calls, real = [], schubert.pluecker.minor
+        monkeypatch.setattr(schubert.pluecker, "minor", lambda m, cols: calls.append(cols) or real(m, cols))
+        f = tmp_path / "m.txt"
+        f.write_text("0 1 2 0 3 0\n0 0 0 1 4 0\n0 0 0 0 0 1\n")
+        code, out, _ = run(capsys, "pluecker", str(f))
+        assert code == EXIT_OK
+        assert out.splitlines()[-2:] == ["symbol: (2,4,6)", "minimality certificate: all smaller minors vanish"]
+        assert len(calls) == len(set(calls)) == 20  # C(6, 3)
+
     def test_rank_deficient(self, capsys, tmp_path):
         f = tmp_path / "m.txt"
         f.write_text("1 2 3 4\n2 4 6 8\n")

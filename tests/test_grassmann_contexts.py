@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import importlib
 import itertools
@@ -41,7 +40,7 @@ from schubert.grassmann_contexts import (
 from schubert.schur_oracle import lr_expansion, rim_hook_product
 
 from test_derivations import pieri_symbols
-from untraced import untraced
+from untraced import assert_no_reference_cycle
 
 P = Partition
 
@@ -486,18 +485,12 @@ class TestIntRows:
         assert 0 < sum(key >> 9 == 0 for key, _ in rows) <= 630
 
     def test_leaves_no_reference_cycle(self):
-        with untraced():
-            gc.collect()
-            gc.disable()
-            try:
-                _ROWS.clear()
-                multiply(P((2, 1)), P((3, 2, 1)), GrassmannContext(3, 7, "quantum"))
-                assert gc.collect() == 0
-                structure_table(GrassmannContext(3, 7, "quantum"))
-                structure_table(GrassmannContext(3, 7))
-                assert gc.collect() == 0
-            finally:
-                gc.enable()
+        assert_no_reference_cycle(
+            _ROWS.clear,
+            lambda: multiply(P((2, 1)), P((3, 2, 1)), GrassmannContext(3, 7, "quantum")),
+            lambda: structure_table(GrassmannContext(3, 7, "quantum")),
+            lambda: structure_table(GrassmannContext(3, 7)),
+        )
 
 
 class TestDuality:
@@ -752,15 +745,7 @@ def test_box_partitions_in_lexicographic_order():
 
 
 def test_box_partitions_leaves_no_reference_cycle():
-    with untraced():
-        gc.collect()
-        gc.disable()
-        try:
-            box_partitions(4, 9)
-            box_partitions(3, 7, 5)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+    assert_no_reference_cycle(lambda: box_partitions(4, 9), lambda: box_partitions(3, 7, 5))
 
 
 def test_every_lru_cache_is_found_where_it_says_it_lives():

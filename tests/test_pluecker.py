@@ -1,4 +1,3 @@
-import gc
 from itertools import combinations, permutations
 
 import pytest
@@ -18,7 +17,7 @@ from schubert.pluecker import (
     schubert_symbol,
 )
 
-from untraced import untraced
+from untraced import assert_no_reference_cycle
 
 
 class TestDeterminant:
@@ -195,14 +194,7 @@ class TestCertificate:
                     assert got == want, top
 
     def test_bruhat_smaller_leaves_no_reference_cycle(self):
-        with untraced():
-            gc.collect()
-            gc.disable()
-            try:
-                bruhat_smaller(SchubertSymbol((3, 5, 7)), 7)
-                assert gc.collect() == 0
-            finally:
-                gc.enable()
+        assert_no_reference_cycle(lambda: bruhat_smaller(SchubertSymbol((3, 5, 7)), 7))
 
     def test_bruhat_smaller_rejects_an_index_above_n(self):
         with pytest.raises(InvalidInputError):

@@ -1,5 +1,4 @@
 import ast
-import gc
 import inspect
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -35,7 +34,7 @@ from polynomial_reference import (
     schur_decompose,
     schur_expand,
 )
-from untraced import untraced
+from untraced import assert_no_reference_cycle
 
 P = Partition
 
@@ -335,14 +334,10 @@ class TestLRTableaux:
     def test_leaves_no_reference_cycle(self):
         lr_expansion.cache_clear()
         _lr_strips.cache_clear()
-        with untraced():
-            gc.collect()
-            gc.disable()
-            try:
-                assert lr_expansion(P((3, 2, 1)), P((2, 2, 1)), 4)
-                assert gc.collect() == 0
-            finally:
-                gc.enable()
+
+        def step():
+            assert lr_expansion(P((3, 2, 1)), P((2, 2, 1)), 4)
+        assert_no_reference_cycle(step)
 
     def test_caches_are_bounded(self):
         # a long-lived process meets ever more pairs and strips
@@ -557,15 +552,10 @@ class TestJacobiTrudi:
             assert verify_jacobi_trudi(lam, 5), lam
 
     def test_leaves_no_reference_cycle(self):
-        # giambelli_det's column-by-column Laplace pass is included on purpose
-        with untraced():
-            gc.collect()
-            gc.disable()
-            try:
-                assert verify_jacobi_trudi(P((3, 2, 1)), 3)
-                assert gc.collect() == 0
-            finally:
-                gc.enable()
+        def step():
+            # giambelli_det's column-by-column Laplace pass is included on purpose
+            assert verify_jacobi_trudi(P((3, 2, 1)), 3)
+        assert_no_reference_cycle(step)
 
 
 def _one_at_a_time(monos, k):
